@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"path/filepath"
 	"sort"
@@ -71,12 +72,15 @@ func runServeMixed(e *env) error {
 	e.rep.set("setup_s", median(setups), fmt.Sprintf("median of %d setups: boot + binary upload + first cold valuation", len(setups)))
 	e.rep.set("svserver.upload_ms", median(uploads), fmt.Sprintf("median of %d binary uploads of the train set", len(uploads)))
 
-	// The op sequence is a pure function of the seed and the op index: op i
-	// draws its kind, and a repeat resends the body of an op 2..9 earlier
-	// (resolved to the first op that carried that body).
+	// The op sequence is a pure function of the seed and the op index. Kinds
+	// follow the golden-ratio sequence, so every run has the configured mix
+	// to within a few ops (a random draw moved the median request between
+	// the latency modes of the kinds from seed to seed); a repeat resends
+	// the body of an op 2..9 earlier, drawn from the seed and resolved to
+	// the first op that carried that body.
 	kindOf := func(i int) (string, int) {
 		rng := rand.New(rand.NewPCG(e.inputSeed(3), uint64(i)))
-		switch u := rng.Float64(); {
+		switch u := math.Mod(float64(i)*0.6180339887498949, 1); {
 		case u < c.ExactShare:
 			return "exact", i
 		case u < c.ExactShare+c.AutoShare || i < 2:
