@@ -5,7 +5,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"knnshapley/internal/core"
+	"knnshapley/internal/dataset"
+	"knnshapley/internal/knn"
+	"knnshapley/internal/vec"
 )
 
 // tinyConfig shrinks every workload so the self-test runs in seconds.
@@ -32,23 +39,15 @@ var ownLayers = map[string][]string{
 		"loadgen.late_p90_ms", "trace.overhead_ratio"},
 	"ann_index": {"lsh.tune_ms", "core.lsh_build_ms", "core.lsh_load_ms", "core.kd_build_ms", "core.kd_load_ms",
 		"lsh.tables", "lsh.index_bytes", "registry.index_put_ms", "registry.index_get_ms", "lsh.query_ms",
-		"lsh.candidates_per_query", "lsh.recall", "kdtree.query_ms", "trace.overhead_ratio"},
+		"lsh.candidates_per_query", "lsh.recall", "lsh.eps_miss_ratio", "kdtree.query_ms", "trace.overhead_ratio"},
 }
 
 // TestWorkloadsTiny runs all four workloads end to end at tiny sizes,
 // untraced and traced: every metric is emitted with its unit and every
 // output check (Utility, eps, HTTP and replay bit-identity) passes.
 func TestWorkloadsTiny(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "workloads.json")
-	if err := os.WriteFile(cfgPath, []byte(tinyConfig), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := loadConfig(cfgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := filepath.Join(dir, "svserver")
+	cfg := loadTiny(t)
+	server := filepath.Join(t.TempDir(), "svserver")
 	if out, err := exec.Command("go", "build", "-o", server, "knnshapley/cmd/svserver").CombinedOutput(); err != nil {
 		t.Fatalf("build svserver: %v\n%s", err, out)
 	}
@@ -93,6 +92,68 @@ func TestWorkloadsTiny(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLSHCheckFails shows the per-point check of ann_index lsh ops failing:
+// a query that returns the wrong neighbors puts most test points more than
+// eps from exact, so every lsh op fails, while the true K* neighbors pass.
+func TestLSHCheckFails(t *testing.T) {
+	cfg := loadTiny(t)
+	c, k := cfg.ANN, cfg.K
+	kStar := core.KStar(k, c.Eps)
+	e := &env{cfg: cfg, seed: 3, rep: newReport()}
+	train := dataset.MNISTLike(c.N, e.inputSeed(1))
+	truth := func(q []float64) []int { return knn.Neighbors(train.X, q, kStar, vec.L2) }
+	var l libReplay
+	var ops []lshOp
+	for b := 0; b < 4; b++ {
+		vals := l.annValue(nil, "", train, e.annTest(b), k, c.Eps, truth, nil)
+		ops = append(ops, lshOp{id: 2 * b, batch: b, hash: bitsHash(vals)})
+	}
+	e.checkLSH(ops, train, truth)
+	if miss := e.rep.values["lsh.eps_miss_ratio"].Value; len(e.rep.failedOps) != 0 || miss != 0 {
+		t.Fatalf("true neighbors: %d failed ops, miss ratio %g: %v", len(e.rep.failedOps), miss, e.rep.failures)
+	}
+
+	e.rep = newReport()
+	firstRows := func([]float64) []int {
+		ids := make([]int, kStar)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	e.checkLSH(ops, train, firstRows)
+	if miss := e.rep.values["lsh.eps_miss_ratio"].Value; len(e.rep.failedOps) != len(ops) || miss <= 2*c.Delta {
+		t.Fatalf("wrong neighbors: %d of %d ops failed, miss ratio %g (delta %g)", len(e.rep.failedOps), len(ops), miss, c.Delta)
+	}
+
+	// The true neighbors in reverse order: all K* are retrieved, so a point
+	// more than eps from exact breaks Theorem 2 whatever the share.
+	e.rep = newReport()
+	reversed := func(q []float64) []int {
+		ids := truth(q)
+		slices.Reverse(ids)
+		return ids
+	}
+	e.checkLSH(ops, train, reversed)
+	if !slices.ContainsFunc(e.rep.failures, func(f string) bool { return strings.Contains(f, "all its K* nearest") }) {
+		t.Fatalf("reversed neighbors: no Theorem 2 failure: %v", e.rep.failures)
+	}
+}
+
+// loadTiny loads tinyConfig through loadConfig.
+func loadTiny(t *testing.T) Config {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "workloads.json")
+	if err := os.WriteFile(path, []byte(tinyConfig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := loadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestMetricListsMatchBenchmarkJSON pins metrics.go to BENCHMARK.json.

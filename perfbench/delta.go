@@ -137,7 +137,7 @@ func runDeltaStream(e *env) error {
 	for _, a := range arrivals {
 		e.rep.attempted++
 		if a.err != nil {
-			e.rep.fail("arrival %d: %v", a.id, a.err)
+			e.rep.fail(a.id, "arrival %d: %v", a.id, a.err)
 			continue
 		}
 		lat = append(lat, ms(a.latency))
@@ -214,11 +214,11 @@ func (e *env) verifyDelta(arrivals []*arrival, base, test *dataset.Dataset, base
 			}
 			switch {
 			case err != nil:
-				e.rep.fail("arrival %d: replay: %v", a.id, err)
+				e.rep.fail(a.id, "arrival %d: replay: %v", a.id, err)
 			case child != a.child:
-				e.rep.fail("arrival %d: replayed child %s != server's %s", a.id, child, a.child)
+				e.rep.fail(a.id, "arrival %d: replayed child %s != server's %s", a.id, child, a.child)
 			case marshalHash(got) != want:
-				e.rep.fail("arrival %d: HTTP values differ from the in-process replay", a.id)
+				e.rep.fail(a.id, "arrival %d: HTTP values differ from the in-process replay", a.id)
 			}
 		}
 		if a.id%10 == 9 {
@@ -244,7 +244,7 @@ func (e *env) verifyDelta(arrivals []*arrival, base, test *dataset.Dataset, base
 func (e *env) checkWithValuer(s *stack, a *arrival, test *dataset.Dataset, want uint64) {
 	h, err := s.reg.Get(a.child)
 	if err != nil {
-		e.rep.fail("arrival %d: %v", a.id, err)
+		e.rep.fail(a.id, "arrival %d: %v", a.id, err)
 		return
 	}
 	defer h.Release()
@@ -256,6 +256,6 @@ func (e *env) checkWithValuer(s *stack, a *arrival, test *dataset.Dataset, want 
 		}
 	}
 	if err != nil {
-		e.rep.fail("arrival %d: %v", a.id, err)
+		e.rep.fail(a.id, "arrival %d: %v", a.id, err)
 	}
 }

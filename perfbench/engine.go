@@ -77,11 +77,11 @@ func runEngineBatch(e *env) error {
 		measured += d
 		e.rep.attempted++
 		if err != nil {
-			e.rep.fail("exact op %d: %v", 2*pair, err)
+			e.rep.fail(2*pair, "exact op %d: %v", 2*pair, err)
 			continue
 		}
 		exactD := d
-		ok := e.checkGroupRationality(ctx, v, test, exact.Values, all)
+		ok := e.checkGroupRationality(ctx, 2*pair, v, test, exact.Values, all)
 		if e.traced {
 			exactOps[2*pair] = true
 			p, t := e.replayEngineOp(tr, &replay, 2*pair, train, test, pre, "exact", 0, exact.Values)
@@ -93,7 +93,7 @@ func runEngineBatch(e *env) error {
 		measured += d
 		e.rep.attempted++
 		if err != nil {
-			e.rep.fail("truncated op %d: %v", 2*pair+1, err)
+			e.rep.fail(2*pair+1, "truncated op %d: %v", 2*pair+1, err)
 			continue
 		}
 		lat = append(lat, ms(exactD+d))
@@ -102,7 +102,7 @@ func runEngineBatch(e *env) error {
 			worst := maxAbsDiff(trunc.Values, exact.Values)
 			e.rep.noteErr(worst)
 			if worst > c.TruncatedEps {
-				e.rep.fail("truncated op %d: |truncated - exact| = %g > eps %g", 2*pair+1, worst, c.TruncatedEps)
+				e.rep.fail(2*pair+1, "truncated op %d: |truncated - exact| = %g > eps %g", 2*pair+1, worst, c.TruncatedEps)
 			}
 		}
 		if e.traced {
@@ -200,15 +200,15 @@ func (e *env) replayEngineOp(tr *tracer, l *libReplay, op int, train, test *data
 func (e *env) checkReplay(op int, got []float64, err error, want []float64) {
 	switch {
 	case err != nil:
-		e.rep.fail("op %d: replay: %v", op, err)
+		e.rep.fail(op, "op %d: replay: %v", op, err)
 	case !bitsEqual(got, want):
-		e.rep.fail("op %d: replay differs from the untraced values", op)
+		e.rep.fail(op, "op %d: replay differs from the untraced values", op)
 	}
 }
 
 // checkGroupRationality checks Σ values = ν(I) − ν(∅) via Utility; it
 // reports whether the values passed.
-func (e *env) checkGroupRationality(ctx context.Context, v *knnshapley.Valuer, test *dataset.Dataset, values []float64, all []int) bool {
+func (e *env) checkGroupRationality(ctx context.Context, op int, v *knnshapley.Valuer, test *dataset.Dataset, values []float64, all []int) bool {
 	full, err := v.Utility(ctx, test, all)
 	if err == nil {
 		var empty float64
@@ -223,7 +223,7 @@ func (e *env) checkGroupRationality(ctx context.Context, v *knnshapley.Valuer, t
 		}
 	}
 	if err != nil {
-		e.rep.fail("exact op: group rationality: %v", err)
+		e.rep.fail(op, "exact op %d: group rationality: %v", op, err)
 		return false
 	}
 	return true

@@ -54,17 +54,13 @@ func main() {
 		trace    = flag.Int("trace", 0, "1 = report per-layer metrics from a traced replay; 0 = end-to-end metrics")
 		root     = flag.String("root", ".", "repository root (holds perfbench/workloads.json)")
 		server   = flag.String("svserver", "", "svserver binary built from the tree under test")
-		config   = flag.String("config", "", "workload constants (default <root>/perfbench/workloads.json)")
 	)
 	flag.Parse()
 	run, ok := workloads[*workload]
 	if !ok {
 		fatalf("unknown workload %q", *workload)
 	}
-	if *config == "" {
-		*config = filepath.Join(*root, "perfbench", "workloads.json")
-	}
-	cfg, err := loadConfig(*config)
+	cfg, err := loadConfig(filepath.Join(*root, "perfbench", "workloads.json"))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -140,13 +136,13 @@ type report struct {
 	notes     map[string]string
 	host      []string
 	attempted int
-	failed    int
+	failedOps map[int]bool
 	failures  []string
 	valueErr  float64
 }
 
 func newReport() *report {
-	return &report{values: map[string]metric{}, notes: map[string]string{}}
+	return &report{values: map[string]metric{}, notes: map[string]string{}, failedOps: map[int]bool{}}
 }
 
 // set records a metric with an optional note (its sample count or base).
@@ -161,9 +157,11 @@ func (r *report) set(name string, value float64, note string) {
 	}
 }
 
-// fail counts one failed operation; the first few reasons are printed.
-func (r *report) fail(format string, args ...any) {
-	r.failed++
+// fail records a failed check of operation op. An op counts once in
+// "failed" however many of its checks fail; the first few reasons are
+// printed.
+func (r *report) fail(op int, format string, args ...any) {
+	r.failedOps[op] = true
 	if len(r.failures) < 10 {
 		r.failures = append(r.failures, fmt.Sprintf(format, args...))
 	}
@@ -184,7 +182,8 @@ func (r *report) result(traced bool) (result, error) {
 	if traced {
 		names = perLayer
 	}
-	out := result{Attempted: r.attempted, Failed: r.failed, Correct: r.failed == 0, Metrics: map[string]metric{}}
+	failed := len(r.failedOps)
+	out := result{Attempted: r.attempted, Failed: failed, Correct: failed == 0, Metrics: map[string]metric{}}
 	if r.attempted < 1 {
 		return out, fmt.Errorf("no operation was attempted")
 	}
@@ -230,7 +229,7 @@ func (r *report) print(w *os.File, e *env) {
 		fmt.Fprintf(w, "%-32s %14.6g %-6s %s\n", n, m.Value, m.Unit, r.notes[n])
 	}
 	fmt.Fprintf(w, "%-32s %14.6g %-6s attempted=%d failed=%d\n", "failed_ratio",
-		float64(r.failed)/float64(max(r.attempted, 1)), "ratio", r.attempted, r.failed)
+		float64(len(r.failedOps))/float64(max(r.attempted, 1)), "ratio", r.attempted, len(r.failedOps))
 	for _, f := range r.failures {
 		fmt.Fprintf(w, "# FAILED %s\n", strings.ReplaceAll(f, "\n", " "))
 	}

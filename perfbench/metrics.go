@@ -75,6 +75,7 @@ var perLayer = []metricSpec{
 	{"lsh.query_ms", "ms"},
 	{"lsh.candidates_per_query", "count"},
 	{"lsh.recall", "ratio"},
+	{"lsh.eps_miss_ratio", "ratio"},
 	{"kdtree.query_ms", "ms"},
 	{"loadgen.late_p90_ms", "ms"},
 	{"loadgen.backlog_max", "count"},

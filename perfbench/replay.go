@@ -81,7 +81,10 @@ func (l *libReplay) value(tr *tracer, train, test *dataset.Dataset, pre *knn.Pre
 // annValue replays an LSH or k-d valuation: per test point, retrieve the K*
 // neighbors with query (timed as span name), run the Theorem 2 recurrence
 // over them, and reduce in test order — the engine's queryKernel sequence.
-func (l *libReplay) annValue(tr *tracer, name string, train, test *dataset.Dataset, k int, eps float64, query func(q []float64) []int) []float64 {
+// A non-nil each sees every test point's neighbors and values before the
+// reduce.
+func (l *libReplay) annValue(tr *tracer, name string, train, test *dataset.Dataset, k int, eps float64,
+	query func(q []float64) []int, each func(i int, ids []int, values []float64)) []float64 {
 	if l.results == nil {
 		l.results = make([][]float64, core.DefaultBatchSize)
 	}
@@ -102,6 +105,9 @@ func (l *libReplay) annValue(tr *tracer, name string, train, test *dataset.Datas
 			}
 			core.TruncatedFromRankingInto(ids, l.correct, n, k, eps, dst)
 			tr.end(sp)
+			if each != nil {
+				each(start+i, ids, dst)
+			}
 		}
 		l.reduce(tr, acc, nb)
 	}

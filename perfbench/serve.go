@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -20,6 +21,7 @@ import (
 type serveOp struct {
 	id      int
 	kind    string // "exact", "auto" or "repeat"
+	method  string // "exact" or "auto": the kind of the source op
 	source  int    // the op whose body a repeat resends
 	body    []byte
 	reply   valueReply
@@ -92,16 +94,15 @@ func runServeMixed(e *env) error {
 	makeOp := func(i int) *serveOp {
 		op := &serveOp{id: i}
 		op.kind, op.source = kindOf(i)
-		kind := op.kind
-		for kind == "repeat" {
-			kind, op.source = kindOf(op.source)
+		op.method = op.kind
+		for op.method == "repeat" {
+			op.method, op.source = kindOf(op.source)
 		}
 		var p knnshapley.Method = knnshapley.ExactParams{}
-		if kind == "auto" {
+		if op.method == "auto" {
 			p = knnshapley.AutoParams{Eps: c.AutoEps}
 		}
-		test := dataset.MNISTLike(c.TestPoints, e.inputSeed(1_000_000+uint64(op.source)))
-		op.body = serveBody(k, trainID, test, p)
+		op.body = serveBody(k, trainID, e.serveTest(op.source), p)
 		return op
 	}
 
@@ -151,7 +152,7 @@ func runServeMixed(e *env) error {
 	for _, op := range ops {
 		e.rep.attempted++
 		if op.err != nil {
-			e.rep.fail("op %d (%s): %v", op.id, op.kind, op.err)
+			e.rep.fail(op.id, "op %d (%s): %v", op.id, op.kind, op.err)
 			continue
 		}
 		lat = append(lat, ms(op.c.dur))
@@ -167,6 +168,11 @@ func runServeMixed(e *env) error {
 	return e.verifyServe(ops, train, warm, trainID)
 }
 
+// serveTest is the inline test set op source sends, and every repeat of it.
+func (e *env) serveTest(source int) *dataset.Dataset {
+	return dataset.MNISTLike(e.cfg.Serve.TestPoints, e.inputSeed(1_000_000+uint64(source)))
+}
+
 // serveBody is the JSON of one POST /value by train ref with an inline test.
 func serveBody(k int, trainRef string, test *dataset.Dataset, p knnshapley.Method) []byte {
 	b, err := json.Marshal(wire.ValueRequest{K: k, TrainRef: trainRef, Test: payloadOf(test), Params: p})
@@ -177,9 +183,11 @@ func serveBody(k int, trainRef string, test *dataset.Dataset, p knnshapley.Metho
 }
 
 // verifyServe replays every completed op in process, in op order, and
-// checks the HTTP values against it bit for bit; auto values must also be
-// within eps of the exact ones. A traced run replays through a traced and
-// an untraced stack and reports the per-layer breakdown.
+// checks the HTTP values against it bit for bit. Independently of the
+// replay, exact values (exact ops and auto ops the planner sent to exact)
+// must equal a separate Valuer's Exact bit for bit, and approximate picks
+// must stay within eps of it. A traced run replays through a traced and an
+// untraced stack and reports the per-layer breakdown.
 func (e *env) verifyServe(ops []*serveOp, train, warm *dataset.Dataset, trainID string) error {
 	c, k := e.cfg.Serve, e.cfg.K
 	stacks, err := e.replayStacks(func(s *stack) error {
@@ -198,7 +206,22 @@ func (e *env) verifyServe(ops []*serveOp, train, warm *dataset.Dataset, trainID 
 		return err
 	}
 	defer closeStacks(stacks)
-	exactRef := stacks[0]
+	ref, err := knnshapley.New(train, knnshapley.WithK(k))
+	if err != nil {
+		return err
+	}
+	refExact := map[int][]float64{} // by source op
+	exactOf := func(source int) ([]float64, error) {
+		if vals, ok := refExact[source]; ok {
+			return vals, nil
+		}
+		rep, err := ref.Exact(context.Background(), e.serveTest(source))
+		if err != nil {
+			return nil, err
+		}
+		refExact[source] = rep.Values
+		return rep.Values, nil
+	}
 	var tracedWall, plainWall time.Duration
 	approx := 0
 	for _, op := range ops {
@@ -225,41 +248,41 @@ func (e *env) verifyServe(ops []*serveOp, train, warm *dataset.Dataset, trainID 
 				op.plainMs = ms(d)
 			}
 			if err != nil {
-				e.rep.fail("op %d (%s): replay: %v", op.id, op.kind, err)
+				e.rep.fail(op.id, "op %d (%s): replay: %v", op.id, op.kind, err)
 				break
 			}
 			if marshalHash(got) != want {
-				e.rep.fail("op %d (%s): HTTP values differ from the in-process replay", op.id, op.kind)
+				e.rep.fail(op.id, "op %d (%s): HTTP values differ from the in-process replay", op.id, op.kind)
 				break
 			}
 			if i == 0 {
 				vals = got
 			}
 		}
-		if (pick != "truncated" && pick != "kd") || vals == nil {
-			continue
-		}
-		if approx++; approx%4 == 1 {
+		switch {
+		case op.method == "exact" || pick == "exact":
+			exact, err := exactOf(op.source)
+			switch {
+			case err != nil:
+				e.rep.fail(op.id, "op %d: exact reference: %v", op.id, err)
+			case marshalHash(exact) != want:
+				e.rep.fail(op.id, "op %d (%s): HTTP values differ from Valuer.Exact", op.id, op.kind)
+			}
+		case (pick == "truncated" || pick == "kd") && vals != nil:
+			if approx++; approx%4 != 1 {
+				continue
+			}
 			// Theorem 2 against the exact values of the same inputs, on every
 			// fourth approximate op (each costs a full exact valuation).
-			var req wire.ValueRequest
-			if err := json.Unmarshal(op.body, &req); err != nil {
-				return err
-			}
-			req.Params = knnshapley.ExactParams{}
-			exactBody, err := json.Marshal(req)
+			exact, err := exactOf(op.source)
 			if err != nil {
-				return err
-			}
-			exact, err := exactRef.value(exactBody, "")
-			if err != nil {
-				e.rep.fail("op %d: exact reference: %v", op.id, err)
+				e.rep.fail(op.id, "op %d: exact reference: %v", op.id, err)
 				continue
 			}
 			worst := maxAbsDiff(vals, exact)
 			e.rep.noteErr(worst)
 			if worst > c.AutoEps {
-				e.rep.fail("op %d: |auto - exact| = %g > eps %g", op.id, worst, c.AutoEps)
+				e.rep.fail(op.id, "op %d: |auto - exact| = %g > eps %g", op.id, worst, c.AutoEps)
 			}
 		}
 	}
