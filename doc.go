@@ -225,9 +225,11 @@
 // index it builds as a serialized, CRC-verified container keyed on the
 // training set's content fingerprint plus the index's canonical
 // parameters, and a later session — including one in a freshly restarted
-// process — reloads the artifact instead of rebuilding it. Reloading is a
-// sequential read and in-memory reconstruction, measured at a small
-// fraction of the build (BENCH_9.json index_build_* vs index_load_*);
+// process — reloads the artifact instead of rebuilding it. An LSH table is
+// stored as flat CSR arrays (sorted bucket keys, offsets, one id array), so
+// its reload is a read, a CRC and an O(N) validation per table; a k-d
+// reload is a sequential read and reconstruction. Both cost a small
+// fraction of the build (README, "Index persistence");
 // EnsureIndex builds or reloads eagerly, which is what cmd/svserver's
 // POST /indexes exposes as a journaled background job. Artifacts are
 // refcounted, reclaimed least-recently-used under a disk budget, verified

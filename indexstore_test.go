@@ -1,7 +1,11 @@
 package knnshapley
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"testing"
 
 	"knnshapley/internal/core"
@@ -84,6 +88,70 @@ func TestIndexStoreReloadAcrossSessions(t *testing.T) {
 	}
 	if v3.IndexBuilds() != 1 || v3.IndexLoads() != 0 {
 		t.Fatalf("different dataset: builds=%d loads=%d, want 1/0", v3.IndexBuilds(), v3.IndexLoads())
+	}
+}
+
+// TestIndexStoreReplacesUnsupportedLSHVersion pins the format-upgrade
+// path: an LSH artifact whose codec version the decoder no longer reads
+// is rebuilt, not loaded, and the rebuild replaces it, so the session
+// after that loads again.
+func TestIndexStoreReplacesUnsupportedLSHVersion(t *testing.T) {
+	store, err := OpenIndexDir(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := SynthGist(300, 1)
+	key := core.LSHConfig{K: 5, Eps: 0.1, Delta: 0.1, Seed: 7}.LSHIndexKey()
+	ensure := func() (IndexStatus, string) {
+		t.Helper()
+		v, err := New(train, WithK(5), WithIndexStore(store))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := v.EnsureIndex("lsh", 0.1, 0.1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, v.DatasetID()
+	}
+	stored := func(ds string) []byte {
+		t.Helper()
+		rc, ok := store.GetIndex(ds, "lsh", key)
+		if !ok {
+			t.Fatal("no LSH artifact in the store")
+		}
+		defer rc.Close()
+		blob, err := io.ReadAll(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+
+	st, ds := ensure()
+	if !st.Built {
+		t.Fatalf("first session: %+v, want a build", st)
+	}
+	built := stored(ds)
+	// Set the lsh codec's version field (after core's 44-byte tuned-metadata
+	// prefix and the 8-byte magic) to 2 and refresh the codec's CRC trailer,
+	// so the version is the artifact's only defect.
+	const metaLen = 5*8 + 4
+	old := append([]byte(nil), built...)
+	binary.LittleEndian.PutUint64(old[metaLen+8:], 2)
+	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[metaLen:len(old)-4]))
+	if err := store.PutIndex(ds, "lsh", key, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, _ := ensure(); !st.Built || st.Loaded {
+		t.Fatalf("session over the version-2 artifact: %+v, want built and not loaded", st)
+	}
+	if !bytes.Equal(stored(ds), built) {
+		t.Fatal("the rebuild did not replace the version-2 artifact with the original build's bytes")
+	}
+	if st, _ := ensure(); !st.Loaded || st.Built {
+		t.Fatalf("session after the replacement: %+v, want loaded", st)
 	}
 }
 

@@ -7,6 +7,10 @@
 // Both Writer and Reader are sticky-error: after the first failure every
 // later call is a no-op, so codecs can emit a field sequence without
 // checking each write and collect the first error once at the end.
+//
+// The array forms (U64s, U32s, F64s) move whole arrays in chunks of
+// chunkLen bytes, with one CRC update per chunk instead of one per value:
+// the raw-array layout of the LSH index codec rests on them.
 package binio
 
 import (
@@ -18,12 +22,16 @@ import (
 	"math"
 )
 
+// chunkLen is the encode/decode chunk of the array forms, in bytes.
+const chunkLen = 1 << 13
+
 // Writer buffers, counts and CRC-sums everything written through it.
 type Writer struct {
-	bw  *bufio.Writer
-	n   int64
-	crc uint32
-	err error
+	bw    *bufio.Writer
+	n     int64
+	crc   uint32
+	err   error
+	chunk [chunkLen]byte
 }
 
 // NewWriter wraps w in a buffered, CRC-summing writer.
@@ -55,6 +63,45 @@ func (w *Writer) U32(v uint32) {
 
 // F64 writes one float64 as its IEEE-754 bits.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
+// U64s writes vs as consecutive little-endian uint64s (no length prefix).
+func (w *Writer) U64s(vs []uint64) {
+	for len(vs) > 0 && w.err == nil {
+		n := min(len(vs), chunkLen/8)
+		b := w.chunk[:0]
+		for _, v := range vs[:n] {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		w.put(b)
+		vs = vs[n:]
+	}
+}
+
+// U32s writes vs as consecutive little-endian uint32s (no length prefix).
+func (w *Writer) U32s(vs []uint32) {
+	for len(vs) > 0 && w.err == nil {
+		n := min(len(vs), chunkLen/4)
+		b := w.chunk[:0]
+		for _, v := range vs[:n] {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		w.put(b)
+		vs = vs[n:]
+	}
+}
+
+// F64s writes vs as consecutive IEEE-754 bit patterns (no length prefix).
+func (w *Writer) F64s(vs []float64) {
+	for len(vs) > 0 && w.err == nil {
+		n := min(len(vs), chunkLen/8)
+		b := w.chunk[:0]
+		for _, v := range vs[:n] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		w.put(b)
+		vs = vs[n:]
+	}
+}
 
 // Bytes writes a raw byte block (no length prefix).
 func (w *Writer) Bytes(p []byte) { w.put(p) }
@@ -94,7 +141,7 @@ type Reader struct {
 	br  *bufio.Reader
 	crc uint32
 	err error
-	b   [8]byte
+	b   [chunkLen]byte
 }
 
 // NewReader wraps r in a buffered, CRC-summing reader.
@@ -132,6 +179,54 @@ func (r *Reader) U32() uint32 {
 
 // F64 reads one float64 from its IEEE-754 bits (0 after the first error).
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// U64s fills dst from consecutive little-endian uint64s. After an error
+// the rest of dst is left as it was.
+func (r *Reader) U64s(dst []uint64) {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkLen/8)
+		b := r.take(8 * n)
+		if b == nil {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		dst = dst[n:]
+	}
+}
+
+// U32s fills dst from consecutive little-endian uint32s. After an error
+// the rest of dst is left as it was.
+func (r *Reader) U32s(dst []uint32) {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkLen/4)
+		b := r.take(4 * n)
+		if b == nil {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+		dst = dst[n:]
+	}
+}
+
+// F64s fills dst from consecutive IEEE-754 bit patterns. After an error
+// the rest of dst is left as it was.
+func (r *Reader) F64s(dst []float64) {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkLen/8)
+		b := r.take(8 * n)
+		if b == nil {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		dst = dst[n:]
+	}
+}
 
 // String reads a String-encoded field, rejecting length prefixes above max —
 // the chunked-decode guard that keeps a hostile prefix from forcing a giant

@@ -26,7 +26,8 @@ type LSHConfig struct {
 	MaxTables int
 	// Seed drives index construction and tuning samples.
 	Seed uint64
-	// Workers bounds the test-point fan-out (0 = GOMAXPROCS).
+	// Workers bounds the test-point fan-out and the index build's
+	// table-hashing goroutines (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -69,7 +70,7 @@ func NewLSHValuer(train *dataset.Dataset, cfg LSHConfig) (*LSHValuer, error) {
 	kStar := KStar(cfg.K, cfg.Eps)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x94d049bb133111eb))
 	tuned := lsh.Tune(train.X, train.X, kStar, cfg.Delta, cfg.Alpha, cfg.MaxTables, cfg.Seed, rng)
-	index, err := lsh.Build(train.X, tuned.Params)
+	index, err := lsh.Build(train.X, tuned.Params, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

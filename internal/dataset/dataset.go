@@ -22,8 +22,8 @@ import (
 // into it. Datasets built by the package constructors (FromFlat, the
 // synthetic generators, the codecs) are always contiguous; datasets
 // assembled from an existing [][]float64 can be packed with Flatten. The
-// contiguous form is what the blocked distance kernels (vec.SqL2Block) and
-// the streaming test-point producer operate on.
+// contiguous form is what the norm-precompute distance kernels
+// (vec.SqL2NormDotBatch) and the streaming test-point producer operate on.
 type Dataset struct {
 	// Name identifies the dataset in experiment output.
 	Name string

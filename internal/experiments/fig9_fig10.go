@@ -79,7 +79,7 @@ func (c Fig9) Run() (*Table, error) {
 		tuned := lsh.Tune(train.X, train.X, kStar, 0.1, 1, maxInts(c.Tables), c.Seed, rng)
 		params := tuned.Params
 		params.L = maxInts(c.Tables)
-		index, err := lsh.Build(train.X, params)
+		index, err := lsh.Build(train.X, params, 0)
 		if err != nil {
 			return nil, err
 		}

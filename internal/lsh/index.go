@@ -2,8 +2,11 @@ package lsh
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"knnshapley/internal/kheap"
 	"knnshapley/internal/vec"
@@ -29,12 +32,60 @@ func (p Params) validate() error {
 	return nil
 }
 
-// table is one hash table: M Gaussian projections with offsets and the
-// bucket map from signature to training indices.
+// table is one hash table: M Gaussian projections with offsets, and its
+// buckets in CSR form. Bucket b has signature keys[b] and holds the
+// training indices ids[starts[b]:starts[b+1]]. keys ascend strictly, every
+// bucket is non-empty, ids ascend within a bucket, and ids holds every
+// point exactly once, so len(starts) = len(keys)+1 and starts ends at N.
+//
+// slots is the query-time directory over keys, derived from them and never
+// persisted: an open-addressed array of a power-of-two length at least
+// twice len(keys), holding b+1 for bucket b (0 = empty) in the first free
+// slot at or after key>>shift. Keys are FNV hashes, so their top bits
+// spread buckets evenly and a lookup touches about one slot; measured on
+// the ann_index shape it answers queries faster than a binary search over
+// keys.
 type table struct {
-	proj    [][]float64 // M x dim
-	offset  []float64   // M
-	buckets map[uint64][]int
+	proj   []float64 // M×dim, row-major
+	offset []float64 // M
+	keys   []uint64
+	starts []uint32
+	ids    []uint32
+	slots  []uint32
+	shift  uint
+}
+
+// fillSlots builds the slots directory from keys.
+func (tb *table) fillSlots() {
+	size, bits := 2, uint(1)
+	for size < 2*len(tb.keys) {
+		size <<= 1
+		bits++
+	}
+	tb.slots = make([]uint32, size)
+	tb.shift = 64 - bits
+	mask := uint64(size - 1)
+	for b, key := range tb.keys {
+		s := key >> tb.shift
+		for tb.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		tb.slots[s] = uint32(b + 1)
+	}
+}
+
+// bucket returns the ids hashed to key, or nil when no point was.
+func (tb *table) bucket(key uint64) []uint32 {
+	mask := uint64(len(tb.slots) - 1)
+	for s := key >> tb.shift; ; s = (s + 1) & mask {
+		e := tb.slots[s]
+		if e == 0 {
+			return nil
+		}
+		if tb.keys[e-1] == key {
+			return tb.ids[tb.starts[e-1]:tb.starts[e]]
+		}
+	}
 }
 
 // Index is a multi-table p-stable LSH index over a fixed training set.
@@ -46,8 +97,8 @@ type Index struct {
 	data   [][]float64
 	tables []table
 
-	// scratch pools per-goroutine query state (stamped dedup array + hash
-	// signature buffer) so concurrent queries neither race nor allocate.
+	// scratch pools per-goroutine query state (stamped dedup array +
+	// projection buffer) so concurrent queries neither race nor allocate.
 	scratch sync.Pool
 }
 
@@ -55,64 +106,179 @@ type Index struct {
 type queryScratch struct {
 	visited []uint32
 	stamp   uint32
-	sig     []int32
+	dots    []float64
 }
 
-// Build hashes every row of data into L tables. Cost is O(N·L·M·dim).
-func Build(data [][]float64, params Params) (*Index, error) {
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("lsh: empty dataset")
-	}
-	dim := len(data[0])
-	rng := rand.New(rand.NewPCG(params.Seed, 0x853c49e6748fea9b))
-	idx := &Index{
+func newIndex(params Params, data [][]float64) *Index {
+	n, m := len(data), params.M
+	return &Index{
 		params: params,
 		data:   data,
 		tables: make([]table, params.L),
+		scratch: sync.Pool{New: func() any {
+			return &queryScratch{visited: make([]uint32, n), dots: make([]float64, m)}
+		}},
 	}
-	n := len(data)
-	m := params.M
-	idx.scratch.New = func() any {
-		return &queryScratch{visited: make([]uint32, n), sig: make([]int32, m)}
+}
+
+// checkData reports why data cannot be indexed: no rows, more rows than
+// uint32 ids address, or rows of unequal length.
+func checkData(data [][]float64) error {
+	if len(data) == 0 {
+		return fmt.Errorf("lsh: empty dataset")
 	}
-	sig := make([]int32, params.M)
-	for t := range idx.tables {
-		tb := table{
-			proj:    make([][]float64, params.M),
-			offset:  make([]float64, params.M),
-			buckets: make(map[uint64][]int),
+	if uint64(len(data)) > math.MaxUint32 {
+		return fmt.Errorf("lsh: %d points exceed the uint32 id range", len(data))
+	}
+	dim := len(data[0])
+	for i, x := range data {
+		if len(x) != dim {
+			return fmt.Errorf("lsh: row %d has dim %d, want %d", i, len(x), dim)
 		}
-		for j := 0; j < params.M; j++ {
-			w := make([]float64, dim)
+	}
+	return nil
+}
+
+// Build hashes every row of data into L tables. Cost is O(N·L·M·dim).
+// The projections and offsets are drawn up front from one seeded stream,
+// then up to workers goroutines (0 = GOMAXPROCS) hash and bucket whole
+// tables in parallel; each needs only O(N) scratch, and the index is the
+// same for every workers value.
+func Build(data [][]float64, params Params, workers int) (*Index, error) {
+	if err := params.validate(); err != nil {
+		return nil, err
+	}
+	if err := checkData(data); err != nil {
+		return nil, err
+	}
+	dim := len(data[0])
+	rng := rand.New(rand.NewPCG(params.Seed, 0x853c49e6748fea9b))
+	idx := newIndex(params, data)
+	for t := range idx.tables {
+		tb := &idx.tables[t]
+		tb.proj = make([]float64, params.M*dim)
+		tb.offset = make([]float64, params.M)
+		for j := range tb.offset {
+			w := tb.proj[j*dim : (j+1)*dim]
 			for d := range w {
 				w[d] = rng.NormFloat64()
 			}
-			tb.proj[j] = w
 			tb.offset[j] = rng.Float64() * params.R
 		}
-		for i, x := range data {
-			key := tb.signature(x, params.R, sig)
-			tb.buckets[key] = append(tb.buckets[key], i)
-		}
-		idx.tables[t] = tb
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(workers, params.L) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := &tableBuilder{
+				d0:    make([]float64, params.M),
+				d1:    make([]float64, params.M),
+				pairs: make([]keyID, len(data)),
+				tmp:   make([]keyID, len(data)),
+			}
+			for t := int(next.Add(1) - 1); t < params.L; t = int(next.Add(1) - 1) {
+				b.fill(&idx.tables[t], data, params.R)
+			}
+		}()
+	}
+	wg.Wait()
 	return idx, nil
 }
 
-// signature computes the M concatenated hash values of x and folds them into
-// a 64-bit bucket key (FNV-1a over the int32 hashes). sig is scratch space.
-func (tb *table) signature(x []float64, r float64, sig []int32) uint64 {
-	for j, w := range tb.proj {
-		v := (vec.Dot(w, x) + tb.offset[j]) / r
-		sig[j] = int32(floorInt(v))
+// keyID is one point's bucket key in a table under construction.
+type keyID struct {
+	key uint64
+	id  uint32
+}
+
+// tableBuilder is one build worker's O(N) scratch.
+type tableBuilder struct {
+	d0, d1     []float64
+	pairs, tmp []keyID
+}
+
+// fill hashes every row into tb (whose projections are set), lays the
+// buckets out in CSR form, sorted by (key, id), and builds the directory.
+func (b *tableBuilder) fill(tb *table, data [][]float64, r float64) {
+	n := len(data)
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		vec.DotRows2(b.d0, b.d1, tb.proj, data[i], data[i+1])
+		b.pairs[i] = keyID{hashKey(b.d0, tb.offset, r), uint32(i)}
+		b.pairs[i+1] = keyID{hashKey(b.d1, tb.offset, r), uint32(i + 1)}
 	}
+	if i < n {
+		vec.DotRows(b.d0, tb.proj, data[i])
+		b.pairs[i] = keyID{hashKey(b.d0, tb.offset, r), uint32(i)}
+	}
+	pairs := b.sortByKey()
+	u := 1
+	for p := 1; p < n; p++ {
+		if pairs[p].key != pairs[p-1].key {
+			u++
+		}
+	}
+	tb.keys = make([]uint64, 0, u)
+	tb.starts = make([]uint32, 0, u+1)
+	tb.ids = make([]uint32, n)
+	for p, kv := range pairs {
+		if p == 0 || kv.key != pairs[p-1].key {
+			tb.keys = append(tb.keys, kv.key)
+			tb.starts = append(tb.starts, uint32(p))
+		}
+		tb.ids[p] = kv.id
+	}
+	tb.starts = append(tb.starts, uint32(n))
+	tb.fillSlots()
+}
+
+// sortByKey sorts pairs by key with a stable LSD radix sort on 8-bit
+// digits, ping-ponging with tmp, and returns whichever buffer holds the
+// result. The pairs arrive in ascending id order, so stability leaves the
+// ids of each key ascending: the (key, id) order of the CSR layout.
+func (b *tableBuilder) sortByKey() []keyID {
+	var hist [8][256]uint32
+	for _, p := range b.pairs {
+		for d := range hist {
+			hist[d][byte(p.key>>(8*d))]++
+		}
+	}
+	src, dst := b.pairs, b.tmp
+	for d := range hist {
+		h := &hist[d]
+		if h[byte(src[0].key>>(8*d))] == uint32(len(src)) {
+			continue // every key shares this digit: nothing moves
+		}
+		var sum uint32
+		for v, c := range h {
+			h[v] = sum
+			sum += c
+		}
+		for _, p := range src {
+			v := byte(p.key >> (8 * d))
+			dst[h[v]] = p
+			h[v]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// hashKey folds one point's M projections dots[j] = w_j·x into its bucket
+// key: h_j = ⌊(w_j·x + b_j)/r⌋ truncated to int32, then FNV-1a over the
+// little-endian bytes of h_0..h_{M-1}.
+func hashKey(dots, offset []float64, r float64) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
-	for _, s := range sig {
-		u := uint32(s)
+	for j, d := range dots {
+		u := uint32(int32(floorInt((d + offset[j]) / r)))
 		for shift := 0; shift < 32; shift += 8 {
 			h ^= uint64((u >> uint(shift)) & 0xff)
 			h *= prime64
@@ -170,23 +336,21 @@ func (idx *Index) QueryTables(q []float64, k, l int) Result {
 	defer idx.scratch.Put(sc)
 	sc.stamp++
 	if sc.stamp == 0 { // wrapped: clear stamps
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
+		clear(sc.visited)
 		sc.stamp = 1
 	}
 	h := kheap.New(k)
 	candidates := 0
 	for t := 0; t < l; t++ {
 		tb := &idx.tables[t]
-		key := tb.signature(q, idx.params.R, sc.sig)
-		for _, i := range tb.buckets[key] {
+		vec.DotRows(sc.dots, tb.proj, q)
+		for _, i := range tb.bucket(hashKey(sc.dots, tb.offset, idx.params.R)) {
 			if sc.visited[i] == sc.stamp {
 				continue
 			}
 			sc.visited[i] = sc.stamp
 			candidates++
-			h.Push(i, vec.L2Dist(idx.data[i], q))
+			h.Push(int(i), vec.L2Dist(idx.data[i], q))
 		}
 	}
 	items := h.Sorted()

@@ -3,9 +3,11 @@ package lsh
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"knnshapley/internal/dataset"
+	"knnshapley/internal/kheap"
 	"knnshapley/internal/knn"
 	"knnshapley/internal/vec"
 )
@@ -137,14 +139,157 @@ func TestNumHashBitsAndTables(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, Params{M: 1, L: 1, R: 1}); err == nil {
+	if _, err := Build(nil, Params{M: 1, L: 1, R: 1}, 0); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := Build([][]float64{{1}}, Params{M: 0, L: 1, R: 1}); err == nil {
+	if _, err := Build([][]float64{{1}}, Params{M: 0, L: 1, R: 1}, 0); err == nil {
 		t.Error("M=0 accepted")
 	}
-	if _, err := Build([][]float64{{1}}, Params{M: 1, L: 1, R: -1}); err == nil {
+	if _, err := Build([][]float64{{1}}, Params{M: 1, L: 1, R: -1}, 0); err == nil {
 		t.Error("negative R accepted")
+	}
+	if _, err := Build([][]float64{{1, 2}, {3}}, Params{M: 1, L: 1, R: 1}, 0); err == nil {
+		t.Error("ragged rows accepted")
+	}
+}
+
+// refTable is the map-based table layout the CSR index replaced, kept as
+// the reference the equivalence test compares against: one vec.Dot per
+// projection, one map from signature to the ascending ids hashed there.
+type refTable struct {
+	proj    [][]float64
+	offset  []float64
+	buckets map[uint64][]int
+}
+
+// buildRef builds the reference tables from the same seeded stream as
+// Build: per table, per projection, dim normals and then the offset.
+func buildRef(data [][]float64, p Params) []refTable {
+	dim := len(data[0])
+	rng := rand.New(rand.NewPCG(p.Seed, 0x853c49e6748fea9b))
+	tables := make([]refTable, p.L)
+	for t := range tables {
+		tb := refTable{proj: make([][]float64, p.M), offset: make([]float64, p.M), buckets: map[uint64][]int{}}
+		for j := range tb.proj {
+			tb.proj[j] = make([]float64, dim)
+			for d := range tb.proj[j] {
+				tb.proj[j][d] = rng.NormFloat64()
+			}
+			tb.offset[j] = rng.Float64() * p.R
+		}
+		for i, x := range data {
+			key := tb.signature(x, p.R)
+			tb.buckets[key] = append(tb.buckets[key], i)
+		}
+		tables[t] = tb
+	}
+	return tables
+}
+
+func (tb *refTable) signature(x []float64, r float64) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for j, w := range tb.proj {
+		u := uint32(int32(floorInt((vec.Dot(w, x) + tb.offset[j]) / r)))
+		for shift := 0; shift < 32; shift += 8 {
+			h ^= uint64((u >> uint(shift)) & 0xff)
+			h *= prime64
+		}
+	}
+	return h
+}
+
+// refQuery is QueryTables over the reference tables.
+func refQuery(tables []refTable, data [][]float64, r float64, q []float64, k, l int) Result {
+	l = min(l, len(tables))
+	if k <= 0 || l <= 0 {
+		return Result{}
+	}
+	seen := map[int]bool{}
+	h := kheap.New(k)
+	for _, tb := range tables[:l] {
+		for _, i := range tb.buckets[tb.signature(q, r)] {
+			if !seen[i] {
+				seen[i] = true
+				h.Push(i, vec.L2Dist(data[i], q))
+			}
+		}
+	}
+	res := Result{Candidates: len(seen)}
+	for _, it := range h.Sorted() {
+		res.IDs = append(res.IDs, it.ID)
+		res.Dists = append(res.Dists, it.Key)
+	}
+	return res
+}
+
+// The CSR index must hold exactly the reference's buckets and answer every
+// query identically, for every worker count. The cases cover N odd (the
+// build hashes rows in pairs), dims off the kernel's 4-lane stride, M=1 and
+// L=1, and widths from mostly-singleton to heavily shared buckets.
+func TestBuildMatchesMapReference(t *testing.T) {
+	cases := []struct {
+		n, dim, m, l int
+		r            float64
+		seed         uint64
+	}{
+		{n: 1, dim: 3, m: 2, l: 3, r: 1, seed: 1},
+		{n: 37, dim: 5, m: 3, l: 4, r: 2, seed: 2},
+		{n: 101, dim: 7, m: 1, l: 1, r: 0.5, seed: 3},
+		{n: 64, dim: 4, m: 2, l: 16, r: 4, seed: 4},
+		{n: 250, dim: 64, m: 19, l: 6, r: 8, seed: 5},
+		{n: 199, dim: 67, m: 4, l: 9, r: 6, seed: 6},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewPCG(c.seed, 99))
+		data := make([][]float64, c.n)
+		for i := range data {
+			data[i] = make([]float64, c.dim)
+			for d := range data[i] {
+				data[i][d] = rng.NormFloat64()
+			}
+		}
+		// Some exact duplicates, so buckets always share points.
+		for i := 3; i < c.n; i += 5 {
+			copy(data[i], data[i-3])
+		}
+		p := Params{M: c.m, L: c.l, R: c.r, Seed: c.seed}
+		ref := buildRef(data, p)
+		queries := append(data[:min(c.n, 4):min(c.n, 4)], make([]float64, c.dim))
+		for _, workers := range []int{1, 3} {
+			idx, err := Build(data, p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, tb := range idx.tables {
+				rt := ref[ti]
+				if len(tb.keys) != len(rt.buckets) {
+					t.Fatalf("%+v table %d: %d buckets, reference has %d", c, ti, len(tb.keys), len(rt.buckets))
+				}
+				for b, key := range tb.keys {
+					var got []int
+					for _, id := range tb.ids[tb.starts[b]:tb.starts[b+1]] {
+						got = append(got, int(id))
+					}
+					if want := rt.buckets[key]; !slices.Equal(got, want) {
+						t.Fatalf("%+v table %d bucket %#x: ids %v, reference %v", c, ti, key, got, want)
+					}
+				}
+			}
+			for qi, q := range queries {
+				for _, l := range []int{1, (c.l + 1) / 2, c.l} {
+					for _, k := range []int{1, 5, c.n + 3} {
+						got, want := idx.QueryTables(q, k, l), refQuery(ref, data, c.r, q, k, l)
+						if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Dists, want.Dists) || got.Candidates != want.Candidates {
+							t.Fatalf("%+v workers=%d query %d k=%d l=%d: got %+v, reference %+v", c, workers, qi, k, l, got, want)
+						}
+					}
+				}
+				if got, want := idx.Query(q, 5), refQuery(ref, data, c.r, q, 5, c.l); !slices.Equal(got.IDs, want.IDs) || got.Candidates != want.Candidates {
+					t.Fatalf("%+v workers=%d Query %d: got %+v, reference %+v", c, workers, qi, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -152,7 +297,7 @@ func TestQueryFindsExactNeighborsOnEasyData(t *testing.T) {
 	d := dataset.DeepLike(2000, 1)
 	rng := rand.New(rand.NewPCG(7, 7))
 	tuned := Tune(d.X, d.X, 10, 0.1, 1, 512, 99, rng)
-	idx, err := Build(d.X, tuned.Params)
+	idx, err := Build(d.X, tuned.Params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +318,7 @@ func TestQueryRecallImprovesWithTables(t *testing.T) {
 	d := dataset.GistLike(1500, 3)
 	rng := rand.New(rand.NewPCG(17, 17))
 	tuned := Tune(d.X, d.X, 5, 0.1, 1, 256, 5, rng)
-	idx, err := Build(d.X, tuned.Params)
+	idx, err := Build(d.X, tuned.Params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +344,7 @@ func TestQueryRecallImprovesWithTables(t *testing.T) {
 
 func TestQueryResultsSortedAndDeduped(t *testing.T) {
 	d := dataset.MNISTLike(500, 5)
-	idx, err := Build(d.X, Params{M: 4, L: 8, R: 1, Seed: 1})
+	idx, err := Build(d.X, Params{M: 4, L: 8, R: 1, Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +369,7 @@ func TestQueryResultsSortedAndDeduped(t *testing.T) {
 
 func TestQueryEdgeCases(t *testing.T) {
 	d := dataset.MNISTLike(50, 6)
-	idx, _ := Build(d.X, Params{M: 2, L: 2, R: 1, Seed: 1})
+	idx, _ := Build(d.X, Params{M: 2, L: 2, R: 1, Seed: 1}, 0)
 	if res := idx.Query(d.X[0], 0); len(res.IDs) != 0 {
 		t.Fatal("k=0 should return nothing")
 	}
@@ -284,7 +429,7 @@ func BenchmarkQuery(b *testing.B) {
 	d := dataset.MNISTLike(20000, 1)
 	rng := rand.New(rand.NewPCG(1, 1))
 	tuned := Tune(d.X, d.X, 10, 0.1, 1, 128, 1, rng)
-	idx, err := Build(d.X, tuned.Params)
+	idx, err := Build(d.X, tuned.Params, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,5 +437,17 @@ func BenchmarkQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Query(q.X[i%64], 10)
+	}
+}
+
+// BenchmarkBuild hashes the ann_index benchmark's shape (N=5000, dim 64,
+// M=19) into 64 tables.
+func BenchmarkBuild(b *testing.B) {
+	d := dataset.MNISTLike(5000, 1)
+	p := Params{M: 19, L: 64, R: 4, Seed: 1}
+	for b.Loop() {
+		if _, err := Build(d.X, p, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

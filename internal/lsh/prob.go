@@ -5,6 +5,14 @@
 // estimation (C_K = D_mean/D_K of Theorem 3), and the parameter selection
 // recipe of Section 6.1 (m = α·logN / log(1/f_h(D_mean)), table count from
 // the N^{g(C_K)}·log(K/δ) bound).
+//
+// Each table keeps its buckets as flat CSR arrays (sorted signature keys,
+// uint32 offsets, one uint32 id array holding every point once), found at
+// query time through a small open-addressed directory over the keys.
+// Build hashes rows in pairs with vec.DotRows2, one table per worker
+// goroutine, and radix-sorts each table by (key, id); the codec
+// (serialize.go) persists those arrays as they are, so a reload is a read,
+// a CRC and an O(N) check per table.
 package lsh
 
 import (

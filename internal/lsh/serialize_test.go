@@ -2,6 +2,8 @@ package lsh
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"knnshapley/internal/dataset"
@@ -9,7 +11,7 @@ import (
 
 func TestIndexRoundTrip(t *testing.T) {
 	d := dataset.GistLike(800, 3)
-	idx, err := Build(d.X, Params{M: 6, L: 10, R: 1.5, Seed: 7})
+	idx, err := Build(d.X, Params{M: 6, L: 10, R: 1.5, Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +42,29 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// Equal indexes must encode to equal bytes, whatever the worker count of
+// the builds: the store's artifacts are then reproducible.
+func TestWriteToDeterministic(t *testing.T) {
+	d := dataset.GistLike(301, 3)
+	p := Params{M: 5, L: 9, R: 1.5, Seed: 11}
+	var enc [2]bytes.Buffer
+	for i, workers := range []int{1, 4} {
+		idx, err := Build(d.X, p, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := idx.WriteTo(&enc[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(enc[0].Bytes(), enc[1].Bytes()) {
+		t.Fatal("two builds of one index encoded differently")
+	}
+}
+
 func TestReadIndexValidation(t *testing.T) {
 	d := dataset.GistLike(50, 5)
-	idx, err := Build(d.X, Params{M: 2, L: 2, R: 1, Seed: 1})
+	idx, err := Build(d.X, Params{M: 2, L: 2, R: 1, Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +100,70 @@ func TestReadIndexValidation(t *testing.T) {
 			t.Errorf("corrupt byte at %d accepted", off)
 		}
 	}
+	// An older codec version is refused outright, even with a valid CRC.
+	old := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(old[8:], 2)
+	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+	if _, err := ReadIndex(bytes.NewReader(old), d.X); err == nil {
+		t.Error("version 2 payload accepted")
+	}
+
+	// Payloads that break a table invariant but carry a valid CRC: each is
+	// a decoded copy of idx with table 0 mangled, re-encoded by WriteTo.
+	tb := &idx.tables[0]
+	multi := -1 // a bucket holding at least two ids
+	for b := range tb.keys {
+		if tb.starts[b+1]-tb.starts[b] >= 2 {
+			multi = b
+			break
+		}
+	}
+	if len(tb.keys) < 3 || multi < 0 {
+		t.Fatalf("fixture too uniform: %d buckets, multi-id bucket %d", len(tb.keys), multi)
+	}
+	for _, c := range []struct {
+		name   string
+		mangle func(tb *table)
+	}{
+		{"first bucket all id 0, second bucket reusing the first key", func(tb *table) {
+			for p := tb.starts[0]; p < tb.starts[1]; p++ {
+				tb.ids[p] = 0
+			}
+			tb.keys[1] = tb.keys[0]
+		}},
+		{"duplicate id", func(tb *table) { tb.ids[1] = tb.ids[0] }},
+		{"id out of range", func(tb *table) { tb.ids[len(tb.ids)-1] = uint32(len(tb.ids)) }},
+		{"keys descending", func(tb *table) { tb.keys[1], tb.keys[2] = tb.keys[2], tb.keys[1] }},
+		{"ids descending within a bucket", func(tb *table) {
+			p := tb.starts[multi]
+			tb.ids[p], tb.ids[p+1] = tb.ids[p+1], tb.ids[p]
+		}},
+		{"offsets not starting at 0", func(tb *table) { tb.starts[0] = 1 }},
+		{"offsets not ending at N", func(tb *table) { tb.starts[len(tb.keys)]-- }},
+		{"empty bucket", func(tb *table) { tb.starts[1] = tb.starts[0] }},
+		{"offsets decreasing", func(tb *table) { tb.starts[1] = tb.starts[2] + 1 }},
+		{"no buckets", func(tb *table) { tb.keys, tb.starts = nil, tb.starts[:1] }},
+	} {
+		back, err := ReadIndex(bytes.NewReader(raw), d.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mangle(&back.tables[0])
+		var buf bytes.Buffer
+		if _, err := back.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIndex(bytes.NewReader(buf.Bytes()), d.X); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
 }
 
 // FuzzReadIndex feeds arbitrary bytes to the decoder: it must never panic,
 // and anything it accepts must answer queries without panicking.
 func FuzzReadIndex(f *testing.F) {
 	d := dataset.GistLike(40, 11)
-	idx, err := Build(d.X, Params{M: 2, L: 2, R: 1, Seed: 3})
+	idx, err := Build(d.X, Params{M: 2, L: 2, R: 1, Seed: 3}, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

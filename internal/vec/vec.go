@@ -140,6 +140,66 @@ func Dot(a, b []float64) float64 {
 	return s0 + s1 + s2 + s3
 }
 
+// DotRows fills dst[j] = Dot(row j of mat, x) for the row-major
+// len(dst)×len(x) matrix mat: the projection step of the p-stable LSH
+// hash, one vector against every projection of a table. Each product uses
+// Dot's summation order exactly (four lanes by offset mod 4, the tail in
+// lane 0, lanes combined as ((l0+l1)+l2)+l3), so the results are
+// bit-identical to len(dst) separate Dot calls.
+func DotRows(dst, mat, x []float64) {
+	dim := len(x)
+	checkFlat(len(mat), len(dst), dim)
+	for j := range dst {
+		w := mat[j*dim : (j+1)*dim]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= len(w); i += 4 {
+			s0 += w[i] * x[i]
+			s1 += w[i+1] * x[i+1]
+			s2 += w[i+2] * x[i+2]
+			s3 += w[i+3] * x[i+3]
+		}
+		for ; i < len(w); i++ {
+			s0 += w[i] * x[i]
+		}
+		dst[j] = s0 + s1 + s2 + s3
+	}
+}
+
+// DotRows2 is DotRows for two vectors at once: dst0 gets x0's products and
+// dst1 x1's. Every matrix element is loaded once for both vectors and the
+// eight lane accumulators are independent, which roughly halves the cost
+// per vector; the summation order per product is DotRows' (and Dot's).
+func DotRows2(dst0, dst1, mat, x0, x1 []float64) {
+	checkLen(x0, x1)
+	checkLen(dst0, dst1)
+	dim := len(x0)
+	checkFlat(len(mat), len(dst0), dim)
+	for j := range dst0 {
+		w := mat[j*dim : (j+1)*dim]
+		a, b := x0[:len(w)], x1[:len(w)]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		i := 0
+		for ; i+4 <= len(w); i += 4 {
+			w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
+			a0 += w0 * a[i]
+			b0 += w0 * b[i]
+			a1 += w1 * a[i+1]
+			b1 += w1 * b[i+1]
+			a2 += w2 * a[i+2]
+			b2 += w2 * b[i+2]
+			a3 += w3 * a[i+3]
+			b3 += w3 * b[i+3]
+		}
+		for ; i < len(w); i++ {
+			a0 += w[i] * a[i]
+			b0 += w[i] * b[i]
+		}
+		dst0[j] = a0 + a1 + a2 + a3
+		dst1[j] = b0 + b1 + b2 + b3
+	}
+}
+
 // Norm returns the Euclidean norm of a.
 func Norm(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
 

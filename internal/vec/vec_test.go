@@ -67,6 +67,41 @@ func TestDotUnrolledMatchesNaive(t *testing.T) {
 	}
 }
 
+// DotRows and DotRows2 must reproduce Dot bit for bit on every dim: the
+// LSH index hashes with them and its buckets are defined by Dot's sums.
+// Dims 1–67 cover the 4-lane loop with every tail length.
+func TestDotRowsMatchDot(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	const m = 3
+	for dim := 1; dim <= 67; dim++ {
+		mat := make([]float64, m*dim)
+		x0 := make([]float64, dim)
+		x1 := make([]float64, dim)
+		for i := range mat {
+			mat[i] = rng.NormFloat64()
+		}
+		for i := range x0 {
+			x0[i] = rng.NormFloat64() * 100
+			x1[i] = rng.Float64()
+		}
+		one := make([]float64, m)
+		two0 := make([]float64, m)
+		two1 := make([]float64, m)
+		DotRows(one, mat, x0)
+		DotRows2(two0, two1, mat, x0, x1)
+		for j := 0; j < m; j++ {
+			w := mat[j*dim : (j+1)*dim]
+			want0, want1 := Dot(w, x0), Dot(w, x1)
+			if math.Float64bits(one[j]) != math.Float64bits(want0) {
+				t.Fatalf("dim %d row %d: DotRows %v, Dot %v", dim, j, one[j], want0)
+			}
+			if math.Float64bits(two0[j]) != math.Float64bits(want0) || math.Float64bits(two1[j]) != math.Float64bits(want1) {
+				t.Fatalf("dim %d row %d: DotRows2 (%v, %v), Dot (%v, %v)", dim, j, two0[j], two1[j], want0, want1)
+			}
+		}
+	}
+}
+
 func TestDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

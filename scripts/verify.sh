@@ -5,7 +5,10 @@
 # gate), race passes over the execution engine, the job manager, the
 # dataset registry, the cluster coordinator and the context-cancellation
 # paths, a race pass over the distance/argsort kernels and their callers
-# (vec, knn, kheap), a GOAMD64=v3 cross-build of the assembly, fuzz smoke
+# (vec, knn, kheap), ten race passes over the LSH index (its build hashes
+# tables on several goroutines), the benchmark's own self-test (so an
+# internal API change that breaks the benchmark's build fails here), a
+# GOAMD64=v3 cross-build of the assembly, fuzz smoke
 # runs over the decode/storage/shard-codec surfaces, a serving benchmark
 # of the upload-once/value-many registry path, a method-discovery
 # end-to-end run (a real svserver answering "svcli methods"), a
@@ -44,6 +47,7 @@ go build ./...
 GOAMD64=v3 go build ./...
 go test ./...
 go test -race ./internal/vec ./internal/knn ./internal/kheap
+go test -race -count=10 ./internal/lsh
 go test -race ./internal/core
 go test -race ./internal/jobs
 go test -race ./internal/journal
@@ -53,6 +57,9 @@ go test -race ./internal/planner
 go test -run TestCancel -race ./...
 go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay' -race ./cmd/svserver
 go test -run 'TestEvaluate|TestParams' -race .
+# perfbench is its own module (go test ./... above skips it); its tiny
+# workloads compile and run every internal API the benchmark calls.
+(cd perfbench && go test ./...)
 
 # Fuzz smoke: ten seconds per decode/storage surface. New crashers land in
 # testdata/fuzz/ and fail the run.

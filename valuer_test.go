@@ -3,6 +3,7 @@ package knnshapley
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -88,6 +89,33 @@ func TestValuerIndexConcurrentBuild(t *testing.T) {
 	wg.Wait()
 	if v.indexBuilds != 1 {
 		t.Fatalf("%d index builds under concurrency, want 1", v.indexBuilds)
+	}
+}
+
+// The LSH build hashes its tables on the session's Workers goroutines; the
+// index, and with it every value, must not depend on how many there are.
+func TestLSHWorkersBitIdentical(t *testing.T) {
+	train := SynthDeep(701, 5)
+	test := SynthDeep(9, 6)
+	var ref []float64
+	for _, workers := range []int{1, 4} {
+		v, err := New(train, WithK(3), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := v.LSH(context.Background(), test, 0.1, 0.1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = rep.Values
+			continue
+		}
+		for i := range ref {
+			if math.Float64bits(rep.Values[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("workers=%d value %d: %v, workers=1 gave %v", workers, i, rep.Values[i], ref[i])
+			}
+		}
 	}
 }
 
