@@ -2,6 +2,8 @@ package knnshapley
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -58,11 +60,34 @@ func TestExactBatchSizeInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("cfg %+v: sv[%d] = %v, want %v (bitwise)", cfg, i, got[i], want[i])
-			}
+		assertBitIdentical(t, fmt.Sprintf("cfg %+v", cfg), want, got)
+	}
+
+	// A training set large enough that each batch's distance scan
+	// (16 four-query groups × N × dim 64) and ordered reduce (64 items × N)
+	// split over every worker count below.
+	train, test = SynthMNIST(20000, 3), SynthMNIST(70, 4)
+	ctx := context.Background()
+	var wantExact, wantTrunc []float64
+	for _, workers := range []int{1, 2, 4} {
+		v, err := New(train, WithK(5), WithWorkers(workers), WithBatchSize(64))
+		if err != nil {
+			t.Fatal(err)
 		}
+		exact, err := v.Exact(ctx, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trunc, err := v.Truncated(ctx, test, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			wantExact, wantTrunc = exact.Values, trunc.Values
+			continue
+		}
+		assertBitIdentical(t, fmt.Sprintf("exact, %d workers", workers), wantExact, exact.Values)
+		assertBitIdentical(t, fmt.Sprintf("truncated, %d workers", workers), wantTrunc, trunc.Values)
 	}
 }
 

@@ -206,7 +206,7 @@ func (v *LSHValuer) ValueOne(q []float64, label int) []float64 {
 	return v.inner.ValueOne(q, label)
 }
 
-// KStar reports the retrieval depth max{K, ⌈1/eps⌉}.
+// KStar reports the retrieval depth max{K, ⌈1/eps⌉}, capped at N.
 func (v *LSHValuer) KStar() int { return v.inner.KStar() }
 
 // EstimatedContrast reports the relative contrast C_K* measured during
@@ -252,5 +252,5 @@ func (v *KDValuer) ValueOne(q []float64, label int) []float64 {
 	return v.inner.ValueOne(q, label)
 }
 
-// KStar reports the retrieval depth max{K, ⌈1/eps⌉}.
+// KStar reports the retrieval depth max{K, ⌈1/eps⌉}, capped at N.
 func (v *KDValuer) KStar() int { return v.inner.KStar() }

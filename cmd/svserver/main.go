@@ -269,6 +269,7 @@ import (
 	"knnshapley"
 	"knnshapley/internal/cluster"
 	"knnshapley/internal/core"
+	"knnshapley/internal/dataset"
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/journal"
 	"knnshapley/internal/planner"
@@ -925,8 +926,7 @@ func (s *server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	h, created, err := s.reg.Put(d)
 	if err != nil {
-		// Validation passed above, so a Put failure is the disk tier.
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, putStatus(err), err.Error())
 		return
 	}
 	defer h.Release()
@@ -1184,7 +1184,7 @@ func (s *server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		h, _, err := s.reg.Put(d)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "append: "+err.Error())
+			writeError(w, putStatus(err), "append: "+err.Error())
 			return
 		}
 		defer h.Release()
@@ -1485,7 +1485,7 @@ func (s *server) resolveDataset(ref string, inline *payload, side string) (*regi
 		}
 		h, _, err := s.reg.Put(d)
 		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("%s: %w", side, err)
+			return nil, putStatus(err), fmt.Errorf("%s: %w", side, err)
 		}
 		return h, 0, nil
 	default:
@@ -1824,6 +1824,16 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	if err := json.NewEncoder(w).Encode(body); err != nil {
 		log.Printf("svserver: encode response: %v", err)
 	}
+}
+
+// putStatus is the HTTP status of a failed registry Put. The handlers
+// validate the payload's shape first, so apart from a non-finite feature,
+// which is the client's fault, a failure is the disk tier's.
+func putStatus(err error) int {
+	if errors.Is(err, dataset.ErrNonFinite) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,6 +103,31 @@ func TestDatasetEndpoints(t *testing.T) {
 	}
 	if rec := doRaw(t, srv, http.MethodPost, "/datasets", "application/octet-stream", []byte("garbage"), nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage binary upload status %d, want 400", rec.Code)
+	}
+}
+
+// JSON cannot carry NaN or ±Inf, but the binary codec can. The registry
+// refuses such a dataset, and the upload is the client's error, not the
+// server's.
+func TestBinaryUploadRejectsNonFinite(t *testing.T) {
+	srv := newTestServer(t, 1<<20, 0)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		train, err := knnshapley.NewClassificationDataset([][]float64{{0, 0}, {1, bad}, {5, 5}}, []int{0, 0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bin bytes.Buffer
+		if err := knnshapley.WriteBinary(&bin, train); err != nil {
+			t.Fatal(err)
+		}
+		rec := doRaw(t, srv, http.MethodPost, "/datasets", "application/octet-stream", bin.Bytes(), nil)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-finite") {
+			t.Fatalf("upload with a %v feature: status %d %s, want 400 naming the non-finite feature", bad, rec.Code, rec.Body.String())
+		}
+	}
+	var list wire.DatasetListResponse
+	if rec := do(t, srv, http.MethodGet, "/datasets", nil, &list); rec.Code != http.StatusOK || len(list.Datasets) != 0 {
+		t.Fatalf("list after rejected uploads: status %d, %d datasets", rec.Code, len(list.Datasets))
 	}
 }
 

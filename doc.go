@@ -90,16 +90,21 @@
 // # Execution model: one engine, pluggable kernels, batched streaming
 //
 // Every valuation method runs on a single internal execution engine. The
-// engine owns a bounded worker pool (WithWorkers goroutines, period —
-// workers are created before any work is enqueued), streams test points
-// from a producer in batches of WithBatchSize, and dispatches each test
-// point to a pluggable per-test-point kernel (exact classification, exact
-// regression, truncated, weighted counting, Monte Carlo permutation
-// sampling, seller-level games). Per-worker scratch buffers are reused
-// across test points, so the hot paths are allocation-free, and the engine
-// reduces per-test-point results in stream order, making outputs
-// bit-identical for any worker count or batch size. The run's context is
-// checked at every batch boundary.
+// engine owns a pool of WithWorkers goroutines (created before any work
+// is enqueued), streams test points from a producer in batches of
+// WithBatchSize, and dispatches each test point to a pluggable
+// per-test-point kernel (exact classification, exact regression,
+// truncated, weighted counting, Monte Carlo permutation sampling,
+// seller-level games). Per-worker scratch buffers are reused across test
+// points, so the hot paths are allocation-free. While the pool waits, a
+// large batch's distance scan is split into runs of four-query groups and
+// its reduce into value-index ranges, each over up to WithWorkers
+// goroutines, so at most WithWorkers goroutines compute at once. Every
+// value index still sums the per-test-point results in stream order, and
+// no query's distances depend on the split, so outputs are bit-identical
+// for any worker count or batch size. Small batches (a few test points, or
+// a small training set) stay serial. The run's context is checked at every
+// batch boundary.
 //
 // Distances are never materialized for the whole test set at once: the
 // streaming producer computes one batch of test×train distances at a time,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
@@ -211,6 +212,57 @@ func TestEngineDeterministicAcrossSchedules(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("cfg %+v: sv[%d] = %v differs from %v", cfg, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// noiseKernel writes a pseudo-random vector per item whose entries span
+// many binades, so any change in the order of additions changes the sum.
+type noiseKernel struct{ n int }
+
+func (k noiseKernel) OutLen() int { return k.n }
+func (k noiseKernel) Compute(_ context.Context, idx int, _ int, _ *Scratch, dst []float64) error {
+	rng := rand.New(rand.NewPCG(uint64(idx), 9))
+	for j := range dst {
+		// Random sign and mantissa, exponent in [2^-40, 2^24).
+		x := rng.Uint64()
+		dst[j] = math.Float64frombits(uint64(1023-40)<<52 + x>>6 | x<<63)
+	}
+	return nil
+}
+
+// A batch's reduce above reduceGrain per goroutine is split by value-index
+// ranges; every index must still add the items in stream order, so the sum
+// equals a sequential one bit for bit.
+func TestRunSumSplitReduceBitIdentical(t *testing.T) {
+	const out, batch, items = 1 << 16, 16, 37
+	if batch*out < 4*reduceGrain {
+		t.Fatalf("a %d-item batch of %d values does not split four ways", batch, out)
+	}
+	kern := noiseKernel{n: out}
+	want := make([]float64, out)
+	vals := make([]float64, out)
+	for idx := 0; idx < items; idx++ {
+		if err := kern.Compute(context.Background(), idx, 0, nil, vals); err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range vals {
+			want[j] += v
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		got, count, err := NewEngine[int](EngineConfig{Workers: workers, BatchSize: batch}).
+			RunSum(context.Background(), NewSliceSource(make([]int, items)), kern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != items {
+			t.Fatalf("workers %d: %d items, want %d", workers, count, items)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("workers %d: sum[%d] = %v, want %v (bitwise)", workers, j, got[j], want[j])
 			}
 		}
 	}

@@ -102,7 +102,7 @@ func NewLSHValuerFromEncoded(r io.Reader, train *dataset.Dataset, cfg LSHConfig)
 		RRel:     fields[3],
 		G:        fields[4],
 	}
-	return &LSHValuer{cfg: cfg, train: train, index: index, tuned: tuned, kStar: KStar(cfg.K, cfg.Eps)}, nil
+	return newLSHValuer(train, cfg, index, tuned), nil
 }
 
 // EncodeIndex serializes the valuer's k-d tree to w.
@@ -128,5 +128,5 @@ func NewKDValuerFromEncoded(r io.Reader, train *dataset.Dataset, k int, eps floa
 	if err != nil {
 		return nil, err
 	}
-	return &KDValuer{k: k, eps: eps, kStar: KStar(k, eps), train: train, tree: tree}, nil
+	return newKDValuer(train, k, eps, tree), nil
 }

@@ -37,10 +37,17 @@ func NewKDValuer(train *dataset.Dataset, k int, eps float64, leafSize int) (*KDV
 	if err != nil {
 		return nil, err
 	}
-	return &KDValuer{k: k, eps: eps, kStar: KStar(k, eps), train: train, tree: tree}, nil
+	return newKDValuer(train, k, eps, tree), nil
 }
 
-// KStar returns the retrieval depth.
+// newKDValuer attaches tree to train. The retrieval depth is K* capped at
+// N: a deeper query returns the same N neighbors, and the heap behind it
+// allocates one slot per unit of depth.
+func newKDValuer(train *dataset.Dataset, k int, eps float64, tree *kdtree.Tree) *KDValuer {
+	return &KDValuer{k: k, eps: eps, kStar: min(KStar(k, eps), train.N()), train: train, tree: tree}
+}
+
+// KStar returns the retrieval depth, K* capped at N.
 func (v *KDValuer) KStar() int { return v.kStar }
 
 // ValueOne returns the (eps, 0)-approximate Shapley values for one query.

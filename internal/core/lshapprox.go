@@ -67,20 +67,27 @@ func NewLSHValuer(train *dataset.Dataset, cfg LSHConfig) (*LSHValuer, error) {
 	if train.IsRegression() {
 		return nil, fmt.Errorf("core: the LSH approximation applies to classification only (Section 3.2)")
 	}
-	kStar := KStar(cfg.K, cfg.Eps)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x94d049bb133111eb))
-	tuned := lsh.Tune(train.X, train.X, kStar, cfg.Delta, cfg.Alpha, cfg.MaxTables, cfg.Seed, rng)
+	tuned := lsh.Tune(train.X, train.X, KStar(cfg.K, cfg.Eps), cfg.Delta, cfg.Alpha, cfg.MaxTables, cfg.Seed, rng)
 	index, err := lsh.Build(train.X, tuned.Params, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return &LSHValuer{cfg: cfg, train: train, index: index, tuned: tuned, kStar: kStar}, nil
+	return newLSHValuer(train, cfg, index, tuned), nil
+}
+
+// newLSHValuer attaches a built or decoded index to train. Tuning and
+// LSHIndexKey use the uncapped K*, so builds and keys are unchanged, but
+// the retrieval depth is capped at N: a deeper query returns the same
+// candidates, and the heap behind it allocates one slot per unit of depth.
+func newLSHValuer(train *dataset.Dataset, cfg LSHConfig, index *lsh.Index, tuned lsh.Tuned) *LSHValuer {
+	return &LSHValuer{cfg: cfg, train: train, index: index, tuned: tuned, kStar: min(KStar(cfg.K, cfg.Eps), train.N())}
 }
 
 // Tuned reports the selected LSH parameters and estimated contrast.
 func (v *LSHValuer) Tuned() lsh.Tuned { return v.tuned }
 
-// KStar returns the retrieval depth max{K, ⌈1/Eps⌉}.
+// KStar returns the retrieval depth max{K, ⌈1/Eps⌉}, capped at N.
 func (v *LSHValuer) KStar() int { return v.kStar }
 
 // ValueOne returns the approximate Shapley values for a single test query:

@@ -10,15 +10,17 @@ import (
 // KStar returns K* = max{K, ⌈1/eps⌉}, the number of nearest neighbors whose
 // Shapley values must be computed exactly for an (eps, 0)-approximation
 // (Theorem 2): beyond rank K* the true |s| is below min(1/i, 1/K) ≤ eps.
+// ⌈1/eps⌉ saturates at math.MaxInt for eps too small to convert. K* may
+// exceed the training-set size; callers that allocate K* slots cap it.
 func KStar(k int, eps float64) int {
 	if eps <= 0 {
 		panic(fmt.Sprintf("core: eps = %v, want positive", eps))
 	}
-	ks := int(math.Ceil(1 / eps))
-	if k > ks {
-		ks = k
+	ks := math.MaxInt
+	if inv := math.Ceil(1 / eps); inv < float64(math.MaxInt) {
+		ks = int(inv)
 	}
-	return ks
+	return max(ks, k)
 }
 
 // TruncatedClassSV computes the (eps, 0)-approximate Shapley values of

@@ -22,6 +22,12 @@ func TestKStar(t *testing.T) {
 	if got := KStar(1, 0.3); got != 4 {
 		t.Fatalf("KStar(1, 0.3) = %d want 4", got)
 	}
+	// 1/eps past math.MaxInt saturates instead of wrapping to MinInt.
+	for _, eps := range []float64{1e-19, 1e-30, math.SmallestNonzeroFloat64} {
+		if got := KStar(5, eps); got != math.MaxInt {
+			t.Fatalf("KStar(5, %g) = %d want math.MaxInt", eps, got)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("eps <= 0 accepted")

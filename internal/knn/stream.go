@@ -6,8 +6,16 @@ import (
 	"math"
 
 	"knnshapley/internal/dataset"
+	"knnshapley/internal/par"
 	"knnshapley/internal/vec"
 )
+
+// scanGrain is the least scan work, in training rows × query groups ×
+// feature dimensions, that NextBatch gives each goroutine when it splits a
+// batch. On a 2-vCPU Xeon host, dim 64, a two-way split took 1.01–1.05× the
+// serial time at 2^17 units per goroutine, 0.57–0.96× at 2^18 and
+// 0.52–0.54× at 2^19; below 2^17 goroutine start-up made it slower.
+const scanGrain = 1 << 18
 
 // Stream is a batched producer of TestPoints: instead of eagerly
 // materializing the full Ntest×N distance matrix the way BuildTestPoints
@@ -20,8 +28,8 @@ import (
 // (or taken from a shared Precomp, which may also hold a float32 copy of
 // the training matrix), so each batch is a single dot sweep over the
 // training matrix. Distances are bit-identical to BuildTestPoint's for
-// every batch size and query grouping. Other metrics fall back to
-// row-at-a-time distance scans.
+// every batch size, query grouping and worker count (see SetWorkers).
+// Other metrics fall back to row-at-a-time distance scans.
 //
 // The TestPoints returned by NextBatch alias the Stream's internal buffers
 // and are only valid until the next NextBatch call. Callers that need them
@@ -35,7 +43,8 @@ type Stream struct {
 	test   *dataset.Dataset
 	pre    *Precomp
 
-	next int // next test row to produce
+	next    int // next test row to produce
+	workers int // goroutines NextBatch may scan on; <= 1 means serial
 
 	// Flat fast-path state: non-nil when the respective dataset is
 	// contiguous and the metric is Euclidean.
@@ -102,6 +111,13 @@ func NewStreamPre(kind Kind, k int, weight WeightFunc, metric vec.Metric,
 	return s, nil
 }
 
+// SetWorkers lets NextBatch split a large batch's distance scan over up to
+// n goroutines, the caller included. A new Stream is serial. The scan runs
+// while the engine that drives the stream waits for the batch, so a caller
+// passing its engine's worker count keeps at most that many goroutines
+// computing at once.
+func (s *Stream) SetWorkers(n int) { s.workers = n }
+
 // NumTest returns the total number of test points the stream will produce.
 func (s *Stream) NumTest() int { return s.test.N() }
 
@@ -116,6 +132,12 @@ func (s *Stream) Reset() { s.next = 0 }
 // returned TestPoints reuse the Stream's buffers and are invalidated by the
 // following NextBatch call. A canceled ctx aborts before the batch's
 // distance tile is computed and returns ctx.Err().
+//
+// Above scanGrain of work per goroutine the tile is split into runs of
+// whole four-query groups, the grouping the GEMV kernel uses, which are
+// scanned on up to SetWorkers goroutines (the caller included) and joined
+// before NextBatch returns. Each query's distances do not depend on the
+// split, so the tile is bit-identical for every worker count.
 func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -132,59 +154,34 @@ func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 		s.distBuf = make([]float64, b*n)
 	}
 	s.distBuf = s.distBuf[:b*n]
-	if cap(s.tps) < b {
-		s.tps = make([]TestPoint, b)
-	}
-	s.tps = s.tps[:b]
-
-	dim := s.train.Dim()
-	switch {
-	case s.pre != nil && s.trainFlat != nil && n > 0 && dim > 0:
-		// GEMV tile of squared distances via the norm-precompute identity;
-		// L2 takes the root in place.
-		q := s.queryBlock(b, dim)
-		if s.pre.precision == Float32 {
-			if cap(s.q32) < b*dim {
-				s.q32 = make([]float32, b*dim)
-			}
-			s.q32 = vec.ToFloat32(s.q32[:0], q)
-			vec.SqL2NormDotBatch32(s.distBuf, s.pre.flat32, n, dim, s.pre.norms32, s.q32, b)
-		} else {
-			vec.SqL2NormDotBatch(s.distBuf, s.trainFlat, n, dim, s.pre.norms, q, b)
-		}
-		if s.metric == vec.L2 {
-			for i, v := range s.distBuf {
-				s.distBuf[i] = math.Sqrt(v)
-			}
-		}
-	case s.metric == vec.L2 || s.metric == vec.SquaredL2:
-		// Non-contiguous training rows: same normdot formula row by row, so
-		// the distances still match the tile path bit for bit.
-		var norms []float64
-		if s.pre != nil {
-			norms = s.pre.norms
-		}
-		for i := 0; i < b; i++ {
-			tile := s.distBuf[i*n : (i+1)*n]
-			sqL2ScanRows(tile, s.train.X, norms, s.test.X[s.next+i])
-			if s.metric == vec.L2 {
-				for t, v := range tile {
-					tile[t] = math.Sqrt(v)
-				}
-			}
-		}
-	default:
-		for i := 0; i < b; i++ {
-			vec.Distances(s.metric, s.train.X, s.test.X[s.next+i], s.distBuf[i*n:(i+1)*n])
-		}
-	}
-
 	if !s.kind.IsRegression() {
 		if cap(s.correctBuf) < b*n {
 			s.correctBuf = make([]bool, b*n)
 		}
 		s.correctBuf = s.correctBuf[:b*n]
 	}
+	if cap(s.tps) < b {
+		s.tps = make([]TestPoint, b)
+	}
+	s.tps = s.tps[:b]
+
+	dim := s.train.Dim()
+	var q []float64
+	gemv := s.pre != nil && s.trainFlat != nil && n > 0 && dim > 0
+	if gemv {
+		q = s.queryBlock(b, dim)
+		if s.pre.precision == Float32 {
+			if cap(s.q32) < b*dim {
+				s.q32 = make([]float32, b*dim)
+			}
+			s.q32 = vec.ToFloat32(s.q32[:0], q)
+		}
+	}
+	groups := (b + 3) / 4
+	par.For(groups, par.Parts(groups*n*dim, scanGrain, s.workers), func(lo, hi int) {
+		s.scan(q, gemv, 4*lo, min(4*hi, b))
+	})
+
 	for i := 0; i < b; i++ {
 		j := s.next + i
 		tp := &s.tps[i]
@@ -193,17 +190,59 @@ func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 			tp.Y = s.train.Targets
 			tp.YTest = s.test.Targets[j]
 		} else {
-			correct := s.correctBuf[i*n : (i+1)*n]
-			label := s.test.Labels[j]
-			for t, y := range s.train.Labels {
-				correct[t] = y == label
-			}
-			tp.Correct = correct
+			tp.Correct = s.correctBuf[i*n : (i+1)*n]
 		}
 		dst[i] = tp
 	}
 	s.next += b
 	return b, nil
+}
+
+// scan fills the distance rows of batch queries [lo, hi) and, for
+// classification, their correctness flags. q is the batch's query block on
+// the GEMV path. Calls on disjoint ranges write disjoint parts of the tile,
+// so they may run concurrently.
+func (s *Stream) scan(q []float64, gemv bool, lo, hi int) {
+	n, dim := s.train.N(), s.train.Dim()
+	dist := s.distBuf[lo*n : hi*n]
+	switch {
+	case gemv:
+		// GEMV tile of squared distances via the norm-precompute identity.
+		if s.pre.precision == Float32 {
+			vec.SqL2NormDotBatch32(dist, s.pre.flat32, n, dim, s.pre.norms32, s.q32[lo*dim:hi*dim], hi-lo)
+		} else {
+			vec.SqL2NormDotBatch(dist, s.trainFlat, n, dim, s.pre.norms, q[lo*dim:hi*dim], hi-lo)
+		}
+	case s.metric == vec.L2 || s.metric == vec.SquaredL2:
+		// Non-contiguous training rows: same normdot formula row by row, so
+		// the distances still match the tile path bit for bit.
+		var norms []float64
+		if s.pre != nil {
+			norms = s.pre.norms
+		}
+		for i := lo; i < hi; i++ {
+			sqL2ScanRows(s.distBuf[i*n:(i+1)*n], s.train.X, norms, s.test.X[s.next+i])
+		}
+	default:
+		for i := lo; i < hi; i++ {
+			vec.Distances(s.metric, s.train.X, s.test.X[s.next+i], s.distBuf[i*n:(i+1)*n])
+		}
+	}
+	if s.metric == vec.L2 {
+		// The Euclidean paths produce squared distances; L2 takes the root.
+		for i, v := range dist {
+			dist[i] = math.Sqrt(v)
+		}
+	}
+	if !s.kind.IsRegression() {
+		for i := lo; i < hi; i++ {
+			correct := s.correctBuf[i*n : (i+1)*n]
+			label := s.test.Labels[s.next+i]
+			for t, y := range s.train.Labels {
+				correct[t] = y == label
+			}
+		}
+	}
 }
 
 // queryBlock returns the next b test rows as one contiguous b×dim block:

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -158,5 +159,82 @@ func TestStreamReset(t *testing.T) {
 	assertSameTestPoints(t, second, first)
 	if s.NumTest() != 7 || s.NumTrain() != 30 {
 		t.Fatalf("NumTest/NumTrain = %d/%d", s.NumTest(), s.NumTrain())
+	}
+}
+
+// A split scan must fill the same tile as a serial one, bit for bit: for
+// every batch size from 1 to 17 (so partial last groups are covered), a
+// training set below and one above the split threshold, both precisions,
+// both Euclidean metrics and flat and row-wise test sets. A row-wise
+// training set and a non-Euclidean metric, which take the per-query paths,
+// are checked at 17 queries.
+func TestStreamWorkersBitIdentical(t *testing.T) {
+	// A wide dim keeps N, and so the per-distance Go loops, small.
+	const dim = 256
+	// Above: even a two-group batch (5 queries) has 2·N·dim ≥ 2·scanGrain.
+	big := scanGrain/dim + 100
+	// Below: even the 17-query batch (5 groups) stays under 2·scanGrain.
+	small := 2*scanGrain/(5*dim) - 100
+	rowWise := func(d *dataset.Dataset) *dataset.Dataset {
+		idx := make([]int, d.N())
+		for i := range idx {
+			idx[i] = d.N() - 1 - i
+		}
+		r := d.Subset(idx)
+		r.Classes = d.Classes
+		return r
+	}
+	var every []int
+	for nq := 1; nq <= 17; nq++ {
+		every = append(every, nq)
+	}
+	cases := []struct {
+		name                string
+		precision           Precision
+		metric              vec.Metric
+		flatTest, flatTrain bool
+		nqs                 []int
+	}{
+		{"float64-L2-flat", Float64, vec.L2, true, true, every},
+		{"float64-SquaredL2-rows", Float64, vec.SquaredL2, false, true, every},
+		{"float32-L2-rows", Float32, vec.L2, false, true, every},
+		{"float32-SquaredL2-flat", Float32, vec.SquaredL2, true, true, every},
+		{"float64-L2-rowwise-train", Float64, vec.L2, true, false, []int{17}},
+		{"L1", Float64, vec.L1, true, true, []int{17}},
+	}
+	for _, n := range []int{small, big} {
+		train := dataset.Mixture(dataset.MixtureConfig{Name: "m", N: n, Dim: dim, Classes: 3, Separation: 1, Spread: 1, Seed: 5})
+		test := dataset.Mixture(dataset.MixtureConfig{Name: "m", N: 17, Dim: dim, Classes: 3, Separation: 1, Spread: 1, Seed: 6})
+		for _, c := range cases {
+			tr, te := train, test
+			if !c.flatTrain {
+				tr = rowWise(train)
+			}
+			if !c.flatTest {
+				te = rowWise(test)
+			}
+			pre := NewPrecomp(tr, c.metric, c.precision)
+			// scan returns the first batch of nq test points.
+			scan := func(workers, nq int) []*TestPoint {
+				s, err := NewStreamPre(UnweightedClass, 3, nil, c.metric, tr, te, pre)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetWorkers(workers)
+				dst := make([]*TestPoint, nq)
+				if got, err := s.NextBatch(context.Background(), dst); err != nil || got != nq {
+					t.Fatalf("NextBatch = %d, %v; want %d", got, err, nq)
+				}
+				return dst
+			}
+			for _, nq := range c.nqs {
+				want := scan(1, nq)
+				for _, workers := range []int{2, 3, 8} {
+					t.Run(fmt.Sprintf("N=%d/%s/nq=%d/workers=%d", n, c.name, nq, workers), func(t *testing.T) {
+						assertSameTestPoints(t, scan(workers, nq), want)
+					})
+				}
+			}
+		}
 	}
 }

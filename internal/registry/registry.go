@@ -278,10 +278,15 @@ func (r *Registry) path(id string) string {
 // Put stores d under its content fingerprint and returns a pinned handle to
 // it plus whether the content was new. Re-uploading stored content is an
 // idempotent hit (any already-persisted bytes are trusted; the provided copy
-// re-populates the memory tier if the payload was evicted). The registry
-// takes ownership of d — callers must not mutate it afterwards.
+// re-populates the memory tier if the payload was evicted). A dataset that
+// fails Validate or has a NaN or ±Inf feature (dataset.ErrNonFinite) is
+// refused. The registry takes ownership of d — callers must not mutate it
+// afterwards.
 func (r *Registry) Put(d *dataset.Dataset) (*Handle, bool, error) {
 	if err := d.Validate(); err != nil {
+		return nil, false, err
+	}
+	if err := d.CheckFinite(); err != nil {
 		return nil, false, err
 	}
 	if d.N() == 0 {

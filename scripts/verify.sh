@@ -2,11 +2,12 @@
 # Tier-1 verification: formatting, vet (./... spans the library, commands
 # and examples), build, tests (including the method-registry Validate
 # tables, the Evaluate equivalence suite and the <1µs dispatch-overhead
-# gate), race passes over the execution engine, the job manager, the
-# dataset registry, the cluster coordinator and the context-cancellation
-# paths, a race pass over the distance/argsort kernels and their callers
-# (vec, knn, kheap), ten race passes over the LSH index (its build hashes
-# tables on several goroutines), the benchmark's own self-test (so an
+# gate), race passes over the job manager, the dataset registry, the
+# cluster coordinator and the context-cancellation paths, a race pass over
+# the vec and kheap kernels, ten race passes over the streaming distance
+# scan and the execution engine (each splits a large batch's scan or
+# reduce over several goroutines) and ten over the LSH index (its build
+# hashes tables on several goroutines), the benchmark's own self-test (so an
 # internal API change that breaks the benchmark's build fails here), a
 # GOAMD64=v3 cross-build of the assembly, fuzz smoke
 # runs over the decode/storage/shard-codec surfaces, a serving benchmark
@@ -46,9 +47,9 @@ go build ./...
 # dispatch must not depend on GOAMD64).
 GOAMD64=v3 go build ./...
 go test ./...
-go test -race ./internal/vec ./internal/knn ./internal/kheap
+go test -race ./internal/vec ./internal/kheap
+go test -race -count=10 ./internal/knn ./internal/core
 go test -race -count=10 ./internal/lsh
-go test -race ./internal/core
 go test -race ./internal/jobs
 go test -race ./internal/journal
 go test -race ./internal/registry

@@ -133,7 +133,9 @@ type Config struct {
 	// Weight, when non-nil, selects the weighted KNN utilities (Eqs. 26/27)
 	// instead of the unweighted ones (Eqs. 5/25).
 	Weight WeightFunc
-	// Workers bounds the parallel fan-out over test points (0 = all cores).
+	// Workers bounds the goroutines computing at once (0 = all cores): the
+	// per-test-point kernels, and a large batch's distance scan and
+	// ordered reduce.
 	Workers int
 	// BatchSize bounds how many test points are materialized at once: the
 	// engine streams test points in batches, so peak memory is
@@ -174,12 +176,18 @@ func (c Config) testPoints(train, test *Dataset, pre *knn.Precomp) ([]*knn.TestP
 // stream validates the configuration and returns a batched test-point
 // producer: distances are computed one engine batch at a time (with the
 // norm-precompute GEMV kernel on contiguous datasets, reusing pre when
-// non-nil) instead of eagerly materializing the Ntest×N matrix.
+// non-nil) instead of eagerly materializing the Ntest×N matrix. A large
+// batch's scan is split over the engine's worker count.
 func (c Config) stream(train, test *Dataset, pre *knn.Precomp) (*knn.Stream, error) {
 	if c.K <= 0 {
 		return nil, fmt.Errorf("knnshapley: Config.K = %d, want >= 1", c.K)
 	}
-	return knn.NewStreamPre(c.kind(train), c.K, c.Weight, c.Metric, train, test, pre)
+	s, err := knn.NewStreamPre(c.kind(train), c.K, c.Weight, c.Metric, train, test, pre)
+	if err != nil {
+		return nil, err
+	}
+	s.SetWorkers(c.engine().NumWorkers())
+	return s, nil
 }
 
 func (c Config) engine() core.EngineConfig {

@@ -2,8 +2,12 @@ package knnshapley
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"knnshapley/internal/dataset"
 )
 
 // The dataset constructors must reject malformed input with a descriptive
@@ -174,4 +178,33 @@ func TestValuerRejectsBadArguments(t *testing.T) {
 	check("SellersMC m=0", err, "seller count m = 0")
 	_, err = v.Utility(ctx, test, []int{-1})
 	check("Utility bad subset", err, "subset index -1")
+}
+
+// A NaN distance never compares, so the top-K heap and the full sort rank
+// it differently and Theorem 2 silently breaks. New must reject a NaN or
+// ±Inf training feature and every valuation call a non-finite test feature.
+func TestNonFiniteFeaturesRejected(t *testing.T) {
+	train, test := SynthMNIST(60, 1), SynthMNIST(5, 2)
+	v, err := New(train, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		badTrain := train.Clone()
+		badTrain.X[7][0] = bad
+		if _, err := New(badTrain, WithK(3)); !errors.Is(err, dataset.ErrNonFinite) {
+			t.Errorf("New with a %v training feature: err = %v, want ErrNonFinite", bad, err)
+		}
+		badTest := test.Clone()
+		badTest.X[2][1] = bad
+		for _, req := range []Request{
+			{Method: "exact", Test: badTest},
+			{Method: "truncated", Params: TruncatedParams{Eps: 0.1}, Test: badTest},
+		} {
+			if _, err := v.Evaluate(ctx, req); !errors.Is(err, dataset.ErrNonFinite) {
+				t.Errorf("Evaluate %s with a %v test feature: err = %v, want ErrNonFinite", req.Method, bad, err)
+			}
+		}
+	}
 }

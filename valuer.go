@@ -26,7 +26,9 @@ func WithMetric(m Metric) Option { return func(c *Config) { c.Metric = m } }
 // unweighted ones (Eqs. 5/25).
 func WithWeight(w WeightFunc) Option { return func(c *Config) { c.Weight = w } }
 
-// WithWorkers bounds the engine worker pool (default: all cores).
+// WithWorkers bounds the goroutines a valuation computes on at once
+// (default: all cores): the per-test-point kernels, and a large batch's
+// distance scan and ordered reduce.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithBatchSize bounds how many test points are in flight at once; peak
@@ -64,7 +66,8 @@ type Report struct {
 	// UtilityEvals counts incremental utility recomputations — the cost
 	// metric Algorithm 2's heap trick minimizes (Monte-Carlo methods only).
 	UtilityEvals int
-	// KStar is the retrieval depth max{K, ⌈1/eps⌉} (LSH/KD only).
+	// KStar is the retrieval depth max{K, ⌈1/eps⌉} (truncated, LSH and KD
+	// only; LSH and KD cap it at the training-set size).
 	KStar int
 	// Analyst is the computation provider's share (Composite only);
 	// Analyst + Σ Values = ν(I).
@@ -164,6 +167,9 @@ func New(train *Dataset, opts ...Option) (*Valuer, error) {
 	if train.N() == 0 {
 		return nil, errors.New("knnshapley: empty training set")
 	}
+	if err := train.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("knnshapley: train: %w", err)
+	}
 	if _, ok := train.Flat(); !ok {
 		train = train.Clone() // contiguous copy; leaves the caller's dataset alone
 	}
@@ -216,6 +222,9 @@ func (v *Valuer) checkTest(test *Dataset) error {
 	}
 	if test.N() == 0 {
 		return errors.New("knnshapley: empty test set")
+	}
+	if err := test.CheckFinite(); err != nil {
+		return fmt.Errorf("knnshapley: test: %w", err)
 	}
 	return nil
 }

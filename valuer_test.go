@@ -3,6 +3,7 @@ package knnshapley
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -309,5 +310,42 @@ func TestCancelBaselineMonteCarlo(t *testing.T) {
 	cancel()
 	if _, err := v.BaselineMonteCarlo(ctx, test, 0.01, 0.01, 1<<20, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// An eps below about 1.1e-19 puts 1/eps past math.MaxInt. K* must saturate
+// rather than wrap (a wrapped K* collapsed to K and truncated at K), and the
+// kd and LSH valuers must cap their retrieval depth at N instead of
+// allocating a K*-slot heap.
+func TestTinyEpsSaturatesKStar(t *testing.T) {
+	train, test := SynthMNIST(150, 1), SynthMNIST(4, 2)
+	v, err := New(train, WithK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	exact, err := v.Exact(ctx, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{1e-19, 1e-30} {
+		trunc, err := v.Truncated(ctx, test, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("truncated at eps=%g", eps), exact.Values, trunc.Values)
+	}
+	kd, err := v.KD(ctx, test, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsh, err := v.LSH(ctx, test, 1e-12, 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range []*Report{kd, lsh} {
+		if rep.KStar != train.N() {
+			t.Errorf("%s at eps=1e-12: K* = %d, want N = %d", rep.Method, rep.KStar, train.N())
+		}
 	}
 }
