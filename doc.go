@@ -215,7 +215,8 @@
 // KNN-Shapley recurrence is replayed by computing one value per
 // equal-correctness run and streaming the values back through the cached
 // run table, a sequential O(N) gather rather than a fresh O(N·d) scan and
-// O(N log N) sort. Incremental values are bit-identical to valuing the
+// O(N log N) sort (a truncated valuation with K* < N walks only the
+// spliced K* prefix). Incremental values are bit-identical to valuing the
 // child from scratch (pinned across append/remove/mixed edits and both
 // methods); BENCH_8.json measures re-valuing after a 10-row append at
 // N=1e5 at ~68× faster than the from-scratch scan. See examples/streaming
@@ -262,9 +263,9 @@
 // missing datasets by fingerprint (idempotent), fans an exact or
 // truncated valuation out as per-shard sub-jobs over the by-ref wire
 // protocol, and k-way-merges the shards' sorted neighbor lists under the
-// engine's exact ordering before replaying the KNN-Shapley recurrence —
-// so distributed values are bit-identical to a single-node run and share
-// its result cache. Failed peers are probed, marked down and their
+// engine's exact ordering before running the single-node engine's
+// recurrence kernel over them — so distributed values are bit-identical to
+// a single-node run and share its result cache. Failed peers are probed, marked down and their
 // shards reassigned; with no peers healthy the coordinator computes
 // locally. GET /cluster/statz reports the topology and GET /metrics
 // exposes every counter as Prometheus text. See the cmd/svserver package

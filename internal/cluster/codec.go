@@ -33,18 +33,12 @@ type ShardReport struct {
 }
 
 // correctBit marks a neighbor whose label matches the test point's. It is
-// core.CorrectBit — the replay kernels consume packed report entries as-is.
+// core.CorrectBit — the recurrence consumes packed report entries as-is.
 const correctBit = core.CorrectBit
 
 // PackIndex packs a global training index and its correctness flag into one
-// uint32 report entry.
-func PackIndex(idx int, correct bool) uint32 {
-	v := uint32(idx)
-	if correct {
-		v |= correctBit
-	}
-	return v
-}
+// uint32 report entry (core.Pack).
+func PackIndex(idx int, correct bool) uint32 { return core.Pack(idx, correct) }
 
 // UnpackIndex splits a packed report entry back into index and flag.
 func UnpackIndex(v uint32) (idx int, correct bool) {

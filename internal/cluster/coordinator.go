@@ -651,10 +651,10 @@ func (c *Coordinator) reportProgress(fn knnshapley.Progress, shards []*shard, re
 	fn(int(done), total)
 }
 
-// merge k-way-merges the shard-local neighbor lists of every test point
-// into the global α ordering and replays the KNN-Shapley recursion over it,
-// accumulating per-test vectors in test order and averaging — the exact
-// float operation sequence of the single-node engine, hence bit-identical
+// merge k-way-merges the shard-local packed neighbor lists of every test
+// point into the global α ordering and adds its values into the sum with
+// core.AddValues, test point by test point in test order, then averages —
+// the single-node engine's kernel and ordered reduce, hence bit-identical
 // values.
 func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, error) {
 	n := req.Train.N()
@@ -667,11 +667,13 @@ func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, er
 			return nil, fmt.Errorf("cluster: shard report for n=%d, want %d", sr.GlobalN, n)
 		}
 	}
+	kStar := n
+	if req.Method == "truncated" {
+		kStar = core.KStar(req.K, req.Eps)
+	}
 
 	acc := make([]float64, n)
-	dst := make([]float64, n)
-	var ranking []int
-	var correct []bool
+	var merged []uint32
 	heads := make([]int, len(reports))
 	lists := make([]int, 0, len(reports)) // report indices covering test t
 
@@ -693,22 +695,22 @@ func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, er
 		if req.Method == "exact" && total != n {
 			return nil, fmt.Errorf("cluster: exact merge of test point %d has %d entries, want %d", t, total, n)
 		}
-		if cap(ranking) < total {
-			ranking = make([]int, total)
-			correct = make([]bool, total)
+		// Only the first K* merged entries carry values.
+		total = min(total, kStar)
+		if cap(merged) < total {
+			merged = make([]uint32, total)
 		}
-		ranking = ranking[:total]
-		correct = correct[:total]
+		merged = merged[:total]
 
 		// Linear min-scan k-way merge by (DistKeyBits(dist), global index):
 		// the comparison key of vec.ArgsortDistInto, so the merged sequence
 		// equals the single-node α ordering. The scan is O(P) per output
 		// entry with P = shard count — small enough that a heap would cost
 		// more than it saves.
-		for out := 0; out < total; out++ {
+		for out := range merged {
 			best := -1
 			var bestKey uint64
-			var bestIdx int
+			var bestIdx uint32
 			for _, ri := range lists {
 				sr := reports[ri]
 				lt := t - sr.TestOffset
@@ -717,33 +719,16 @@ func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, er
 					continue
 				}
 				key := vec.DistKeyBits(sr.Dist[lt][h])
-				idx, _ := UnpackIndex(sr.Idx[lt][h])
+				idx := sr.Idx[lt][h] &^ correctBit
 				if best == -1 || key < bestKey || (key == bestKey && idx < bestIdx) {
 					best, bestKey, bestIdx = ri, key, idx
 				}
 			}
 			sr := reports[best]
-			lt := t - sr.TestOffset
-			h := heads[best]
-			idx, ok := UnpackIndex(sr.Idx[lt][h])
-			ranking[out] = idx
-			correct[out] = ok
-			heads[best] = h + 1
+			merged[out] = sr.Idx[t-sr.TestOffset][heads[best]]
+			heads[best]++
 		}
-
-		for i := range dst {
-			dst[i] = 0
-		}
-		if req.Method == "truncated" {
-			core.TruncatedFromRankingInto(ranking, correct, n, req.K, req.Eps, dst)
-		} else {
-			core.ExactClassFromRankingInto(ranking, correct, req.K, dst)
-		}
-		// Ordered reduction, exactly like core.Engine.RunSum: test order,
-		// full vector.
-		for j, v := range dst {
-			acc[j] += v
-		}
+		core.AddValues(merged, n, req.K, kStar, acc)
 	}
 	inv := 1 / float64(ntest)
 	for i := range acc {

@@ -4,9 +4,9 @@
 // point, the training points sorted by distance; the Shapley recursion over
 // that ranking is comparatively free. A RankEntry caches exactly that
 // product — each test point's packed (index, correctness) list in rank
-// order, its distances, and the precomputed correctness-flip positions the
-// replay kernels consume — so re-valuing an unchanged dataset is a pure
-// replay, and re-valuing after a delta costs only the ΔN new rows:
+// order, its distances, its correctness-flip positions and the index→run
+// table the run-value gather consumes — so re-valuing an unchanged dataset
+// is a pure replay, and re-valuing after a delta costs only the ΔN new rows:
 //
 //   - Append: distances of the ΔN new points against every test point come
 //     from a miniature shard scan (the same GEMV norm-precompute kernels the
@@ -19,8 +19,11 @@
 //     indices remapped (O(N), but removal changes every surviving index, so
 //     there is no smaller honest representation).
 //
-// Replays walk the patched view with the core flip-run kernels under the
-// engine's exact (DistKeyBits, index) ordering key, so the values are
+// Replays run the core recurrence over the patched view, ordered by the
+// engine's exact (DistKeyBits, index) key: full replays (exact, or truncated
+// with K* >= N) as the run-value gather (core.RunValues + core.GatherRuns,
+// gatherPatched for patched entries), truncated replays as core.AddValues
+// over the K* prefix, spliced first when the entry is patched. The values are
 // bit-identical to a from-scratch run on the post-delta dataset — the
 // equivalence the incremental tests pin with Float64bits comparisons.
 package cluster
@@ -91,8 +94,8 @@ func (e *RankEntry) Patched() bool { return e.ins != nil }
 // NewRankEntry adopts a full single-shard report (Limit 0, offset 0) as a
 // cache entry. Every list must cover all GlobalN training rows — partial
 // reports cannot be patched or replayed exactly — and every packed index is
-// range-checked here once, which is what licenses the unchecked scatter in
-// the replay kernels.
+// range-checked here once, which is what licenses the unchecked indexing of
+// core.GatherRuns over the runOf tables built here.
 func NewRankEntry(sr *ShardReport) (*RankEntry, error) {
 	n := sr.GlobalN
 	if n <= 0 || len(sr.Idx) == 0 {
@@ -387,16 +390,18 @@ func (e *RankEntry) WithRemoved(removed []int) (*RankEntry, error) {
 }
 
 // Values replays the cached ranking into a value vector: per test point in
-// test order, accumulate the recursion's vector, then average — the exact
-// operation sequence of the coordinator merge and the single-node engine,
-// hence bit-identical to both.
+// test order, add the recursion's values into the sum, then average — the
+// exact operation sequence of the coordinator merge and the single-node
+// engine, hence bit-identical to both. A truncated replay walks each test
+// point's K* prefix with core.AddValues; a full replay (exact, or truncated
+// with K* >= n, where the two coincide) is a run-value gather: one sv walk
+// over the flips (core.RunValues), then a streaming pass adding each index's
+// run value from the cached runOf table.
 func (e *RankEntry) Values(method string, k int, eps float64) ([]float64, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: k = %d, want >= 1", k)
 	}
-	acc := make([]float64, e.n)
-	terms := core.Terms(k, e.n)
-	var kStar int
+	kStar := e.n
 	switch method {
 	case "exact":
 	case "truncated":
@@ -407,36 +412,35 @@ func (e *RankEntry) Values(method string, k int, eps float64) ([]float64, error)
 	default:
 		return nil, fmt.Errorf("cluster: method %q is not replayable (exact, truncated)", method)
 	}
-	// Scratch for the gather paths, sized to the largest run counts across
-	// test points; bv doubles as the base-run value table of patched replays.
-	var bv, crv []float64
-	if method == "exact" || kStar >= e.n {
+	acc := make([]float64, e.n)
+	if kStar < e.n {
+		var buf []uint32
+		for t := 0; t < e.ntest; t++ {
+			buf = e.prefix(t, kStar, buf)
+			core.AddValues(buf, e.n, k, kStar, acc)
+		}
+	} else {
+		// Run-value tables sized to the largest run counts across test
+		// points; bv doubles as the base-run table of patched replays.
 		maxB, maxC := 0, 0
 		for t := 0; t < e.ntest; t++ {
 			maxB = max(maxB, len(e.base.flips[t])+1)
 			maxC = max(maxC, len(e.flips[t])+1)
 		}
-		bv = make([]float64, maxB)
+		bv := make([]float64, maxB)
+		var crv []float64
 		if e.ins != nil {
 			crv = make([]float64, maxC)
 		}
-	}
-	for t := 0; t < e.ntest; t++ {
-		bl := e.base.idx[t]
-		fl := e.flips[t]
-		switch {
-		case method == "exact" && e.ins == nil:
-			e.gatherFull(t, float64(max(e.n, k)), terms, bv, acc)
-		case method == "exact":
-			e.gatherPatched(t, float64(max(e.n, k)), terms, bv, crv, acc)
-		case kStar >= e.n && e.ins == nil:
-			e.gatherFull(t, float64(e.n), terms, bv, acc)
-		case kStar >= e.n:
-			e.gatherPatched(t, float64(e.n), terms, bv, crv, acc)
-		case e.ins == nil:
-			core.ReplayPackedPrefix(bl, core.TrimFlips(fl, kStar), kStar, terms, acc)
-		default:
-			core.ReplayPackedOverlayPrefix(bl, e.ins[t].pos, e.ins[t].idx, core.TrimFlips(fl, kStar), kStar, terms, acc)
+		for t := 0; t < e.ntest; t++ {
+			if e.ins != nil {
+				e.gatherPatched(t, k, bv, crv, acc)
+				continue
+			}
+			fl := e.base.flips[t]
+			rv := bv[:len(fl)+1]
+			core.RunValues(fl, e.base.idx[t][e.n-1], e.n, k, rv)
+			core.GatherRuns(e.base.runOf[t], rv, acc)
 		}
 	}
 	inv := 1 / float64(e.ntest)
@@ -446,17 +450,22 @@ func (e *RankEntry) Values(method string, k int, eps float64) ([]float64, error)
 	return acc, nil
 }
 
-// gatherFull is the full replay of an unpatched test point as a run-value
-// gather: one sv walk over the flips (core.RunValues, the identical
-// operation sequence replayRuns would execute), then a streaming pass that
-// adds each index's run value from the cached runOf table — bit-identical
-// to core.ReplayPacked, a cache-friendly memory order instead of its
-// rank-order scatter.
-func (e *RankEntry) gatherFull(t int, firstDenom float64, terms, bv, acc []float64) {
-	fl := e.base.flips[t]
-	rv := bv[:len(fl)+1]
-	core.RunValues(fl, e.base.idx[t][e.n-1]&correctBit != 0, firstDenom, terms, rv)
-	core.GatherRuns(e.base.runOf[t], rv, acc)
+// prefix returns the first m packed entries of test point t's child ranking,
+// spliced into buf when the entry is patched.
+func (e *RankEntry) prefix(t, m int, buf []uint32) []uint32 {
+	b := e.base.idx[t]
+	if e.ins == nil {
+		return b[:m]
+	}
+	pos, idx := e.ins[t].pos, e.ins[t].idx
+	buf = buf[:0]
+	r, oi := 0, 0 // next child rank, overlay elements placed before it
+	for ; oi < len(pos) && int(pos[oi]) < m; oi++ {
+		buf = append(buf, b[r-oi:int(pos[oi])-oi]...)
+		buf = append(buf, idx[oi])
+		r = int(pos[oi]) + 1
+	}
+	return append(buf, b[r-oi:m-oi]...)
 }
 
 // gatherPatched replays a patched test point without materializing the
@@ -468,9 +477,9 @@ func (e *RankEntry) gatherFull(t int, firstDenom float64, terms, bv, acc []float
 // (at most a couple per appended point) keep value zero in the table — a
 // bit-free +0 in the gather — and their elements are scatter-added
 // directly, as are the overlay elements themselves. The sv sequence and the
-// one-add-per-element contract match replayRunsOverlay exactly, so the
-// result is bit-identical.
-func (e *RankEntry) gatherPatched(t int, firstDenom float64, terms, bv, crv, acc []float64) {
+// one-add-per-element contract match core.AddValues over the spliced
+// ranking, so the result is bit-identical.
+func (e *RankEntry) gatherPatched(t, k int, bv, crv, acc []float64) {
 	ov := &e.ins[t]
 	m := len(ov.pos)
 	cf := e.flips[t]      // child-coordinate flips
@@ -485,7 +494,7 @@ func (e *RankEntry) gatherPatched(t int, firstDenom float64, terms, bv, crv, acc
 		tail = bl[e.n-1-m]
 	}
 	cv := crv[:len(cf)+1]
-	core.RunValues(cf, tail&correctBit != 0, firstDenom, terms, cv)
+	core.RunValues(cf, tail, e.n, k, cv)
 
 	// Every base run is entered exactly once with bpos at its start (the b
 	// ranges tile the base), so rv needs no up-front clear: full coverage

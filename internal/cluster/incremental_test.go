@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -161,6 +162,48 @@ func TestRankEntryPatchAppendMatchesFromScratch(t *testing.T) {
 
 // TestRankEntryWithRemovedMatchesFromScratch pins removal compaction, alone
 // and stacked on a patched entry.
+// With fewer training points than K, K* >= n and a truncated replay must
+// equal the exact one bit for bit — Theorem 1's base case is
+// 1[correct]/max(n, k) — on unpatched and patched entries alike.
+func TestRankEntryTruncatedEqualsExactBelowK(t *testing.T) {
+	test := knnshapley.SynthMNIST(6, 2)
+	for _, n := range []int{1, 3, 8} {
+		for _, k := range []int{2, 5, 12} {
+			if n >= k {
+				continue
+			}
+			train := knnshapley.SynthMNIST(n, uint64(n))
+			e, err := NewRankEntry(fullReport(t, train, test, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := []*RankEntry{e}
+			if n > 1 {
+				parent := sliceRows(train, 0, n-1)
+				pe, err := NewRankEntry(fullReport(t, parent, test, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pe, err = pe.PatchAppend(deltaReport(t, train, test, k, 1)); err != nil {
+					t.Fatal(err)
+				}
+				entries = append(entries, pe)
+			}
+			for _, e := range entries {
+				exact, err := e.Values("exact", k, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trunc, err := e.Values("truncated", k, 0.01)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameValueBits(t, exact, trunc, fmt.Sprintf("n=%d k=%d patched=%v", n, k, e.Patched()))
+			}
+		}
+	}
+}
+
 func TestRankEntryWithRemovedMatchesFromScratch(t *testing.T) {
 	const k = 3
 	test := knnshapley.SynthMNIST(5, 21)

@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 
 	"knnshapley"
+	"knnshapley/internal/core"
 	"knnshapley/internal/dataset"
 	"knnshapley/internal/jobs"
-	"knnshapley/internal/kheap"
 	"knnshapley/internal/knn"
 	"knnshapley/internal/registry"
 	"knnshapley/internal/vec"
@@ -40,10 +40,12 @@ type ShardParams struct {
 // global indices and correctness flags. Distances come from the same
 // norm-precompute scan every single-node valuation uses, and each row's
 // distance depends only on that row and the query — so a shard's entries are
-// bit-identical to the corresponding entries of an unsharded scan, which is
-// what makes the coordinator's merged recursion reproduce single-node
-// values exactly. Progress flows through the knnshapley context callback,
-// so a job-managed shard reports done/total like any valuation.
+// bit-identical to the corresponding entries of an unsharded scan, and each
+// list is selected by core.Scratch.Ranking, the single-node engine's argsort
+// or top-K — which is what makes the coordinator's merged recursion
+// reproduce single-node values exactly. Progress flows through the
+// knnshapley context callback, so a job-managed shard reports done/total like
+// any valuation.
 func ComputeShardReport(ctx context.Context, train, test *dataset.Dataset, p ShardParams) (*ShardReport, error) {
 	if train.IsRegression() || test.IsRegression() {
 		return nil, errors.New("cluster: shard valuation applies to classification datasets")
@@ -75,7 +77,7 @@ func ComputeShardReport(ctx context.Context, train, test *dataset.Dataset, p Sha
 		Idx:        make([][]uint32, 0, total),
 		Dist:       make([][]float64, 0, total),
 	}
-	scratch := newShardScratch()
+	scratch := core.NewScratch()
 	tps := make([]*knn.TestPoint, batch)
 	done := 0
 	for {
@@ -87,7 +89,7 @@ func ComputeShardReport(ctx context.Context, train, test *dataset.Dataset, p Sha
 			break
 		}
 		for _, tp := range tps[:b] {
-			ranking := scratch.ranking(tp, limit)
+			ranking := scratch.Ranking(tp, limit)
 			idx := make([]uint32, len(ranking))
 			dist := make([]float64, len(ranking))
 			for r, id := range ranking {
@@ -383,31 +385,4 @@ func writeClusterJSON(rw http.ResponseWriter, status int, body any) {
 
 func writeClusterError(rw http.ResponseWriter, status int, msg string) {
 	writeClusterJSON(rw, status, wire.ErrorResponse{Error: msg})
-}
-
-// shardScratch owns the per-shard sort machinery: a radix argsort for full
-// orderings and a partial-selection heap for top-Limit prefixes, matching
-// the single-node engine's Scratch so shard rankings equal the
-// corresponding prefix of the unsharded α ordering.
-type shardScratch struct {
-	order  []int
-	sorter vec.DistSorter
-	heap   *kheap.Heap
-}
-
-func newShardScratch() *shardScratch { return &shardScratch{} }
-
-// ranking returns the first limit entries of tp's (distance, index)
-// ordering — the identical prefix the single-node engine's Scratch.OrderOf
-// and Scratch.TopKOf produce.
-func (s *shardScratch) ranking(tp *knn.TestPoint, limit int) []int {
-	if limit >= tp.N() {
-		s.order = s.sorter.ArgsortInto(s.order, tp.Dist)
-		return s.order
-	}
-	if s.heap == nil || s.heap.K() != limit {
-		s.heap = kheap.New(limit)
-	}
-	s.order = s.heap.TopKInto(s.order, tp.Dist)
-	return s.order
 }

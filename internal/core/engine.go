@@ -245,7 +245,7 @@ type Scratch struct {
 	order  []int
 	ints   []int
 	floats [4][]float64
-	bools  []bool
+	packs  []uint32
 	heap   *kheap.Heap
 	sorter vec.DistSorter
 }
@@ -281,15 +281,6 @@ func (s *Scratch) Floats(slot, n int) []float64 {
 	return s.floats[slot]
 }
 
-// Bools returns the reusable bool buffer resized to n.
-func (s *Scratch) Bools(n int) []bool {
-	if cap(s.bools) < n {
-		s.bools = make([]bool, n)
-	}
-	s.bools = s.bools[:n]
-	return s.bools
-}
-
 // OrderOf returns tp's distance ordering using the scratch index buffer
 // and the worker-owned radix sorter (same ordering as tp.OrderInto, zero
 // steady-state allocation).
@@ -298,16 +289,48 @@ func (s *Scratch) OrderOf(tp *knn.TestPoint) []int {
 	return s.order
 }
 
-// TopKOf returns the first k entries of tp's distance ordering — the same
-// prefix OrderOf would produce — via heap partial selection in
-// O(N + k log k) instead of sorting all N. It shares the scratch index
-// buffer with OrderOf, so the two results must not be held simultaneously.
-func (s *Scratch) TopKOf(tp *knn.TestPoint, k int) []int {
-	if s.heap == nil || s.heap.K() != k {
-		s.heap = kheap.New(k)
+// Ranking returns the first min(limit, N) entries of tp's (distance, index)
+// ordering: the argsort (OrderOf) when limit >= N, else heap partial
+// selection of the identical prefix in O(N + limit·log limit). It shares the
+// scratch index buffer with OrderOf, so the two results must not be held
+// simultaneously.
+func (s *Scratch) Ranking(tp *knn.TestPoint, limit int) []int {
+	if limit >= tp.N() {
+		return s.OrderOf(tp)
+	}
+	if s.heap == nil || s.heap.K() != limit {
+		s.heap = kheap.New(limit)
 	}
 	s.order = s.heap.TopKInto(s.order, tp.Dist)
 	return s.order
+}
+
+// packBuf returns the reusable packed-ranking buffer resized to n.
+func (s *Scratch) packBuf(n int) []uint32 {
+	if cap(s.packs) < n {
+		s.packs = make([]uint32, n)
+	}
+	s.packs = s.packs[:n]
+	return s.packs
+}
+
+// packed packs ranking with tp's correctness flags into the scratch buffer.
+func (s *Scratch) packed(tp *knn.TestPoint, ranking []int) []uint32 {
+	l := s.packBuf(len(ranking))
+	for r, id := range ranking {
+		l[r] = Pack(id, tp.Correct[id])
+	}
+	return l
+}
+
+// packedLabels packs retrieved training ids, flagging those whose label
+// equals label, into the scratch buffer.
+func (s *Scratch) packedLabels(ids, labels []int, label int) []uint32 {
+	l := s.packBuf(len(ids))
+	for r, id := range ids {
+		l[r] = Pack(id, labels[id] == label)
+	}
+	return l
 }
 
 // checkTrainSize verifies that tp matches the engine-wide training size n,

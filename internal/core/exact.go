@@ -30,42 +30,31 @@ func ExactClassSV(tp *knn.TestPoint) []float64 {
 }
 
 // exactClassSVInto is the scratch-aware Theorem 1 recursion writing into a
-// zeroed dst of length tp.N().
+// zeroed dst of length tp.N(): the argsort, packed once, walked by AddValues.
 func exactClassSVInto(tp *knn.TestPoint, s *Scratch, dst []float64) {
 	requireKind(tp, knn.UnweightedClass)
 	n := tp.N()
-	if n == 0 {
-		return
-	}
-	order := s.OrderOf(tp)
-	k := float64(tp.K)
-	// Base case. Eq. (6) assumes N >= K; in general the farthest point is
-	// pivotal for the min(K,N) coalition sizes below K, giving
-	// s_{α_N} = 1[correct]·min(N,K)/(N·K) = 1[correct]/max(N,K).
-	dst[order[n-1]] = ind(tp.Correct[order[n-1]]) / float64(max(n, tp.K))
-	for i := n - 1; i >= 1; i-- {
-		cur, next := order[i-1], order[i]
-		minKi := float64(min(tp.K, i))
-		dst[cur] = dst[next] + (ind(tp.Correct[cur])-ind(tp.Correct[next]))/k*minKi/float64(i)
-	}
+	AddValues(s.packed(tp, s.OrderOf(tp)), n, tp.K, n, dst)
 }
 
 // ExactClassFromRankingInto runs the Theorem 1 recursion over an externally
 // produced full neighbor ranking (every training index exactly once, by
 // ascending (distance, index)) with per-rank correctness indicators, writing
-// into a zeroed dst of length len(ranking). The arithmetic is op-for-op the
-// expression of exactClassSVInto — same base case, same difference term —
-// so a ranking equal to the single-node α ordering yields bit-identical
-// values. This is the merge-side half of the distributed exact valuation:
-// the cluster coordinator k-way-merges shard-local sorted neighbor lists
-// into the global ranking and replays the recursion here.
+// into a zeroed dst of length len(ranking). It packs the pair and walks it
+// with AddValues, the engine's exact kernel, so a ranking equal to the
+// single-node α ordering yields bit-identical values.
 func ExactClassFromRankingInto(ranking []int, correct []bool, k int, dst []float64) {
 	n := len(ranking)
-	if n == 0 {
-		return
+	AddValues(packRanking(ranking, correct), n, k, n, dst)
+}
+
+// packRanking packs a ranking and its per-rank correctness indicators.
+func packRanking(ranking []int, correct []bool) []uint32 {
+	l := make([]uint32, len(ranking))
+	for r, id := range ranking {
+		l[r] = Pack(id, correct[r])
 	}
-	dst[ranking[n-1]] = ind(correct[n-1]) / float64(max(n, k))
-	recurseUp(dst, ranking, correct, k, n-1)
+	return l
 }
 
 // ExactClassSVMulti computes exact Shapley values for the multi-test-point

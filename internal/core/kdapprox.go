@@ -16,7 +16,6 @@ import (
 // alternative to LSH for this role.
 type KDValuer struct {
 	k     int
-	eps   float64
 	kStar int
 	train *dataset.Dataset
 	tree  *kdtree.Tree
@@ -44,7 +43,7 @@ func NewKDValuer(train *dataset.Dataset, k int, eps float64, leafSize int) (*KDV
 // N: a deeper query returns the same N neighbors, and the heap behind it
 // allocates one slot per unit of depth.
 func newKDValuer(train *dataset.Dataset, k int, eps float64, tree *kdtree.Tree) *KDValuer {
-	return &KDValuer{k: k, eps: eps, kStar: min(KStar(k, eps), train.N()), train: train, tree: tree}
+	return &KDValuer{k: k, kStar: min(KStar(k, eps), train.N()), train: train, tree: tree}
 }
 
 // KStar returns the retrieval depth, K* capped at N.
@@ -60,11 +59,7 @@ func (v *KDValuer) ValueOne(q []float64, label int) []float64 {
 // valueOneInto is the scratch-aware ValueOne writing into a zeroed dst.
 func (v *KDValuer) valueOneInto(q []float64, label int, s *Scratch, dst []float64) {
 	ids, _ := v.tree.Query(q, v.kStar)
-	correct := s.Bools(len(ids))
-	for r, id := range ids {
-		correct[r] = v.train.Labels[id] == label
-	}
-	truncatedFromRankingInto(ids, correct, v.train.N(), v.k, v.eps, dst)
+	AddValues(s.packedLabels(ids, v.train.Labels, label), v.train.N(), v.k, v.kStar, dst)
 }
 
 // Value averages ValueOne over a test set, streaming the queries through

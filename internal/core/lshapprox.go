@@ -101,12 +101,8 @@ func (v *LSHValuer) ValueOne(q []float64, label int) []float64 {
 
 // valueOneInto is the scratch-aware ValueOne writing into a zeroed dst.
 func (v *LSHValuer) valueOneInto(q []float64, label int, s *Scratch, dst []float64) {
-	res := v.index.Query(q, v.kStar)
-	correct := s.Bools(len(res.IDs))
-	for r, id := range res.IDs {
-		correct[r] = v.train.Labels[id] == label
-	}
-	truncatedFromRankingInto(res.IDs, correct, v.train.N(), v.cfg.K, v.cfg.Eps, dst)
+	ids := v.index.Query(q, v.kStar).IDs
+	AddValues(s.packedLabels(ids, v.train.Labels, label), v.train.N(), v.cfg.K, v.kStar, dst)
 }
 
 // Value averages ValueOne over a test set (Eq. 8 / Theorem 4), streaming

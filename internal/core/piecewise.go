@@ -90,7 +90,8 @@ func PiecewiseClassSV(tp *knn.TestPoint) []float64 {
 	}
 	order := tp.Order()
 	k := float64(tp.K)
-	sv[order[n-1]] = ind(tp.Correct[order[n-1]]) / float64(max(n, tp.K))
+	last := order[n-1]
+	sv[last] = BaseValue(Pack(last, tp.Correct[last]), n, n, tp.K)
 	for i := n - 1; i >= 1; i-- {
 		cur, next := order[i-1], order[i]
 		terms := []PiecewiseTerm{{

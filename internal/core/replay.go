@@ -1,29 +1,49 @@
-// Flip-run replay: re-evaluating the Theorem 1 recursion from a cached
-// neighbor ranking without touching distances.
+// The Theorem 1/2 recurrence over packed rankings: one base case, two
+// traversals.
 //
-// The recursion s_{α_i} = s_{α_{i+1}} + Δ_i changes value only where the
-// correctness indicator flips between adjacent ranks (Δ_i = 0 elsewhere, and
-// the IEEE-754 expression (0−0)/K·min(K,i)/i is exactly +0, so skipping it is
-// bit-free). A ranking therefore splits into runs of constant Shapley value
-// separated by "flips", and a full replay is: walk the flips from the tail,
-// scatter-add the run's shared value into the accumulator, then step the
-// value across the flip. With ~2·p·(1−p)·N flips for correctness density p,
-// the per-element work is one load, one masked index and one add — about 6×
-// cheaper than recomputing distances, which is what makes O(ΔN) incremental
-// re-valuation worthwhile at all.
+// Every exact and truncated valuation runs on one representation, the packed
+// ranking: one uint32 per rank in ascending (distance, index) order, holding
+// the training index with CorrectBit flagging label agreement (Pack). It is
+// the codec of the cluster shard reports and the rank cache, so a single-node
+// valuation, a coordinator merge and a cached replay all feed the same code.
+// Over a ranking of m entries out of n training points the recurrence is
 //
-// The flip-crossing term (±1)/K · min(K,i)/i depends only on (K, i, sign) —
-// not on N or the data — so it is precomputed once per K into a shared table
-// (Terms). One table serves both signs because IEEE-754 negation is exact:
-// -(1/K·m/i) has the same bits as (-1)/K·m/i, the sequence recurseUp
-// evaluates for a downward flip.
+//	s_{α_m} = BaseValue(α_m, m, n, K)
+//	s_{α_i} = s_{α_{i+1}} + (1[α_i correct] − 1[α_{i+1} correct])/K · min(K,i)/i
 //
-// Rankings arrive in the cluster wire packing: one uint32 per rank holding
-// the training index with CorrectBit flagging label agreement. The kernels
-// use unsafe pointer arithmetic in the scatter loop; callers must uphold the
-// invariant — checked once at cache-entry construction, not per replay —
-// that every packed index masks to < len(acc) and every flip rank lies in
-// (0, n).
+// with every unranked point at zero. The difference term depends only on
+// (K, i) and the sign of the flip, so it comes from a shared per-K table
+// (Terms), and the base case from BaseValue: a wrong base case or term can
+// live in one place only. Two traversals step the recurrence:
+//
+//   - AddValues walks the ranking rank by rank, tail to head, without
+//     branches: sv += diff·Terms[r] with diff ∈ {−1, 0, +1}, then
+//     acc[index] += sv. It serves every ranking that is valued once: the
+//     engine's exact and truncated kernels, the LSH and k-d valuers, the
+//     cluster coordinator's merge, the rank cache's truncated replays and the
+//     []int/[]bool adapters (ExactClassFromRankingInto,
+//     TruncatedFromRankingInto).
+//   - RunValues computes one value per run of equal correctness (the value
+//     only changes where the bit flips, ~2·p·(1−p)·N times at correctness
+//     density p), and GatherRuns streams the run values into the accumulator
+//     through an index→run table (RunOf), walking acc in index order instead
+//     of rank order. It serves the rank cache's full replays, which build the
+//     table once per entry and reuse it on every replay.
+//
+// Why two. The gather replaces the rank-order scatter's cold accumulator line
+// per element with a sequential pass, about 3× faster on cached full
+// replays, but it needs the runOf table, and building that table for a
+// ranking used once is itself a rank-order scatter. Measured per test point
+// on a sorted ranking at N=1e5, K=5 (2-vCPU Intel Xeon host, median of three
+// 300-iteration runs, correctness density 0.1 / 0.5 / 0.9): packing and
+// walking with AddValues took 0.70 / 0.61 / 0.58 ms, while packing, finding
+// flips, RunValues and a per-run scatter took 1.21 / 2.60 / 1.18 ms. So the
+// choice is by whether a runOf table is cached, not by the method.
+//
+// Both traversals give the same bits. At a rank without a flip diff is 0 and
+// sv + (+0) = sv, because sv is never −0 (an IEEE-754 sum is −0 only when
+// both operands are); and one table serves both signs because negation is
+// exact: −(1/K·m/i) has the bits of (−1)/K·m/i.
 package core
 
 import (
@@ -36,6 +56,16 @@ import (
 // dataset and shard-report codecs enforce.
 const CorrectBit = uint32(1) << 31
 
+// Pack packs a training index and its correctness flag into one packed
+// ranking entry.
+func Pack(idx int, correct bool) uint32 {
+	v := uint32(idx)
+	if correct {
+		v |= CorrectBit
+	}
+	return v
+}
+
 // termsMaxK bounds how many distinct K tables are retained; requests churn
 // through at most a handful of K values in practice, and the bound keeps a
 // hostile K sequence from growing the cache without limit.
@@ -47,11 +77,11 @@ var (
 )
 
 // Terms returns the flip-crossing term table for k, valid for ranks up to at
-// least n: Terms(k, n)[i] is the exact recurseUp difference term at 1-based
-// rank i for an upward correctness flip (nearer point correct), evaluated in
-// the identical operation order, so sv += table[i] (or sv += -table[i] for a
-// downward flip) reproduces the recursion bit for bit. Tables grow on demand
-// and are shared across goroutines; the returned slice is immutable.
+// least n: Terms(k, n)[i] is the recurrence's difference term at 1-based rank
+// i for an upward correctness flip (nearer point correct),
+// 1/K · min(K,i)/i evaluated in that operation order; a downward flip adds
+// its negation. Tables grow on demand and are shared across goroutines; the
+// returned slice is immutable.
 func Terms(k, n int) []float64 {
 	termsMu.Lock()
 	defer termsMu.Unlock()
@@ -77,6 +107,44 @@ func Terms(k, n int) []float64 {
 	return nt
 }
 
+// BaseValue is the recurrence's base case: the value of last, the final
+// entry of a ranking of m entries out of n training points. When the ranking
+// covers all n points it is Theorem 1's 1[correct]/max(n,k) — Eq. (6)
+// assumes n ≥ k, and in general the farthest point is pivotal for the
+// min(k,n) coalition sizes below k, giving 1[correct]·min(n,k)/(n·k). A
+// shorter ranking (Theorem 2's truncation at K*, or an ANN retrieval) ends
+// at the zero base.
+func BaseValue(last uint32, m, n, k int) float64 {
+	if m < n || last&CorrectBit == 0 {
+		return 0
+	}
+	return 1 / float64(max(n, k))
+}
+
+// AddValues runs the recurrence over the first min(len(l), n, kStar) entries
+// of the packed ranking l and adds each ranked point's value into acc (length
+// at least n); unranked points get nothing, which is their zero value. The
+// ranking must list distinct training indices below len(acc). Pass kStar = n
+// for Theorem 1's exact values and kStar = KStar(k, eps) for Theorem 2's
+// truncation. Into a zeroed acc it writes the values themselves; into a
+// running sum it is the engine's ordered reduce, one test point at a time.
+func AddValues(l []uint32, n, k, kStar int, acc []float64) {
+	m := min(len(l), n, kStar)
+	if m <= 0 {
+		return
+	}
+	l = l[:m]
+	terms := Terms(k, m)[:m]
+	sv := BaseValue(l[m-1], m, n, k)
+	acc[l[m-1]&^CorrectBit] += sv
+	for r := m - 1; r >= 1; r-- {
+		cur := l[r-1]
+		diff := float64(int32(cur>>31) - int32(l[r]>>31))
+		sv += diff * terms[r]
+		acc[cur&^CorrectBit] += sv
+	}
+}
+
 // FlipsOfPacked returns the ascending ranks r in (0, len(l)) at which the
 // correctness bit of the packed ranking changes between ranks r−1 and r.
 func FlipsOfPacked(l []uint32) []int32 {
@@ -89,184 +157,19 @@ func FlipsOfPacked(l []uint32) []int32 {
 	return fl
 }
 
-// TrimFlips returns the prefix of ascending flips strictly below limit — the
-// subset a truncated replay over ranks [0, limit) consults.
-func TrimFlips(flips []int32, limit int) []int32 {
-	lo, hi := 0, len(flips)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(flips[mid]) < limit {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return flips[:lo]
-}
-
-// ReplayPacked replays the exact recursion over a full packed ranking,
-// adding each point's value into acc (the per-test accumulate of the merge
-// loop). firstDenom is the base-case denominator: max(n, k) for the exact
-// method, n for the truncated method's full-coverage case. terms must come
-// from Terms(k, n) for the recursion's k. Bit-identical to running
-// ExactClassFromRankingInto into a zeroed vector and adding it to acc.
-func ReplayPacked(l []uint32, flips []int32, firstDenom float64, terms, acc []float64) {
-	n := len(l)
-	if n == 0 {
-		return
-	}
-	sv := 0.0
-	if l[n-1]&CorrectBit != 0 {
-		sv = 1.0
-	}
-	sv /= firstDenom
-	replayRuns(l, flips, n, sv, terms, acc)
-}
-
-// ReplayPackedPrefix replays the truncated recursion when K* < n: ranks at
-// and beyond limit keep value zero, the value at rank limit−1 is the zero
-// base, and the recursion walks up from there. flips must already be trimmed
-// below limit (TrimFlips).
-func ReplayPackedPrefix(l []uint32, flips []int32, limit int, terms, acc []float64) {
-	if len(l) == 0 || limit <= 0 {
-		return
-	}
-	replayRuns(l, flips, min(limit, len(l)), 0, terms, acc)
-}
-
-// replayRuns is the shared scatter kernel: ranks [0, hi) of l split into
-// constant-value runs by flips (ascending, all < hi), walked tail to head
-// starting at value sv. Runs whose value is zero are skipped — the exact
-// computation writes +0 there and x + (+0) preserves x's bits for every x
-// the accumulate can hold (sv sums never produce −0: IEEE addition yields −0
-// only from two −0 operands).
-func replayRuns(l []uint32, flips []int32, hi int, sv float64, terms, acc []float64) {
-	ap := unsafe.Pointer(&acc[0])
-	lp := unsafe.Pointer(&l[0])
-	tp := unsafe.Pointer(&terms[0])
-	for fi := len(flips) - 1; fi >= -1; fi-- {
-		lo := 0
-		if fi >= 0 {
-			lo = int(flips[fi])
-		}
-		if sv != 0 {
-			for r := lo; r < hi; r++ {
-				v := *(*uint32)(unsafe.Add(lp, uintptr(r)*4))
-				p := (*float64)(unsafe.Add(ap, uintptr(v&^CorrectBit)*8))
-				*p += sv
-			}
-		}
-		if lo == 0 {
-			return
-		}
-		cur := *(*uint32)(unsafe.Add(lp, uintptr(lo-1)*4))
-		term := *(*float64)(unsafe.Add(tp, uintptr(lo)*8))
-		if cur&CorrectBit == 0 {
-			term = -term
-		}
-		sv += term
-		hi = lo
-	}
-}
-
-// ReplayPackedOverlay is ReplayPacked over a patched ranking: base holds the
-// parent's packed list and (opos, oidx) an insertion overlay — opos[j] is the
-// strictly ascending child rank of inserted element oidx[j], so child rank r
-// not in opos maps to base[r − |{opos < r}|]. flips are in child coordinates
-// over the spliced sequence of length n = len(base) + len(opos).
-func ReplayPackedOverlay(base []uint32, opos []int32, oidx []uint32, flips []int32, firstDenom float64, terms, acc []float64) {
-	n := len(base) + len(opos)
-	if n == 0 {
-		return
-	}
-	m := len(opos)
-	var tail uint32
-	if m > 0 && int(opos[m-1]) == n-1 {
-		tail = oidx[m-1]
-	} else {
-		tail = base[n-1-m]
-	}
-	sv := 0.0
-	if tail&CorrectBit != 0 {
-		sv = 1.0
-	}
-	sv /= firstDenom
-	replayRunsOverlay(base, opos, oidx, flips, n, sv, terms, acc)
-}
-
-// ReplayPackedOverlayPrefix is ReplayPackedPrefix over a patched ranking;
-// flips must be trimmed below limit.
-func ReplayPackedOverlayPrefix(base []uint32, opos []int32, oidx []uint32, flips []int32, limit int, terms, acc []float64) {
-	n := len(base) + len(opos)
-	if n == 0 || limit <= 0 {
-		return
-	}
-	replayRunsOverlay(base, opos, oidx, flips, min(limit, n), 0, terms, acc)
-}
-
-// replayRunsOverlay is replayRuns with an insertion overlay. Between
-// insertions the child-to-base offset is constant, so the common path is the
-// plain scatter with a shifted base window; each insertion inside a run
-// splits the scatter once and contributes its own element. Runs still skip
-// when sv is zero, but the insertion cursor always advances so the offset
-// stays right.
-func replayRunsOverlay(base []uint32, opos []int32, oidx []uint32, flips []int32, hi int, sv float64, terms, acc []float64) {
-	oi := len(opos)
-	for oi > 0 && int(opos[oi-1]) >= hi {
-		oi--
-	}
-	for fi := len(flips) - 1; fi >= -1; fi-- {
-		lo := 0
-		if fi >= 0 {
-			lo = int(flips[fi])
-		}
-		h := hi
-		for oi > 0 && int(opos[oi-1]) >= lo {
-			p := int(opos[oi-1])
-			if sv != 0 {
-				scatterRange(base[p+1-oi:h-oi], sv, acc)
-				acc[oidx[oi-1]&^CorrectBit] += sv
-			}
-			oi--
-			h = p
-		}
-		if sv != 0 {
-			scatterRange(base[lo-oi:h-oi], sv, acc)
-		}
-		if lo == 0 {
-			return
-		}
-		var cur uint32
-		if oi > 0 && int(opos[oi-1]) == lo-1 {
-			cur = oidx[oi-1]
-		} else {
-			cur = base[lo-1-oi]
-		}
-		term := terms[lo]
-		if cur&CorrectBit == 0 {
-			term = -term
-		}
-		sv += term
-		hi = lo
-	}
-}
-
-// RunValues evaluates the recursion once per run instead of once per
-// element: out[r] receives the Shapley value shared by every rank in run r,
-// where run r spans ranks [flips[r-1], flips[r]) (run len(flips) is the
-// tail). tailBit is the correctness bit of the last rank. The sv sequence —
-// base case, then one ± term per flip walking tail to head — is the exact
-// operation order of replayRuns, so the values are bit-identical; the flip
-// direction needs no ranking lookup because correctness bits strictly
-// alternate across runs (a flip is, by construction, a bit change).
-func RunValues(flips []int32, tailBit bool, firstDenom float64, terms []float64, out []float64) {
-	sv := 0.0
-	if tailBit {
-		sv = 1.0
-	}
-	sv /= firstDenom
+// RunValues evaluates the recurrence once per run over a full ranking of n
+// entries: out[r] receives the value shared by every rank in run r, where run
+// r spans ranks [flips[r-1], flips[r]) (run len(flips) is the tail) and last
+// is the packed entry at rank n−1. The sv sequence — BaseValue, then one ±
+// Terms entry per flip walking tail to head — is the one AddValues steps, so
+// the values are bit-identical; the flip direction needs no ranking lookup
+// because correctness bits strictly alternate across runs (a flip is, by
+// construction, a bit change).
+func RunValues(flips []int32, last uint32, n, k int, out []float64) {
+	terms := Terms(k, n)
+	sv := BaseValue(last, n, n, k)
 	out[len(flips)] = sv
-	bit := tailBit
+	bit := last&CorrectBit != 0
 	for fi := len(flips) - 1; fi >= 0; fi-- {
 		bit = !bit // bit of run fi, which the crossing's sign reads
 		term := terms[flips[fi]]
@@ -279,17 +182,14 @@ func RunValues(flips []int32, tailBit bool, firstDenom float64, terms []float64,
 }
 
 // GatherRuns adds each element's run value into the accumulator: for every
-// training index i, acc[i] += runvals[runOf[i]]. Together with RunValues
-// this replaces the rank-order scatter of replayRuns for full replays: acc
-// is walked sequentially and runvals is small enough to sit in cache, where
-// the scatter's rank-order walk hits a cold accumulator line per element.
-// Bit-identical because each index appears exactly once per ranking — the
-// adds commute across distinct slots — and a +0 add (zero-valued or
-// partially-covered runs) preserves every accumulator bit pattern the
-// replay can produce (sums of sv terms are never −0). Covers indices
-// [0, len(runOf)); acc may be longer (a patched replay's appended tail is
-// added separately). Caller guarantees len(runOf) <= len(acc) and every
-// runOf entry < len(runvals).
+// training index i, acc[i] += runvals[runOf[i]]. acc is walked sequentially
+// and runvals is small enough to sit in cache, where a rank-order walk hits a
+// cold accumulator line per element. Bit-identical to AddValues because each
+// index appears exactly once per ranking — the adds commute across distinct
+// slots — and a +0 add (zero-valued runs) preserves every accumulator bit
+// pattern the recurrence can produce. Covers indices [0, len(runOf)); acc may
+// be longer (a patched replay's appended tail is added separately). Caller
+// guarantees len(runOf) <= len(acc) and every runOf entry < len(runvals).
 func GatherRuns(runOf []uint32, runvals, acc []float64) {
 	n := len(runOf)
 	if n == 0 {
@@ -315,19 +215,5 @@ func RunOf(l []uint32, flips []int32, runOf []uint32) {
 			fi++
 		}
 		runOf[v&^CorrectBit] = uint32(fi)
-	}
-}
-
-// scatterRange adds sv into acc at every packed index of seg.
-func scatterRange(seg []uint32, sv float64, acc []float64) {
-	if len(seg) == 0 {
-		return
-	}
-	ap := unsafe.Pointer(&acc[0])
-	lp := unsafe.Pointer(&seg[0])
-	for r := 0; r < len(seg); r++ {
-		v := *(*uint32)(unsafe.Add(lp, uintptr(r)*4))
-		p := (*float64)(unsafe.Add(ap, uintptr(v&^CorrectBit)*8))
-		*p += sv
 	}
 }

@@ -6,21 +6,19 @@ import (
 	"testing"
 )
 
-// randPacked builds a packed ranking: a random permutation of [0,n) with
-// correctness density p.
-func randPacked(rng *rand.Rand, n int, p float64) []uint32 {
-	l := make([]uint32, n)
-	for r, id := range rng.Perm(n) {
-		l[r] = uint32(id)
-		if rng.Float64() < p {
-			l[r] |= CorrectBit
-		}
+// randPacked builds a packed ranking of length m over [0, n): the first m
+// entries of a random permutation, each flagged correct with probability p.
+// m < n is the shape an ANN retrieval hands the recurrence.
+func randPacked(rng *rand.Rand, n, m int, p float64) []uint32 {
+	l := make([]uint32, m)
+	for r, id := range rng.Perm(n)[:m] {
+		l[r] = Pack(id, rng.Float64() < p)
 	}
 	return l
 }
 
 // unpackRanking splits a packed list into the (ranking, correct) pair the
-// reference recursions take.
+// reference recursion takes.
 func unpackRanking(l []uint32) ([]int, []bool) {
 	ranking := make([]int, len(l))
 	correct := make([]bool, len(l))
@@ -31,23 +29,34 @@ func unpackRanking(l []uint32) ([]int, []bool) {
 	return ranking, correct
 }
 
-// refAccumulate runs the reference recursion into a zeroed vector and adds it
-// to acc — the cluster merge loop's exact operation sequence.
-func refAccumulate(l []uint32, k int, eps float64, truncated bool, acc []float64) {
-	ranking, correct := unpackRanking(l)
-	dst := make([]float64, len(acc))
-	if truncated {
-		TruncatedFromRankingInto(ranking, correct, len(acc), k, eps, dst)
-	} else {
-		ExactClassFromRankingInto(ranking, correct, k, dst)
+// refValues is a rank-by-rank transcription of Theorems 1 and 2, kept
+// independent of Terms, BaseValue and AddValues: the first
+// m = min(len(ranking), n, kStar) ranks are valued, starting from
+// 1[correct]/max(n,k) when they cover all n points and from zero otherwise;
+// every other point is zero.
+func refValues(ranking []int, correct []bool, n, k, kStar int) []float64 {
+	sv := make([]float64, n)
+	m := min(len(ranking), n, kStar)
+	if m == 0 {
+		return sv
 	}
-	for j, v := range dst {
-		acc[j] += v
+	if m == n {
+		sv[ranking[m-1]] = ind(correct[m-1]) / float64(max(n, k))
 	}
+	for r := m - 1; r >= 1; r-- {
+		i := r // 1-based rank of the nearer point is r, since ranks are r and r+1
+		cur, next := ranking[r-1], ranking[r]
+		minKi := float64(min(k, i))
+		sv[cur] = sv[next] + (ind(correct[r-1])-ind(correct[r]))/float64(k)*minKi/float64(i)
+	}
+	return sv
 }
 
 func requireSameBits(t *testing.T, want, got []float64, what string) {
 	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
 	for j := range want {
 		if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
 			t.Fatalf("%s: acc[%d] = %x, want %x", what, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -55,125 +64,74 @@ func requireSameBits(t *testing.T, want, got []float64, what string) {
 	}
 }
 
-func TestReplayPackedMatchesExact(t *testing.T) {
+// AddValues, summed over several test points the way the engine's ordered
+// reduce sums them, must match the reference bit for bit over full and
+// partial rankings, every truncation depth and correctness density, and k
+// on both sides of n.
+func TestAddValuesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
+	for _, n := range []int{1, 2, 3, 7, 64, 257, 1000} {
+		for _, m := range []int{n, n/2 + 1} {
+			for _, p := range []float64{0, 0.1, 0.5, 1} {
+				for _, k := range []int{1, 5, 100} {
+					for _, kStar := range []int{k, n / 2, n, 1 << 40} {
+						want := make([]float64, n)
+						got := make([]float64, n)
+						for tp := 0; tp < 3; tp++ {
+							l := randPacked(rng, n, m, p)
+							ranking, correct := unpackRanking(l)
+							for j, v := range refValues(ranking, correct, n, k, kStar) {
+								want[j] += v
+							}
+							AddValues(l, n, k, kStar, got)
+						}
+						requireSameBits(t, want, got, "AddValues")
+					}
+				}
+			}
+		}
+	}
+}
+
+// The adapters pack and walk; they must equal the reference too.
+func TestRankingAdaptersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, n := range []int{1, 5, 99, 400} {
+		for _, eps := range []float64{0.5, 0.05, 0.009} {
+			for _, k := range []int{1, 7, 12} {
+				l := randPacked(rng, n, n, 0.3)
+				ranking, correct := unpackRanking(l)
+				got := make([]float64, n)
+				ExactClassFromRankingInto(ranking, correct, k, got)
+				requireSameBits(t, refValues(ranking, correct, n, k, n), got, "ExactClassFromRankingInto")
+				got = make([]float64, n)
+				TruncatedFromRankingInto(ranking, correct, n, k, eps, got)
+				requireSameBits(t, refValues(ranking, correct, n, k, KStar(k, eps)), got, "TruncatedFromRankingInto")
+			}
+		}
+	}
+}
+
+// The run-value gather serves cached full replays; it must add the same bits
+// AddValues adds.
+func TestGatherMatchesAddValues(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
 	for _, n := range []int{1, 2, 3, 7, 64, 257, 1000} {
 		for _, p := range []float64{0, 0.1, 0.5, 1} {
 			for _, k := range []int{1, 5, 100} {
 				want := make([]float64, n)
 				got := make([]float64, n)
-				terms := Terms(k, n)
+				runOf := make([]uint32, n)
 				for tp := 0; tp < 3; tp++ {
-					l := randPacked(rng, n, p)
-					refAccumulate(l, k, 0, false, want)
-					ReplayPacked(l, FlipsOfPacked(l), float64(max(n, k)), terms, got)
-				}
-				requireSameBits(t, want, got, "exact")
-			}
-		}
-	}
-}
-
-func TestReplayPackedPrefixMatchesTruncated(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for _, n := range []int{1, 5, 99, 400} {
-		for _, eps := range []float64{0.5, 0.05, 0.009} {
-			for _, k := range []int{1, 7} {
-				kStar := KStar(k, eps)
-				want := make([]float64, n)
-				got := make([]float64, n)
-				terms := Terms(k, n)
-				for tp := 0; tp < 3; tp++ {
-					l := randPacked(rng, n, 0.3)
-					refAccumulate(l, k, eps, true, want)
+					l := randPacked(rng, n, n, p)
+					AddValues(l, n, k, n, want)
 					flips := FlipsOfPacked(l)
-					if kStar >= n {
-						ReplayPacked(l, flips, float64(n), terms, got)
-					} else {
-						ReplayPackedPrefix(l, TrimFlips(flips, kStar), kStar, terms, got)
-					}
+					runvals := make([]float64, len(flips)+1)
+					RunValues(flips, l[n-1], n, k, runvals)
+					RunOf(l, flips, runOf)
+					GatherRuns(runOf, runvals, got)
 				}
-				requireSameBits(t, want, got, "truncated")
-			}
-		}
-	}
-}
-
-// spliceOverlay materializes the child ranking a (base, overlay) pair
-// represents, for checking the overlay kernels against the plain ones.
-func spliceOverlay(base []uint32, opos []int32, oidx []uint32) []uint32 {
-	n := len(base) + len(opos)
-	merged := make([]uint32, 0, n)
-	oi := 0
-	for r := 0; r < n; r++ {
-		if oi < len(opos) && int(opos[oi]) == r {
-			merged = append(merged, oidx[oi])
-			oi++
-		} else {
-			merged = append(merged, base[r-oi])
-		}
-	}
-	return merged
-}
-
-// randOverlay builds m insertions at distinct random child ranks of a child
-// list of length baseN+m, indices continuing past baseN.
-func randOverlay(rng *rand.Rand, baseN, m int) ([]int32, []uint32) {
-	n := baseN + m
-	seen := make(map[int32]bool, m)
-	pos := make([]int32, 0, m)
-	for len(pos) < m {
-		p := int32(rng.IntN(n))
-		if !seen[p] {
-			seen[p] = true
-			pos = append(pos, p)
-		}
-	}
-	for i := 1; i < len(pos); i++ {
-		for j := i; j > 0 && pos[j] < pos[j-1]; j-- {
-			pos[j], pos[j-1] = pos[j-1], pos[j]
-		}
-	}
-	idx := make([]uint32, m)
-	for j := range idx {
-		idx[j] = uint32(baseN + j)
-		if rng.Float64() < 0.5 {
-			idx[j] |= CorrectBit
-		}
-	}
-	return pos, idx
-}
-
-func TestReplayPackedOverlayMatchesMaterialized(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for _, baseN := range []int{1, 10, 200} {
-		for _, m := range []int{1, 3, 17} {
-			n := baseN + m
-			k := 4
-			terms := Terms(k, n)
-			base := randPacked(rng, baseN, 0.4)
-			opos, oidx := randOverlay(rng, baseN, m)
-			merged := spliceOverlay(base, opos, oidx)
-			flips := FlipsOfPacked(merged)
-
-			want := make([]float64, n)
-			got := make([]float64, n)
-			for rep := 0; rep < 2; rep++ {
-				ReplayPacked(merged, flips, float64(max(n, k)), terms, want)
-				ReplayPackedOverlay(base, opos, oidx, flips, float64(max(n, k)), terms, got)
-			}
-			requireSameBits(t, want, got, "overlay exact")
-
-			for _, limit := range []int{1, n / 2, n - 1} {
-				if limit <= 0 || limit >= n {
-					continue
-				}
-				want = make([]float64, n)
-				got = make([]float64, n)
-				tf := TrimFlips(flips, limit)
-				ReplayPackedPrefix(merged, tf, limit, terms, want)
-				ReplayPackedOverlayPrefix(base, opos, oidx, tf, limit, terms, got)
-				requireSameBits(t, want, got, "overlay prefix")
+				requireSameBits(t, want, got, "gather")
 			}
 		}
 	}
@@ -215,21 +173,5 @@ func TestTermsMatchesRecurrence(t *testing.T) {
 	termsMu.Unlock()
 	if nk > termsMaxK {
 		t.Fatalf("terms cache holds %d tables, bound %d", nk, termsMaxK)
-	}
-}
-
-func TestTrimFlips(t *testing.T) {
-	fl := []int32{1, 4, 9, 30}
-	cases := []struct {
-		limit int
-		want  int
-	}{{1, 0}, {2, 1}, {4, 1}, {5, 2}, {31, 4}, {100, 4}}
-	for _, c := range cases {
-		if got := len(TrimFlips(fl, c.limit)); got != c.want {
-			t.Errorf("TrimFlips(limit=%d) kept %d, want %d", c.limit, got, c.want)
-		}
-	}
-	if got := TrimFlips(nil, 5); len(got) != 0 {
-		t.Errorf("TrimFlips(nil) = %v", got)
 	}
 }

@@ -35,25 +35,13 @@ func TruncatedClassSV(tp *knn.TestPoint, eps float64) []float64 {
 }
 
 // truncatedClassSVInto is the scratch-aware Theorem 2 truncation writing
-// into a zeroed dst of length tp.N().
+// into a zeroed dst of length tp.N(). Only the K* nearest neighbors get
+// nonzero values, so when K* < N partial selection replaces the full
+// argsort: the K*-prefix of the α ordering is all the recursion consults.
 func truncatedClassSVInto(tp *knn.TestPoint, eps float64, s *Scratch, dst []float64) {
 	requireKind(tp, knn.UnweightedClass)
-	n := tp.N()
 	kStar := KStar(tp.K, eps)
-	var ranking []int
-	if kStar < n {
-		// Only the K* nearest neighbors get nonzero values, so partial
-		// selection replaces the full argsort: the K*-prefix of the α
-		// ordering is all the recursion consults.
-		ranking = s.TopKOf(tp, kStar)
-	} else {
-		ranking = s.OrderOf(tp)
-	}
-	correct := s.Bools(len(ranking))
-	for rank, id := range ranking {
-		correct[rank] = tp.Correct[id]
-	}
-	truncatedFromRankingInto(ranking, correct, n, tp.K, eps, dst)
+	AddValues(s.packed(tp, s.Ranking(tp, kStar)), tp.N(), tp.K, kStar, dst)
 }
 
 // TruncatedClassSVMulti averages TruncatedClassSV over test points through
@@ -68,67 +56,27 @@ func TruncatedClassSVMulti(tps []*knn.TestPoint, eps float64, opts Options) []fl
 // TruncatedFromRanking runs the Theorem 2 recursion given an externally
 // retrieved neighbor ranking (training indices by ascending distance, e.g.
 // from an LSH or other ANN index) and per-rank correctness indicators. n is
-// the full training-set size; unranked points keep value zero. This is the
-// building block behind both the LSH valuer and the Figure 9 sweeps.
+// the full training-set size; unranked points keep value zero. The Figure 9
+// sweeps value their retrieved rankings through it.
 func TruncatedFromRanking(ranking []int, correct []bool, n, k int, eps float64) []float64 {
 	return truncatedFromRanking(ranking, correct, n, k, eps)
 }
 
 // TruncatedFromRankingInto is TruncatedFromRanking writing into a zeroed sv
-// of length n, for callers that reuse one buffer per test point (the cluster
-// coordinator's merge loop). Only the first K* ranking entries are consulted
-// when the ranking extends past K*, so a merged ranking longer than the
-// single-node K* prefix — the shape a k-way shard merge produces — runs the
-// identical recursion over the identical prefix.
+// of length n, for callers that reuse one buffer per test point. Only the
+// first K* ranking entries are consulted, so a ranking longer than the
+// single-node K* prefix runs the identical recursion over the identical
+// prefix. It packs that prefix and walks it with AddValues, the engine's
+// truncated kernel.
 func TruncatedFromRankingInto(ranking []int, correct []bool, n, k int, eps float64, sv []float64) {
-	truncatedFromRankingInto(ranking, correct, n, k, eps, sv)
+	kStar := KStar(k, eps)
+	m := min(len(ranking), n, kStar)
+	AddValues(packRanking(ranking[:m], correct[:m]), n, k, kStar, sv)
 }
 
-// truncatedFromRanking runs the Theorem 2 recursion given the neighbor
-// ranking (training indices by ascending distance; only the first K* entries
-// are consulted) and the per-rank correctness indicators. n is the full
-// training-set size; ranking may be shorter than n (e.g. LSH retrieval), in
-// which case every unranked point keeps value zero.
+// truncatedFromRanking is TruncatedFromRankingInto into a new vector.
 func truncatedFromRanking(ranking []int, correct []bool, n, k int, eps float64) []float64 {
 	sv := make([]float64, n)
-	truncatedFromRankingInto(ranking, correct, n, k, eps, sv)
+	TruncatedFromRankingInto(ranking, correct, n, k, eps, sv)
 	return sv
-}
-
-// truncatedFromRankingInto is truncatedFromRanking writing into a zeroed sv
-// of length n.
-func truncatedFromRankingInto(ranking []int, correct []bool, n, k int, eps float64, sv []float64) {
-	if len(ranking) == 0 {
-		return
-	}
-	kStar := KStar(k, eps)
-	limit := min(len(ranking), n)
-	if kStar >= limit {
-		// Degenerate truncation: every ranked point is within K*, so run the
-		// full Theorem 1 recursion over the ranked prefix with the exact
-		// base case when the prefix covers the whole training set.
-		last := limit - 1
-		if limit == n {
-			sv[ranking[last]] = ind(correct[last]) / float64(n)
-		} else {
-			sv[ranking[last]] = 0
-		}
-		recurseUp(sv, ranking, correct, k, last)
-		return
-	}
-	// ŝ_{α_i} = 0 for i ≥ K* (1-based: rank index kStar-1 in 0-based terms
-	// is the K*-th neighbor and is the zero base of the recursion).
-	sv[ranking[kStar-1]] = 0
-	recurseUp(sv, ranking, correct, k, kStar-1)
-}
-
-// recurseUp applies the Theorem 1 difference recursion from 0-based rank
-// `from` down to rank 0, assuming sv at ranking[from] is already set.
-func recurseUp(sv []float64, ranking []int, correct []bool, k, from int) {
-	for r := from; r >= 1; r-- {
-		i := r // 1-based rank of the nearer point is r, since ranks are r and r+1
-		cur, next := ranking[r-1], ranking[r]
-		minKi := float64(min(k, i))
-		sv[cur] = sv[next] + (ind(correct[r-1])-ind(correct[r]))/float64(k)*minKi/float64(i)
-	}
 }

@@ -69,6 +69,18 @@ func TestTruncatedDegeneratesToExact(t *testing.T) {
 	exact := ExactClassSV(tp)
 	approx := TruncatedClassSV(tp, 0.01) // K* = 100 > 8
 	assertClose(t, approx, exact, 0, "degenerate truncation")
+
+	// Including N < K, where Theorem 1's base case is 1[correct]/max(N, K),
+	// not 1[correct]/N: the truncated values must still sum to
+	// ν(I) − ν(∅) like the exact ones.
+	for _, n := range []int{1, 3, 8} {
+		for _, k := range []int{2, 5, 12} {
+			for trial := 0; trial < 4; trial++ {
+				tp := randomClassTP(n, 2, k, rng)
+				requireSameBits(t, ExactClassSV(tp), TruncatedClassSV(tp, 0.01), "truncated vs exact")
+			}
+		}
+	}
 }
 
 func TestTruncatedZeroBeyondKStar(t *testing.T) {

@@ -850,6 +850,15 @@ func (m *Manager) runJob(job *Job) {
 	cancel()
 	now := m.now()
 
+	// Populate the result cache before the job turns terminal (and outside
+	// job.mu — lock order: m.mu alone): a caller woken by Done must find the
+	// report when it resubmits the same key. err == nil means StateDone.
+	if err == nil && job.spec.CacheKey != "" && rep != nil {
+		m.mu.Lock()
+		m.reports.add(job.spec.CacheKey, rep)
+		m.mu.Unlock()
+	}
+
 	job.mu.Lock()
 	requested := job.canceled
 	switch {
@@ -868,12 +877,5 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 
 	m.journalFinish(job)
-
-	// Populate the result cache outside job.mu (lock order: m.mu alone).
-	if err == nil && job.spec.CacheKey != "" && rep != nil {
-		m.mu.Lock()
-		m.reports.add(job.spec.CacheKey, rep)
-		m.mu.Unlock()
-	}
 	job.finalize()
 }

@@ -846,3 +846,37 @@ func TestRestore(t *testing.T) {
 		t.Fatal("restored job not retrievable")
 	}
 }
+
+// blockingJournal is a Journal whose Finished blocks until release is closed.
+type blockingJournal struct{ release chan struct{} }
+
+func (b *blockingJournal) Submitted(string, time.Time, []byte)        {}
+func (b *blockingJournal) Running(string, time.Time)                  {}
+func (b *blockingJournal) Finished(string, string, string, time.Time) { <-b.release }
+
+// A job's report is in the result cache by the time Done fires, so a request
+// repeated right after a synchronous response is a cache hit even while the
+// job's terminal journal record is still being written.
+func TestResultCachedBeforeDone(t *testing.T) {
+	jr := &blockingJournal{release: make(chan struct{})}
+	m := New(Config{Workers: 1, Journal: jr})
+	defer m.Close()
+	defer close(jr.release) // runs before Close: the worker must get past Finished
+	run := func(ctx context.Context) (*knnshapley.Report, error) {
+		return &knnshapley.Report{Method: "cached"}, nil
+	}
+	first, err := m.Submit(Spec{CacheKey: "key", Envelope: []byte("env"), Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first.Done()
+	// No Envelope: the hit path journals nothing, so it never reaches the
+	// blocked Finished.
+	second, err := m.Submit(Spec{CacheKey: "key", Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := second.Snapshot(); s.State != StateDone || !s.CacheHit {
+		t.Fatalf("resubmission after Done: state %s cacheHit=%v, want a cache hit", s.State, s.CacheHit)
+	}
+}

@@ -14,8 +14,8 @@
 # of the upload-once/value-many registry path, a method-discovery
 # end-to-end run (a real svserver answering "svcli methods"), a
 # multi-process cluster end-to-end run (three workers + coordinator,
-# by-ref scatter-gather bit-identical to in-process, one worker SIGKILLed
-# mid-job, SIGTERM drain), a crash-durability end-to-end run (svserver
+# by-ref exact and truncated scatter-gather bit-identical to in-process,
+# one worker SIGKILLed mid-job, SIGTERM drain), a crash-durability end-to-end run (svserver
 # SIGKILLed mid-job, restarted on the same data dir; the write-ahead job
 # journal must replay the job under its original ID with a bit-identical
 # result), an incremental-delta end-to-end run (upload, value, append rows
@@ -114,11 +114,11 @@ done
 kill "$svpid"
 
 # Cluster end-to-end: three svserver workers plus one coordinator, all real
-# processes; a by-ref valuation scattered into per-peer shards and merged
-# must print output bit-identical to the same valuation run in-process (%g
-# is shortest-round-trip formatting, so identical text means identical
-# float64 bits). The sync run reaches the coordinator through svcli -peers
-# failover past a dead URL. A second, larger async valuation gets one
+# processes; by-ref exact and truncated (eps 0.01) valuations scattered into
+# per-peer shards and merged must print output bit-identical to the same
+# valuations run in-process (%g is shortest-round-trip formatting, so
+# identical text means identical float64 bits). The sync exact run reaches
+# the coordinator through svcli -peers failover past a dead URL. A second, larger async valuation gets one
 # worker SIGKILLed while in flight; the coordinator must reassign its
 # shards and still answer bit-identically. Finally a SIGTERMed worker must
 # drain and log a clean shutdown.
@@ -172,6 +172,26 @@ if ! cmp -s "$cldir/local5.csv" "$cldir/cluster5.csv"; then
     diff "$cldir/local5.csv" "$cldir/cluster5.csv" >&2 | head >&2
     exit 1
 fi
+
+# The truncated method merges only each shard's top-K* list; the merged
+# prefix must value bit-identically too, and /cluster/statz must show both
+# valuations scattered (no local fallback).
+"$bindir/svcli" -train "$cldir/train.csv" -test "$cldir/test.csv" -k 5 -algo truncated -eps 0.01 \
+    >"$cldir/local5t.csv"
+"$bindir/svcli" -train "$cldir/train.csv" -test "$cldir/test.csv" -k 5 -algo truncated -eps 0.01 \
+    -server "http://$caddr" -by-ref >"$cldir/cluster5t.csv"
+if ! cmp -s "$cldir/local5t.csv" "$cldir/cluster5t.csv"; then
+    echo "truncated cluster valuation differs from the in-process run:" >&2
+    diff "$cldir/local5t.csv" "$cldir/cluster5t.csv" | head >&2
+    exit 1
+fi
+clstatz=$(curl -sf "http://$caddr/cluster/statz")
+for want in '"valuations":2' '"fallbacks":0'; do
+    if ! grep -qF "$want" <<<"$clstatz"; then
+        echo "cluster E2E: expected $want in /cluster/statz: $clstatz" >&2
+        exit 1
+    fi
+done
 
 "$bindir/svcli" -train "$cldir/train.csv" -test "$cldir/test.csv" -k 4 -algo exact \
     >"$cldir/local4.csv"

@@ -349,3 +349,62 @@ func TestTinyEpsSaturatesKStar(t *testing.T) {
 		}
 	}
 }
+
+// With K* >= N the truncated and k-d methods must equal Exact bit for bit,
+// also with fewer training points than K: Theorem 1's base case is
+// 1[correct]/max(N, K), so three correct points at K=5 are worth 0.2 each
+// (summing to ν(I) − ν(∅) = 0.6), not 1/3.
+func TestTruncatedAndKDEqualExactBelowK(t *testing.T) {
+	ctx := context.Background()
+	check := func(train, test *Dataset, k int) {
+		t.Helper()
+		v, err := New(train, WithK(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := v.Exact(ctx, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trunc, err := v.Truncated(ctx, test, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kd, err := v.KD(ctx, test, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("N=%d K=%d", train.N(), k)
+		assertBitIdentical(t, what+" truncated", exact.Values, trunc.Values)
+		assertBitIdentical(t, what+" kd", exact.Values, kd.Values)
+	}
+
+	train, err := NewClassificationDataset([][]float64{{0, 0}, {1, 0}, {0, 1}}, []int{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := NewClassificationDataset([][]float64{{0.2, 0.2}}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := New(train, WithK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := v.Exact(ctx, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sv := range exact.Values {
+		if sv != 0.2 {
+			t.Fatalf("exact value %d = %v, want 0.2", i, sv)
+		}
+	}
+	check(train, test, 5)
+
+	for _, n := range []int{1, 3, 8} {
+		for _, k := range []int{2, 5, 12} {
+			check(SynthMNIST(n, uint64(n)), SynthMNIST(6, 99), k)
+		}
+	}
+}
