@@ -112,26 +112,59 @@ func TestRankingAdaptersMatchReference(t *testing.T) {
 	}
 }
 
-// The run-value gather serves cached full replays; it must add the same bits
-// AddValues adds.
-func TestGatherMatchesAddValues(t *testing.T) {
+// Packed full replays, summed over several test points into one vector the
+// way the engine's ordered reduce and the cluster merge sum them, must add
+// the exact values bit for bit: both the per-rank walk (AddValues with
+// kStar = n) and the per-run gather that serves cached replays.
+func TestReplayPackedMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, n := range []int{1, 2, 3, 7, 64, 257, 1000} {
 		for _, p := range []float64{0, 0.1, 0.5, 1} {
 			for _, k := range []int{1, 5, 100} {
 				want := make([]float64, n)
-				got := make([]float64, n)
+				walked := make([]float64, n)
+				gathered := make([]float64, n)
 				runOf := make([]uint32, n)
 				for tp := 0; tp < 3; tp++ {
 					l := randPacked(rng, n, n, p)
-					AddValues(l, n, k, n, want)
+					ranking, correct := unpackRanking(l)
+					for j, v := range refValues(ranking, correct, n, k, n) {
+						want[j] += v
+					}
+					AddValues(l, n, k, n, walked)
 					flips := FlipsOfPacked(l)
 					runvals := make([]float64, len(flips)+1)
 					RunValues(flips, l[n-1], n, k, runvals)
 					RunOf(l, flips, runOf)
-					GatherRuns(runOf, runvals, got)
+					GatherRuns(runOf, runvals, gathered)
 				}
-				requireSameBits(t, want, got, "gather")
+				requireSameBits(t, want, walked, "walk")
+				requireSameBits(t, want, gathered, "gather")
+			}
+		}
+	}
+}
+
+// A replay of the K* prefix of a full packed ranking must add Theorem 2's
+// truncated values bit for bit, including the eps small enough that
+// K* >= n and the truncation is exact.
+func TestReplayPackedPrefixMatchesTruncated(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, n := range []int{1, 5, 99, 400} {
+		for _, eps := range []float64{0.5, 0.05, 0.009} {
+			for _, k := range []int{1, 7} {
+				kStar := KStar(k, eps)
+				want := make([]float64, n)
+				got := make([]float64, n)
+				for tp := 0; tp < 3; tp++ {
+					l := randPacked(rng, n, n, 0.3)
+					ranking, correct := unpackRanking(l)
+					for j, v := range refValues(ranking, correct, n, k, kStar) {
+						want[j] += v
+					}
+					AddValues(l, n, k, kStar, got)
+				}
+				requireSameBits(t, want, got, "truncated")
 			}
 		}
 	}
