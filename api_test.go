@@ -13,12 +13,22 @@ func smallSplit(t *testing.T) (*Dataset, *Dataset) {
 	return SynthMNIST(150, 1), SynthMNIST(10, 2)
 }
 
+// evaluate runs p over a fresh session built with opts.
+func evaluate(train, test *Dataset, p Method, opts ...Option) (*Report, error) {
+	v, err := New(train, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return v.Evaluate(context.Background(), Request{Params: p, Test: test})
+}
+
 func TestExactClassificationEndToEnd(t *testing.T) {
 	train, test := smallSplit(t)
-	sv, err := Exact(train, test, Config{K: 3})
+	rep, err := evaluate(train, test, ExactParams{}, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sv := rep.Values
 	if len(sv) != train.N() {
 		t.Fatalf("%d values for %d points", len(sv), train.N())
 	}
@@ -26,11 +36,11 @@ func TestExactClassificationEndToEnd(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	full, err := Utility(train, test, Config{K: 3}, all)
+	full, err := evaluate(train, test, UtilityParams{Subset: all}, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := Utility(train, test, Config{K: 3}, nil)
+	empty, err := evaluate(train, test, UtilityParams{}, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +48,8 @@ func TestExactClassificationEndToEnd(t *testing.T) {
 	for _, v := range sv {
 		total += v
 	}
-	if math.Abs(total-(full-empty)) > 1e-9 {
-		t.Fatalf("group rationality: Σsv=%v, ν(I)−ν(∅)=%v", total, full-empty)
+	if diff := full.Values[0] - empty.Values[0]; math.Abs(total-diff) > 1e-9 {
+		t.Fatalf("group rationality: Σsv=%v, ν(I)−ν(∅)=%v", total, diff)
 	}
 }
 
@@ -47,20 +57,16 @@ func TestExactClassificationEndToEnd(t *testing.T) {
 // size and worker count (the batches only change memory, never math).
 func TestExactBatchSizeInvariance(t *testing.T) {
 	train, test := smallSplit(t)
-	want, err := Exact(train, test, Config{K: 3, Workers: 1, BatchSize: test.N()})
+	want, err := evaluate(train, test, ExactParams{}, WithK(3), WithWorkers(1), WithBatchSize(test.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{
-		{K: 3, BatchSize: 1},
-		{K: 3, BatchSize: 3, Workers: 2},
-		{K: 3, BatchSize: 64, Workers: 8},
-	} {
-		got, err := Exact(train, test, cfg)
+	for _, c := range []struct{ workers, batch int }{{0, 1}, {2, 3}, {8, 64}} {
+		got, err := evaluate(train, test, ExactParams{}, WithK(3), WithWorkers(c.workers), WithBatchSize(c.batch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, fmt.Sprintf("cfg %+v", cfg), want, got)
+		assertBitIdentical(t, fmt.Sprintf("workers %d, batch %d", c.workers, c.batch), want.Values, got.Values)
 	}
 
 	// A training set large enough that each batch's distance scan
@@ -94,68 +100,69 @@ func TestExactBatchSizeInvariance(t *testing.T) {
 func TestExactRegressionEndToEnd(t *testing.T) {
 	train := SynthRegression(100, 4, 0.1, 1)
 	test := SynthRegression(8, 4, 0.1, 2)
-	sv, err := Exact(train, test, Config{K: 2})
+	rep, err := evaluate(train, test, ExactParams{}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sv) != 100 {
-		t.Fatalf("%d values", len(sv))
+	if len(rep.Values) != 100 {
+		t.Fatalf("%d values", len(rep.Values))
 	}
 }
 
 func TestExactWeightedEndToEnd(t *testing.T) {
 	train := SynthMNIST(25, 3)
 	test := SynthMNIST(3, 4)
-	sv, err := Exact(train, test, Config{K: 2, Weight: InverseDistance(0.5)})
+	weight := WithWeight(InverseDistance(0.5))
+	exact, err := evaluate(train, test, ExactParams{}, WithK(2), weight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MonteCarlo(train, test, Config{K: 2, Weight: InverseDistance(0.5)},
-		MCOptions{Bound: Fixed, T: 4000, Seed: 5})
+	mc, err := evaluate(train, test, MCParams{Bound: Fixed, T: 4000, Seed: 5}, WithK(2), weight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sv {
-		if math.Abs(sv[i]-mc.SV[i]) > 0.1 {
-			t.Fatalf("exact %v vs MC %v at %d", sv[i], mc.SV[i], i)
+	for i, v := range exact.Values {
+		if math.Abs(v-mc.Values[i]) > 0.1 {
+			t.Fatalf("exact %v vs MC %v at %d", v, mc.Values[i], i)
 		}
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	train, test := smallSplit(t)
-	if _, err := Exact(train, test, Config{K: 0}); err == nil {
+	if _, err := evaluate(train, test, ExactParams{}, WithK(0)); err == nil {
 		t.Error("K=0 accepted")
 	}
 	reg := SynthRegression(10, 4, 0.1, 1)
-	if _, err := Exact(train, reg, Config{K: 1}); err == nil {
+	if _, err := evaluate(train, reg, ExactParams{}, WithK(1)); err == nil {
 		t.Error("mixed train/test kinds accepted")
 	}
-	if _, err := Truncated(reg, reg, Config{K: 1}, 0.1); err == nil {
+	if _, err := evaluate(reg, reg, TruncatedParams{Eps: 0.1}, WithK(1)); err == nil {
 		t.Error("regression accepted by Truncated")
 	}
-	if _, err := NewLSHValuer(train, Config{K: 1, Weight: InverseDistance(1)}, 0.1, 0.1, 1); err == nil {
+	lsh := LSHParams{Eps: 0.1, Delta: 0.1, Seed: 1}
+	if _, err := evaluate(train, test, lsh, WithK(1), WithWeight(InverseDistance(1))); err == nil {
 		t.Error("weighted accepted by LSH")
 	}
-	if _, err := NewLSHValuer(train, Config{K: 1, Metric: Cosine}, 0.1, 0.1, 1); err == nil {
+	if _, err := evaluate(train, test, lsh, WithK(1), WithMetric(Cosine)); err == nil {
 		t.Error("cosine accepted by LSH")
 	}
 }
 
 func TestTruncatedWithinEps(t *testing.T) {
 	train, test := smallSplit(t)
-	exact, err := Exact(train, test, Config{K: 2})
+	exact, err := evaluate(train, test, ExactParams{}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eps := 0.1
-	approx, err := Truncated(train, test, Config{K: 2}, eps)
+	approx, err := evaluate(train, test, TruncatedParams{Eps: eps}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range exact {
-		if math.Abs(exact[i]-approx[i]) > eps {
-			t.Fatalf("error %v > eps at %d", exact[i]-approx[i], i)
+	for i, v := range exact.Values {
+		if math.Abs(v-approx.Values[i]) > eps {
+			t.Fatalf("error %v > eps at %d", v-approx.Values[i], i)
 		}
 	}
 }
@@ -163,27 +170,20 @@ func TestTruncatedWithinEps(t *testing.T) {
 func TestLSHValuerEndToEnd(t *testing.T) {
 	train := SynthDeep(1000, 7)
 	test := SynthDeep(10, 8)
-	v, err := NewLSHValuer(train, Config{K: 2}, 0.1, 0.1, 9)
+	rep, err := evaluate(train, test, LSHParams{Eps: 0.1, Delta: 0.1, Seed: 9}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.KStar() != 10 {
-		t.Fatalf("KStar = %d", v.KStar())
+	if rep.KStar != 10 {
+		t.Fatalf("KStar = %d", rep.KStar)
 	}
-	if v.EstimatedContrast() <= 1 {
-		t.Fatalf("contrast %v", v.EstimatedContrast())
-	}
-	sv, err := v.Value(test)
+	exact, err := evaluate(train, test, ExactParams{}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Exact(train, test, Config{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sv {
-		if math.Abs(sv[i]-exact[i]) > 0.1 {
-			t.Fatalf("LSH error %v at %d", sv[i]-exact[i], i)
+	for i, v := range rep.Values {
+		if math.Abs(v-exact.Values[i]) > 0.1 {
+			t.Fatalf("LSH error %v at %d", v-exact.Values[i], i)
 		}
 	}
 }
@@ -191,47 +191,39 @@ func TestLSHValuerEndToEnd(t *testing.T) {
 func TestKDValuerEndToEnd(t *testing.T) {
 	train := SynthDeep(800, 11)
 	test := SynthDeep(10, 12)
-	v, err := NewKDValuer(train, Config{K: 2}, 0.1)
+	rep, err := evaluate(train, test, KDParams{Eps: 0.1}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.KStar() != 10 {
-		t.Fatalf("KStar = %d", v.KStar())
-	}
-	sv, err := v.Value(test)
-	if err != nil {
-		t.Fatal(err)
+	if rep.KStar != 10 {
+		t.Fatalf("KStar = %d", rep.KStar)
 	}
 	// The kd-tree retrieval is exact, so the result equals the sort-based
 	// truncation bit-for-bit.
-	want, err := Truncated(train, test, Config{K: 2}, 0.1)
+	want, err := evaluate(train, test, TruncatedParams{Eps: 0.1}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sv {
-		if sv[i] != want[i] {
-			t.Fatalf("kd vs truncated at %d: %v != %v", i, sv[i], want[i])
+	for i, v := range rep.Values {
+		if v != want.Values[i] {
+			t.Fatalf("kd vs truncated at %d: %v != %v", i, v, want.Values[i])
 		}
 	}
-	one := v.ValueOne(test.X[0], test.Labels[0])
-	if len(one) != train.N() {
-		t.Fatalf("ValueOne length %d", len(one))
-	}
-	if _, err := NewKDValuer(train, Config{K: 1, Metric: Cosine}, 0.1); err == nil {
+	if _, err := evaluate(train, test, KDParams{Eps: 0.1}, WithK(1), WithMetric(Cosine)); err == nil {
 		t.Error("cosine accepted by kd-tree backend")
 	}
-	if _, err := NewKDValuer(train, Config{K: 1, Weight: InverseDistance(1)}, 0.1); err == nil {
+	if _, err := evaluate(train, test, KDParams{Eps: 0.1}, WithK(1), WithWeight(InverseDistance(1))); err == nil {
 		t.Error("weighted accepted by kd-tree backend")
 	}
 }
 
 func TestMonteCarloBudgets(t *testing.T) {
 	train, test := smallSplit(t)
-	ben, err := MonteCarlo(train, test, Config{K: 5}, MCOptions{Eps: 0.1, Delta: 0.1, Bound: Bennett, Seed: 1})
+	ben, err := evaluate(train, test, MCParams{Eps: 0.1, Delta: 0.1, Bound: Bennett, Seed: 1}, WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hoef, err := MonteCarlo(train, test, Config{K: 5}, MCOptions{Eps: 0.1, Delta: 0.1, Bound: Hoeffding, Seed: 1})
+	hoef, err := evaluate(train, test, MCParams{Eps: 0.1, Delta: 0.1, Bound: Hoeffding, Seed: 1}, WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +235,11 @@ func TestMonteCarloBudgets(t *testing.T) {
 func TestBaselineMonteCarloRuns(t *testing.T) {
 	train := SynthMNIST(40, 5)
 	test := SynthMNIST(3, 6)
-	rep, err := BaselineMonteCarlo(train, test, Config{K: 1}, 0.2, 0.2, 50, 1)
+	rep, err := evaluate(train, test, BaselineParams{Eps: 0.2, Delta: 0.2, T: 50, Seed: 1}, WithK(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Permutations == 0 || len(rep.SV) != 40 {
+	if rep.Permutations == 0 || len(rep.Values) != 40 {
 		t.Fatalf("report %+v", rep)
 	}
 }
@@ -256,25 +248,25 @@ func TestSellerValuesExactVsMC(t *testing.T) {
 	train := SynthMNIST(30, 7)
 	test := SynthMNIST(4, 8)
 	owners := AssignSellers(train.N(), 5)
-	exact, err := SellerValues(train, test, owners, 5, Config{K: 2})
+	exact, err := evaluate(train, test, SellerParams{Owners: owners, M: 5}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := SellerValuesMC(train, test, owners, 5, Config{K: 2},
-		MCOptions{Bound: Fixed, T: 3000, Seed: 3})
+	mc, err := evaluate(train, test, SellerMCParams{Owners: owners, M: 5,
+		MCParams: MCParams{Bound: Fixed, T: 3000, Seed: 3}}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range exact {
-		if math.Abs(exact[j]-mc.SV[j]) > 0.05 {
-			t.Fatalf("seller %d: exact %v vs MC %v", j, exact[j], mc.SV[j])
+	for j, v := range exact.Values {
+		if math.Abs(v-mc.Values[j]) > 0.05 {
+			t.Fatalf("seller %d: exact %v vs MC %v", j, v, mc.Values[j])
 		}
 	}
 }
 
 func TestCompositeValuesPointLevel(t *testing.T) {
 	train, test := smallSplit(t)
-	rep, err := CompositeValues(train, test, nil, 0, Config{K: 10})
+	rep, err := evaluate(train, test, CompositeParams{}, WithK(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +274,13 @@ func TestCompositeValuesPointLevel(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	full, _ := Utility(train, test, Config{K: 10}, all)
+	utility, err := evaluate(train, test, UtilityParams{Subset: all}, WithK(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := utility.Values[0]
 	total := rep.Analyst
-	for _, v := range rep.Sellers {
+	for _, v := range rep.Values {
 		total += v
 	}
 	if math.Abs(total-full) > 1e-9 {
@@ -299,12 +295,12 @@ func TestCompositeValuesSellerLevel(t *testing.T) {
 	train := SynthMNIST(24, 9)
 	test := SynthMNIST(3, 10)
 	owners := AssignSellers(train.N(), 4)
-	rep, err := CompositeValues(train, test, owners, 4, Config{K: 2})
+	rep, err := evaluate(train, test, CompositeParams{Owners: owners, M: 4}, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Sellers) != 4 {
-		t.Fatalf("%d sellers", len(rep.Sellers))
+	if len(rep.Values) != 4 {
+		t.Fatalf("%d sellers", len(rep.Values))
 	}
 }
 

@@ -5,6 +5,7 @@
 package knnshapley
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,6 +29,16 @@ func buildTPs(b *testing.B, train, test *Dataset, k int) []*knn.TestPoint {
 		b.Fatal(err)
 	}
 	return tps
+}
+
+// runTPs averages kern over prebuilt test points on the engine with the
+// given worker count (0 = all cores).
+func runTPs(b *testing.B, workers int, tps []*knn.TestPoint, kern core.Kernel[*knn.TestPoint]) {
+	b.Helper()
+	eng := core.NewEngine[*knn.TestPoint](core.EngineConfig{Workers: workers})
+	if _, err := eng.Run(context.Background(), core.NewSliceSource(tps), kern); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkFig5Convergence: the Monte-Carlo estimation kernel of Figure 5 —
@@ -192,8 +203,8 @@ func BenchmarkFig14DogFish(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ExactClassSVMulti(unw, core.Options{})
-		core.ExactWeightedSVMulti(w, core.Options{})
+		runTPs(b, 0, unw, core.ExactClassKernel{N: train.N()})
+		runTPs(b, 0, w, core.WeightedKernel{N: train.N()})
 	}
 }
 
@@ -229,7 +240,7 @@ func BenchmarkFig16LRProxy(b *testing.B) {
 		tps := buildTPs(b, train, test, 5)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			core.ExactClassSVMulti(tps, core.Options{Workers: 1})
+			runTPs(b, 1, tps, core.ExactClassKernel{N: train.N()})
 		}
 	})
 }
@@ -271,10 +282,13 @@ func BenchmarkAblationHeapIncrement(b *testing.B) {
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
-		train := dataset.MNISTLike(2000, 1)
+		v, err := New(dataset.MNISTLike(2000, 1), WithK(5))
+		if err != nil {
+			b.Fatal(err)
+		}
 		test := dataset.MNISTLike(1, 2)
 		for i := 0; i < b.N; i++ {
-			if _, err := BaselineMonteCarlo(train, test, Config{K: 5}, 0.1, 0.1, 5, uint64(i+1)); err != nil {
+			if _, err := v.BaselineMonteCarlo(context.Background(), test, 0.1, 0.1, 5, uint64(i+1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,7 +322,11 @@ func BenchmarkEngineStreamingVsEager(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Exact(train, test, Config{K: 5, BatchSize: 16}); err != nil {
+			v, err := New(train, WithK(5), WithBatchSize(16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := v.Exact(context.Background(), test); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -320,7 +338,7 @@ func BenchmarkEngineStreamingVsEager(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			core.ExactClassSVMulti(tps, core.Options{})
+			runTPs(b, 0, tps, core.ExactClassKernel{N: train.N()})
 		}
 	})
 }
@@ -328,14 +346,15 @@ func BenchmarkEngineStreamingVsEager(b *testing.B) {
 // BenchmarkAblationParallel: serial vs parallel test-point fan-out.
 func BenchmarkAblationParallel(b *testing.B) {
 	tps := buildTPs(b, dataset.MNISTLike(20000, 1), dataset.MNISTLike(16, 2), 5)
+	kern := core.ExactClassKernel{N: 20000}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ExactClassSVMulti(tps, core.Options{Workers: 1})
+			runTPs(b, 1, tps, kern)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ExactClassSVMulti(tps, core.Options{})
+			runTPs(b, 0, tps, kern)
 		}
 	})
 }

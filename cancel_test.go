@@ -44,7 +44,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	if _, err := v.Exact(ctx, test); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Exact: err = %v, want context.Canceled", err)
 	}
-	if _, err := v.MonteCarlo(ctx, test, MCOptions{Bound: Fixed, T: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := v.MonteCarlo(ctx, test, MCParams{Bound: Fixed, T: 10}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MonteCarlo: err = %v, want context.Canceled", err)
 	}
 	if _, err := v.Utility(ctx, test, nil); !errors.Is(err, context.Canceled) {
@@ -77,7 +77,7 @@ func TestCancelMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	promptly(t, "MonteCarlo", 10*time.Millisecond, func(ctx context.Context) error {
-		_, err := v.MonteCarlo(ctx, test, MCOptions{Bound: Fixed, T: 1 << 30, Seed: 1})
+		_, err := v.MonteCarlo(ctx, test, MCParams{Bound: Fixed, T: 1 << 30, Seed: 1})
 		return err
 	})
 }
@@ -92,7 +92,7 @@ func TestCancelSellersMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	promptly(t, "SellersMC", 10*time.Millisecond, func(ctx context.Context) error {
-		_, err := v.SellersMC(ctx, test, owners, 40, MCOptions{Bound: Fixed, T: 1 << 30, Seed: 2})
+		_, err := v.SellersMC(ctx, test, owners, 40, MCParams{Bound: Fixed, T: 1 << 30, Seed: 2})
 		return err
 	})
 }
@@ -122,7 +122,7 @@ func TestCancelDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err = v.MonteCarlo(ctx, test, MCOptions{Bound: Fixed, T: 1 << 30, Seed: 3})
+	_, err = v.MonteCarlo(ctx, test, MCParams{Bound: Fixed, T: 1 << 30, Seed: 3})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -1,13 +1,12 @@
 // Command planner-calib measures the per-test-point cost of every valuation
-// method over the planner's calibration grid (N × dim), plus index build and
-// reload times, and prints the Go literal the planner's seeded cost model is
-// generated from. Rerun it (and paste the output into
-// internal/planner/grid.go) when the method implementations change enough to
-// move the crossover points.
+// method over the planner's calibration grid (N × dim), plus LSH and k-d
+// index build times, and prints the Go literal the planner's seeded cost
+// model is generated from. Rerun it (and paste the output into
+// internal/planner/grid.go) when the method implementations change enough
+// to move the crossover points.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -81,21 +80,17 @@ func main() {
 				fmt.Printf("{method: %q, n: %d, dim: %d, perPointNs: %.0f},\n", rq.method, n, dim, perPoint)
 				os.Stdout.Sync()
 			}
-			// Index build + encoded reload costs at this grid point.
-			v, _ := knnshapley.New(train, knnshapley.WithK(k))
-			start := time.Now()
-			lv, err := knnshapley.NewLSHValuer(train, knnshapley.Config{K: k}, 0.1, 0.1, 1)
-			if err == nil {
-				buildNs := time.Since(start).Nanoseconds()
-				fmt.Printf("{method: %q, n: %d, dim: %d, buildNs: %.0f},\n", "lsh", n, dim, float64(buildNs))
+			// Index build costs at this grid point, each on a fresh session.
+			for _, kind := range []string{"lsh", "kd"} {
+				v, err := knnshapley.New(train, knnshapley.WithK(k))
+				if err != nil {
+					panic(err)
+				}
+				start := time.Now()
+				if _, err := v.EnsureIndex(kind, 0.1, 0.1, 1); err == nil {
+					fmt.Printf("{method: %q, n: %d, dim: %d, buildNs: %.0f},\n", kind, n, dim, float64(time.Since(start).Nanoseconds()))
+				}
 			}
-			_ = lv
-			start = time.Now()
-			if _, err := knnshapley.NewKDValuer(train, knnshapley.Config{K: k}, 0.1); err == nil {
-				fmt.Printf("{method: %q, n: %d, dim: %d, buildNs: %.0f},\n", "kd", n, dim, float64(time.Since(start).Nanoseconds()))
-			}
-			_ = v
-			_ = bytes.MinRead
 		}
 	}
 }

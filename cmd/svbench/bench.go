@@ -68,6 +68,19 @@ func timeOp(f func() error) (int64, error) {
 	return time.Since(start).Nanoseconds(), nil
 }
 
+// oneShot returns a valuation on a fresh session, New included, so the
+// valuation records time the cold cost of a caller without a held Valuer.
+func oneShot(train, test *knnshapley.Dataset, p knnshapley.Method, opts ...knnshapley.Option) func() error {
+	return func() error {
+		v, err := knnshapley.New(train, append([]knnshapley.Option{knnshapley.WithK(benchK)}, opts...)...)
+		if err != nil {
+			return err
+		}
+		_, err = v.Evaluate(context.Background(), knnshapley.Request{Params: p, Test: test})
+		return err
+	}
+}
+
 // runBenchJSON measures the engine's headline paths and writes the records
 // to path. maxN > 0 drops the sweep sizes above it — the CI smoke run uses
 // this to stay fast while keeping the schema identical to the full run.
@@ -85,12 +98,8 @@ func runBenchJSON(path string, maxN int) error {
 		}
 		train := dataset.MNISTLike(n, 1)
 		test := dataset.MNISTLike(benchNTest, 2)
-		cfg := knnshapley.Config{K: benchK}
 
-		ns, err := timeOp(func() error {
-			_, err := knnshapley.Exact(train, test, cfg)
-			return err
-		})
+		ns, err := timeOp(oneShot(train, test, knnshapley.ExactParams{}))
 		if err != nil {
 			return fmt.Errorf("exact n=%d: %w", n, err)
 		}
@@ -102,11 +111,8 @@ func runBenchJSON(path string, maxN int) error {
 
 		// Same exact valuation in the float32 compute mode: half the scan
 		// bandwidth, distances within single-precision rounding.
-		ns, err = timeOp(func() error {
-			_, err := knnshapley.Exact(train, test,
-				knnshapley.Config{K: benchK, Precision: knnshapley.Float32})
-			return err
-		})
+		ns, err = timeOp(oneShot(train, test, knnshapley.ExactParams{},
+			knnshapley.WithPrecision(knnshapley.Float32)))
 		if err != nil {
 			return fmt.Errorf("exact_f32 n=%d: %w", n, err)
 		}
@@ -115,10 +121,7 @@ func runBenchJSON(path string, maxN int) error {
 			NsPerOp: ns / benchNTest, TotalNs: ns,
 		})
 
-		ns, err = timeOp(func() error {
-			_, err := knnshapley.Truncated(train, test, cfg, 0.01)
-			return err
-		})
+		ns, err = timeOp(oneShot(train, test, knnshapley.TruncatedParams{Eps: 0.01}))
 		if err != nil {
 			return fmt.Errorf("truncated n=%d: %w", n, err)
 		}
@@ -127,11 +130,8 @@ func runBenchJSON(path string, maxN int) error {
 			NsPerOp: ns / benchNTest, TotalNs: ns,
 		})
 
-		ns, err = timeOp(func() error {
-			_, err := knnshapley.MonteCarlo(train, test, cfg,
-				knnshapley.MCOptions{Bound: knnshapley.Fixed, T: 10, Seed: 1})
-			return err
-		})
+		ns, err = timeOp(oneShot(train, test,
+			knnshapley.MCParams{Bound: knnshapley.Fixed, T: 10, Seed: 1}))
 		if err != nil {
 			return fmt.Errorf("montecarlo n=%d: %w", n, err)
 		}

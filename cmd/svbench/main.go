@@ -15,19 +15,19 @@
 // writes machine-readable ns/op records for the perf trajectory
 // (BENCH_1.json):
 //
-//	svbench -benchjson BENCH_5.json
-//	svbench -benchjson BENCH_5.json -benchmax 10000   # CI smoke: skip N=1e5
+//	svbench -benchjson BENCH_9.json
+//	svbench -benchjson BENCH_9.json -benchmax 10000   # CI smoke: skip N=1e5
 //
 // With -compare OLD.json the freshly written report is diffed against a
 // committed baseline record by record (matched on name/n/dim) and svbench
 // exits non-zero when any record at least 10µs in the baseline got slower
 // than -threshold× the old ns/op — the perf-regression gate scripts/verify.sh
-// runs against the committed BENCH_5.json:
+// runs against the committed BENCH_9.json:
 //
-//	svbench -benchjson /tmp/now.json -benchmax 10000 -compare BENCH_5.json -threshold 4
+//	svbench -benchjson /tmp/now.json -benchmax 10000 -compare BENCH_9.json -threshold 4
 //
-// See DESIGN.md for the experiment-to-module index and EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// Each runner in internal/experiments names the figure or table it
+// reproduces, and that package's tests assert the shapes the paper reports.
 package main
 
 import (

@@ -37,11 +37,7 @@ func exactValues(t *testing.T, x [][]float64, labels []int, testP *payload, k in
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knnshapley.Exact(train, test, knnshapley.Config{K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return want
+	return libraryReport(t, train, test, k, knnshapley.ExactParams{}).Values
 }
 
 func requireBits(t *testing.T, label string, got, want []float64) {

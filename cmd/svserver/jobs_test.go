@@ -85,10 +85,7 @@ func TestJobEndpointsLifecycle(t *testing.T) {
 	}
 	train, _ := knnshapley.NewClassificationDataset(req.Train.X, req.Train.Labels)
 	test, _ := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
-	want, err := knnshapley.Exact(train, test, knnshapley.Config{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := libraryReport(t, train, test, 2, knnshapley.ExactParams{}).Values
 	for i := range want {
 		if math.Abs(resp.Values[i]-want[i]) > 1e-12 {
 			t.Fatalf("value %d = %v, want %v", i, resp.Values[i], want[i])

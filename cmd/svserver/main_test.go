@@ -22,6 +22,21 @@ func newTestServer(t *testing.T, maxBody int64, timeout time.Duration) *server {
 	return newTestServerCfg(t, maxBody, timeout, jobs.Config{Workers: 2, QueueDepth: 16})
 }
 
+// libraryReport runs p over a fresh in-process session: the reference the
+// server's answers are compared with.
+func libraryReport(t *testing.T, train, test *knnshapley.Dataset, k int, p knnshapley.Method) *knnshapley.Report {
+	t.Helper()
+	v, err := knnshapley.New(train, knnshapley.WithK(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := v.Evaluate(context.Background(), knnshapley.Request{Params: p, Test: test})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func newTestServerCfg(t *testing.T, maxBody int64, timeout time.Duration, jcfg jobs.Config) *server {
 	t.Helper()
 	srv, err := newServer(maxBody, timeout, jcfg, registry.Config{Dir: t.TempDir()}, registry.IndexConfig{}, nil)
@@ -74,10 +89,7 @@ func TestValueExactMatchesLibrary(t *testing.T) {
 	}
 	train, _ := knnshapley.NewClassificationDataset(req.Train.X, req.Train.Labels)
 	test, _ := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
-	want, err := knnshapley.Exact(train, test, knnshapley.Config{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := libraryReport(t, train, test, 2, knnshapley.ExactParams{}).Values
 	if len(resp.Values) != len(want) {
 		t.Fatalf("%d values, want %d", len(resp.Values), len(want))
 	}
@@ -165,10 +177,7 @@ func TestValueSellersAndComposite(t *testing.T) {
 	}
 	train, _ := knnshapley.NewClassificationDataset(req.Train.X, req.Train.Labels)
 	test, _ := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
-	want, err := knnshapley.SellerValues(train, test, owners, 2, knnshapley.Config{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := libraryReport(t, train, test, 2, knnshapley.SellerParams{Owners: owners, M: 2}).Values
 	if len(resp.Values) != 2 {
 		t.Fatalf("%d seller values, want 2", len(resp.Values))
 	}
@@ -187,10 +196,7 @@ func TestValueSellersAndComposite(t *testing.T) {
 	if resp.Analyst == nil {
 		t.Fatal("composite reply missing analyst share")
 	}
-	comp, err := knnshapley.CompositeValues(train, test, owners, 2, knnshapley.Config{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := libraryReport(t, train, test, 2, knnshapley.CompositeParams{Owners: owners, M: 2})
 	if math.Abs(*resp.Analyst-comp.Analyst) > 1e-12 {
 		t.Fatalf("analyst = %v, want %v", *resp.Analyst, comp.Analyst)
 	}
@@ -222,10 +228,7 @@ func TestValueLSHAndKD(t *testing.T) {
 	if resp.KStar != 4 {
 		t.Fatalf("kd kStar = %d, want 4", resp.KStar)
 	}
-	want, err := knnshapley.Truncated(train, test, knnshapley.Config{K: 2}, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := libraryReport(t, train, test, 2, knnshapley.TruncatedParams{Eps: 0.25}).Values
 	for i := range want {
 		if resp.Values[i] != want[i] {
 			t.Fatalf("kd value %d = %v, want %v", i, resp.Values[i], want[i])

@@ -73,19 +73,10 @@
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 //	defer cancel()
-//	mc, err := v.MonteCarlo(ctx, test, knnshapley.MCOptions{Eps: 0.1, Delta: 0.1})
+//	mc, err := v.MonteCarlo(ctx, test, knnshapley.MCParams{Eps: 0.1, Delta: 0.1})
 //
 // A Valuer is safe for concurrent use; cmd/svserver holds one per request
 // and serves every algorithm behind a deadline-propagating HTTP handler.
-//
-// # Migrating from the free functions
-//
-// The original free functions (Exact, Truncated, MonteCarlo, SellerValues,
-// SellerValuesMC, CompositeValues, Utility, NewLSHValuer, NewKDValuer)
-// remain as deprecated wrappers that build a one-shot session internally
-// and produce bit-identical outputs; see README.md for the full migration
-// table (v1 free functions → v2 sessions → the declarative Evaluate). New
-// code should construct a Valuer and pass a context.
 //
 // # Execution model: one engine, pluggable kernels, batched streaming
 //

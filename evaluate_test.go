@@ -144,7 +144,7 @@ func TestEvaluateMatchesMethodsBitIdentical(t *testing.T) {
 		{ExactParams{}, func() (*Report, error) { return v.Exact(ctx, test) }},
 		{TruncatedParams{Eps: 0.2}, func() (*Report, error) { return v.Truncated(ctx, test, 0.2) }},
 		{MCParams{Bound: Fixed, T: 40, Seed: 3}, func() (*Report, error) {
-			return v.MonteCarlo(ctx, test, MCOptions{Bound: Fixed, T: 40, Seed: 3})
+			return v.MonteCarlo(ctx, test, MCParams{Bound: Fixed, T: 40, Seed: 3})
 		}},
 		{BaselineParams{Eps: 0.25, Delta: 0.25, T: 30, Seed: 5}, func() (*Report, error) {
 			return v.BaselineMonteCarlo(ctx, test, 0.25, 0.25, 30, 5)
@@ -154,7 +154,7 @@ func TestEvaluateMatchesMethodsBitIdentical(t *testing.T) {
 		}},
 		{SellerMCParams{Owners: owners, M: 4, MCParams: MCParams{Bound: Fixed, T: 60, Seed: 7}},
 			func() (*Report, error) {
-				return v.SellersMC(ctx, test, owners, 4, MCOptions{Bound: Fixed, T: 60, Seed: 7})
+				return v.SellersMC(ctx, test, owners, 4, MCParams{Bound: Fixed, T: 60, Seed: 7})
 			}},
 		{CompositeParams{Owners: owners, M: 4}, func() (*Report, error) {
 			return v.Composite(ctx, test, owners, 4)

@@ -8,34 +8,18 @@ import (
 	knnshapley "knnshapley"
 )
 
-// Exact valuation of a tiny 1-NN game: the training point closest to the
-// query with the right label carries all the value.
-func ExampleExact() {
-	train, _ := knnshapley.NewClassificationDataset(
-		[][]float64{{0}, {1}, {4}}, []int{1, 0, 1})
-	test, _ := knnshapley.NewClassificationDataset(
-		[][]float64{{0.1}}, []int{1})
-	sv, _ := knnshapley.Exact(train, test, knnshapley.Config{K: 1})
-	for i, v := range sv {
-		fmt.Printf("point %d: %+.3f\n", i, v)
-	}
-	// Output:
-	// point 0: +0.833
-	// point 1: -0.167
-	// point 2: +0.333
-}
-
 // Group rationality: the values always sum to ν(I) − ν(∅).
-func ExampleUtility() {
+func ExampleValuer_Utility() {
 	train, _ := knnshapley.NewClassificationDataset(
 		[][]float64{{0}, {1}, {2}, {3}}, []int{0, 0, 1, 1})
 	test, _ := knnshapley.NewClassificationDataset([][]float64{{0.2}}, []int{0})
-	cfg := knnshapley.Config{K: 2}
-	sv, _ := knnshapley.Exact(train, test, cfg)
-	full, _ := knnshapley.Utility(train, test, cfg, []int{0, 1, 2, 3})
+	v, _ := knnshapley.New(train, knnshapley.WithK(2))
+	ctx := context.Background()
+	rep, _ := v.Exact(ctx, test)
+	full, _ := v.Utility(ctx, test, []int{0, 1, 2, 3})
 	var total float64
-	for _, v := range sv {
-		total += v
+	for _, val := range rep.Values {
+		total += val
 	}
 	fmt.Printf("sum of values %.3f equals utility %.3f: %v\n",
 		total, full, math.Abs(total-full) < 1e-12)
@@ -54,18 +38,19 @@ func ExampleMonetize() {
 
 // The truncated approximation zeroes everything beyond the K* nearest
 // neighbors while keeping an eps error guarantee.
-func ExampleTruncated() {
+func ExampleValuer_Truncated() {
 	train, _ := knnshapley.NewClassificationDataset(
 		[][]float64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}, []int{1, 0, 0, 0, 1, 0, 1, 0})
 	test, _ := knnshapley.NewClassificationDataset([][]float64{{0}}, []int{1})
-	sv, _ := knnshapley.Truncated(train, test, knnshapley.Config{K: 1}, 0.5) // K* = 2
+	v, _ := knnshapley.New(train, knnshapley.WithK(1))
+	rep, _ := v.Truncated(context.Background(), test, 0.5) // K* = 2
 	nonzero := 0
-	for _, v := range sv {
-		if v != 0 {
+	for _, val := range rep.Values {
+		if val != 0 {
 			nonzero++
 		}
 	}
-	fmt.Printf("non-zero values: %d of %d\n", nonzero, len(sv))
+	fmt.Printf("non-zero values: %d of %d\n", nonzero, len(rep.Values))
 	// Output:
 	// non-zero values: 1 of 8
 }

@@ -91,7 +91,7 @@ func main() {
 	slow, err := mgr.Submit(jobs.Spec{
 		TotalUnits: big.N(),
 		Run: func(ctx context.Context) (*knnshapley.Report, error) {
-			return valuer.MonteCarlo(ctx, big, knnshapley.MCOptions{
+			return valuer.MonteCarlo(ctx, big, knnshapley.MCParams{
 				Bound: knnshapley.Fixed, T: 1 << 20, Seed: 7, // far beyond any budget we'd wait for
 			})
 		},

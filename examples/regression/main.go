@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wrep, err := weighted.MonteCarlo(ctx, test, knnshapley.MCOptions{
+	wrep, err := weighted.MonteCarlo(ctx, test, knnshapley.MCParams{
 		Eps: 0.05, Delta: 0.1, Bound: knnshapley.Bennett,
 		RangeHalfWidth: 2, Heuristic: true, Seed: 3,
 	})

@@ -105,13 +105,17 @@ func main() {
 
 	// The contract that makes the shortcut safe: the incremental values are
 	// bit-identical to valuing the final market from scratch.
-	exact, err := knnshapley.Exact(cur.Dataset(), queries, knnshapley.Config{K: k})
+	final, err := knnshapley.New(cur.Dataset(), knnshapley.WithK(k))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for j := range exact {
-		if math.Float64bits(exact[j]) != math.Float64bits(prev[j]) {
-			log.Fatalf("value %d diverged: %v != %v", j, exact[j], prev[j])
+	exact, err := final.Exact(ctx, queries)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for j, v := range exact.Values {
+		if math.Float64bits(v) != math.Float64bits(prev[j]) {
+			log.Fatalf("value %d diverged: %v != %v", j, v, prev[j])
 		}
 	}
 	st := inc.Stats()

@@ -35,7 +35,7 @@ type IndexStore interface {
 // WithIndexStore attaches a persistent index store to the session: LSH and
 // k-d indexes are reloaded from it on session-cache miss (counted by
 // IndexLoads, not IndexBuilds) and fresh builds are persisted back into it.
-func WithIndexStore(s IndexStore) Option { return func(c *Config) { c.Indexes = s } }
+func WithIndexStore(s IndexStore) Option { return func(c *config) { c.Indexes = s } }
 
 // OpenIndexDir opens (creating if needed) a disk-backed index store rooted
 // at dir, holding one CRC-verified container file per index. diskBudget

@@ -85,7 +85,7 @@ func TestAdditivityProperty(t *testing.T) {
 			randomClassTP(n, 3, 2, rng),
 		}
 		// Make both share the same training geometry size (already do).
-		multi := ExactClassSVMulti(tps, Options{Workers: 2})
+		multi := runTPs(t, EngineConfig{Workers: 2}, tps, ExactClassKernel{N: n})
 		a := ExactClassSV(tps[0])
 		b := ExactClassSV(tps[1])
 		for i := range multi {

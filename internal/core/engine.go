@@ -127,9 +127,8 @@ type Engine[T any] struct {
 func NewEngine[T any](cfg EngineConfig) *Engine[T] { return &Engine[T]{cfg: cfg} }
 
 // Run streams src through kern and returns the average of the per-item
-// value vectors, or nil when the source is empty (matching the seed
-// *SVMulti behavior on an empty test set). Cancellation of ctx aborts the
-// run within one engine batch and returns ctx.Err().
+// value vectors, or nil when the source is empty. Cancellation of ctx
+// aborts the run within one engine batch and returns ctx.Err().
 func (e *Engine[T]) Run(ctx context.Context, src Source[T], kern Kernel[T]) ([]float64, error) {
 	sv, count, err := e.RunSum(ctx, src, kern)
 	if err != nil || count == 0 {

@@ -17,10 +17,10 @@ import (
 // --- Seed-equivalence pins -------------------------------------------------
 //
 // seedExactClassSV and seedExactRegressSV are verbatim copies of the
-// pre-engine implementations. The tests below pin the engine-backed
-// *SVMulti wrappers to the seed outputs within 1e-12 (in practice
-// bit-for-bit: the kernels perform the identical arithmetic and the engine
-// reduces in stream order) for every worker count and batch size.
+// pre-engine implementations. The tests below pin the engine, run with each
+// kernel, to the seed outputs within 1e-12 (in practice bit-for-bit: the
+// kernels perform the identical arithmetic and the engine reduces in stream
+// order) for every worker count.
 
 func seedExactClassSV(tp *knn.TestPoint) []float64 {
 	n := tp.N()
@@ -118,7 +118,17 @@ func seedAverage(tps []*knn.TestPoint, f func(*knn.TestPoint) []float64) []float
 	return sv
 }
 
-var engineConfigs = []Options{{Workers: 1}, {Workers: 3}, {Workers: 16}}
+var engineConfigs = []EngineConfig{{Workers: 1}, {Workers: 3}, {Workers: 16}}
+
+// runTPs averages kern over tps on an engine with cfg.
+func runTPs(t *testing.T, cfg EngineConfig, tps []*knn.TestPoint, kern Kernel[*knn.TestPoint]) []float64 {
+	t.Helper()
+	sv, err := NewEngine[*knn.TestPoint](cfg).Run(context.Background(), NewSliceSource(tps), kern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
 
 func TestEngineMatchesSeedExactClass(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7001, 1))
@@ -127,8 +137,8 @@ func TestEngineMatchesSeedExactClass(t *testing.T) {
 		tps[j] = randomClassTP(37, 3, 3, rng)
 	}
 	want := seedAverage(tps, seedExactClassSV)
-	for _, opts := range engineConfigs {
-		got := ExactClassSVMulti(tps, opts)
+	for _, cfg := range engineConfigs {
+		got := runTPs(t, cfg, tps, ExactClassKernel{N: 37})
 		assertClose(t, got, want, 1e-12, "engine exact class vs seed")
 	}
 }
@@ -140,8 +150,8 @@ func TestEngineMatchesSeedExactRegress(t *testing.T) {
 		tps[j] = randomRegressTP(31, 2, rng)
 	}
 	want := seedAverage(tps, seedExactRegressSV)
-	for _, opts := range engineConfigs {
-		got := ExactRegressSVMulti(tps, opts)
+	for _, cfg := range engineConfigs {
+		got := runTPs(t, cfg, tps, ExactRegressKernel{N: 31})
 		assertClose(t, got, want, 1e-12, "engine exact regress vs seed")
 	}
 }
@@ -153,18 +163,20 @@ func TestEngineMatchesSeedTruncated(t *testing.T) {
 		tps[j] = randomClassTP(41, 3, 2, rng)
 	}
 	const eps = 0.2
-	// The seed TruncatedClassSVMulti averaged the (unchanged) per-test
-	// truncation; pin the engine wrapper to that reduction.
+	// The seed averaged the (unchanged) per-test truncation; pin the engine
+	// to that reduction.
 	want := seedAverage(tps, func(tp *knn.TestPoint) []float64 {
 		order := tp.Order()
 		correct := make([]bool, len(order))
 		for rank, id := range order {
 			correct[rank] = tp.Correct[id]
 		}
-		return truncatedFromRanking(order, correct, tp.N(), tp.K, eps)
+		sv := make([]float64, tp.N())
+		TruncatedFromRankingInto(order, correct, tp.N(), tp.K, eps, sv)
+		return sv
 	})
-	for _, opts := range engineConfigs {
-		got := TruncatedClassSVMulti(tps, eps, opts)
+	for _, cfg := range engineConfigs {
+		got := runTPs(t, cfg, tps, TruncatedClassKernel{N: 41, Eps: eps})
 		assertClose(t, got, want, 1e-12, "engine truncated vs seed")
 	}
 }
@@ -180,8 +192,8 @@ func TestEngineMatchesSeedWeighted(t *testing.T) {
 	want := seedAverage(classTPs, func(tp *knn.TestPoint) []float64 {
 		return countingSV(tp, dataOnlyWeights(tp.N()))
 	})
-	for _, opts := range engineConfigs {
-		got := ExactWeightedSVMulti(classTPs, opts)
+	for _, cfg := range engineConfigs {
+		got := runTPs(t, cfg, classTPs, WeightedKernel{N: 11})
 		assertClose(t, got, want, 1e-12, "engine weighted vs seed")
 	}
 }

@@ -1,21 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"knnshapley/internal/knn"
 )
-
-// Options controls shared execution knobs of the exact algorithms. It is
-// the legacy surface of EngineConfig kept for the thin *SVMulti wrappers.
-type Options struct {
-	// Workers bounds the number of goroutines used to fan out over test
-	// points. Zero selects GOMAXPROCS.
-	Workers int
-}
-
-func (o Options) engine() EngineConfig { return EngineConfig{Workers: o.Workers} }
 
 // ExactClassSV computes the exact Shapley value of every training point for
 // the unweighted KNN classification utility (Eq. 5) of a single test point,
@@ -55,30 +44,6 @@ func packRanking(ranking []int, correct []bool) []uint32 {
 		l[r] = Pack(id, correct[r])
 	}
 	return l
-}
-
-// ExactClassSVMulti computes exact Shapley values for the multi-test-point
-// utility (Eq. 8): the average of the per-test-point values, dispatched
-// through the shared Engine. This is the full Algorithm 1.
-func ExactClassSVMulti(tps []*knn.TestPoint, opts Options) []float64 {
-	if len(tps) == 0 {
-		return nil
-	}
-	return mustRun(tps, opts, ExactClassKernel{N: tps[0].N()})
-}
-
-// mustRun executes a TestPoint kernel over an in-memory slice, preserving
-// the seed *SVMulti contract: nil for no test points, panic on malformed
-// input (mismatched training sizes, wrong utility kind).
-func mustRun(tps []*knn.TestPoint, opts Options, kern Kernel[*knn.TestPoint]) []float64 {
-	if len(tps) == 0 {
-		return nil
-	}
-	sv, err := NewEngine[*knn.TestPoint](opts.engine()).Run(context.Background(), NewSliceSource(tps), kern)
-	if err != nil {
-		panic(err)
-	}
-	return sv
 }
 
 // ind converts a correctness indicator to the paper's 1[·] term.

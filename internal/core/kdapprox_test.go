@@ -22,7 +22,7 @@ func TestKDValuerMatchesTruncated(t *testing.T) {
 	if v.KStar() != 10 {
 		t.Fatalf("KStar = %d", v.KStar())
 	}
-	got, err := v.Value(context.Background(), test, 2)
+	got, err := v.ValueEngine(context.Background(), test, EngineConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestKDValuerMatchesTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := TruncatedClassSVMulti(tps, 0.1, Options{})
+	want := runTPs(t, EngineConfig{}, tps, TruncatedClassKernel{N: train.N(), Eps: 0.1})
 	assertClose(t, got, want, 1e-12, "kd vs truncated")
 
 	// And the Theorem 2 contract against the exact values.
-	exact := ExactClassSVMulti(tps, Options{})
+	exact := runTPs(t, EngineConfig{}, tps, ExactClassKernel{N: train.N()})
 	if e := stats.MaxAbsDiff(got, exact); e > 0.1 {
 		t.Fatalf("error %v > eps", e)
 	}
@@ -56,14 +56,14 @@ func TestKDValuerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Value(context.Background(), reg, 1); err == nil {
+	if _, err := v.ValueEngine(context.Background(), reg, EngineConfig{Workers: 1}); err == nil {
 		t.Error("regression test set accepted")
 	}
 	short := dataset.Regression(dataset.RegressionConfig{N: 4, Dim: 2, Seed: 2})
 	short.Targets = nil
 	short.Labels = []int{0, 1, 0, 1}
 	short.Classes = 2
-	if _, err := v.Value(context.Background(), short, 1); err == nil {
+	if _, err := v.ValueEngine(context.Background(), short, EngineConfig{Workers: 1}); err == nil {
 		t.Error("dim mismatch accepted")
 	}
 }

@@ -105,15 +105,9 @@ func (v *LSHValuer) valueOneInto(q []float64, label int, s *Scratch, dst []float
 	AddValues(s.packedLabels(ids, v.train.Labels, label), v.train.N(), v.cfg.K, v.kStar, dst)
 }
 
-// Value averages ValueOne over a test set (Eq. 8 / Theorem 4), streaming
-// the queries through the shared Engine; a canceled ctx aborts within one
-// engine batch.
-func (v *LSHValuer) Value(ctx context.Context, test *dataset.Dataset) ([]float64, error) {
-	return v.ValueEngine(ctx, test, EngineConfig{Workers: v.cfg.Workers})
-}
-
-// ValueEngine is Value with an explicit engine configuration, for callers
-// that want a Progress callback or a custom batch size on the query stream.
+// ValueEngine averages ValueOne over a test set (Eq. 8 / Theorem 4),
+// streaming the queries through an Engine configured by ec; a canceled ctx
+// aborts within one engine batch.
 func (v *LSHValuer) ValueEngine(ctx context.Context, test *dataset.Dataset, ec EngineConfig) ([]float64, error) {
 	if test.IsRegression() {
 		return nil, fmt.Errorf("core: classification test set required")

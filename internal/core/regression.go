@@ -99,12 +99,3 @@ func exactRegressSVInto(tp *knn.TestPoint, s *Scratch, dst []float64) {
 		dst[order[i-1]] = dst[order[i]] + delta
 	}
 }
-
-// ExactRegressSVMulti averages ExactRegressSV over test points (Eq. 8)
-// through the shared Engine.
-func ExactRegressSVMulti(tps []*knn.TestPoint, opts Options) []float64 {
-	if len(tps) == 0 {
-		return nil
-	}
-	return mustRun(tps, opts, ExactRegressKernel{N: tps[0].N()})
-}

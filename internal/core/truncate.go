@@ -44,39 +44,18 @@ func truncatedClassSVInto(tp *knn.TestPoint, eps float64, s *Scratch, dst []floa
 	AddValues(s.packed(tp, s.Ranking(tp, kStar)), tp.N(), tp.K, kStar, dst)
 }
 
-// TruncatedClassSVMulti averages TruncatedClassSV over test points through
-// the shared Engine.
-func TruncatedClassSVMulti(tps []*knn.TestPoint, eps float64, opts Options) []float64 {
-	if len(tps) == 0 {
-		return nil
-	}
-	return mustRun(tps, opts, TruncatedClassKernel{N: tps[0].N(), Eps: eps})
-}
-
-// TruncatedFromRanking runs the Theorem 2 recursion given an externally
+// TruncatedFromRankingInto runs the Theorem 2 recursion over an externally
 // retrieved neighbor ranking (training indices by ascending distance, e.g.
-// from an LSH or other ANN index) and per-rank correctness indicators. n is
-// the full training-set size; unranked points keep value zero. The Figure 9
-// sweeps value their retrieved rankings through it.
-func TruncatedFromRanking(ranking []int, correct []bool, n, k int, eps float64) []float64 {
-	return truncatedFromRanking(ranking, correct, n, k, eps)
-}
-
-// TruncatedFromRankingInto is TruncatedFromRanking writing into a zeroed sv
-// of length n, for callers that reuse one buffer per test point. Only the
-// first K* ranking entries are consulted, so a ranking longer than the
-// single-node K* prefix runs the identical recursion over the identical
-// prefix. It packs that prefix and walks it with AddValues, the engine's
-// truncated kernel.
+// from an LSH or other ANN index) with per-rank correctness indicators, and
+// adds the values into sv (length n, the full training-set size; unranked
+// points get nothing). Only the first K* ranking entries are consulted, so
+// a ranking longer than the single-node K* prefix runs the identical
+// recursion over the identical prefix. It packs that prefix and walks it
+// with AddValues, the engine's truncated kernel, which is why it adds
+// rather than overwrites: a caller can accumulate many queries into one
+// running sum.
 func TruncatedFromRankingInto(ranking []int, correct []bool, n, k int, eps float64, sv []float64) {
 	kStar := KStar(k, eps)
 	m := min(len(ranking), n, kStar)
 	AddValues(packRanking(ranking[:m], correct[:m]), n, k, kStar, sv)
-}
-
-// truncatedFromRanking is TruncatedFromRankingInto into a new vector.
-func truncatedFromRanking(ranking []int, correct []bool, n, k int, eps float64) []float64 {
-	sv := make([]float64, n)
-	TruncatedFromRankingInto(ranking, correct, n, k, eps, sv)
-	return sv
 }

@@ -104,7 +104,7 @@ func TestLSHValuerMatchesTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Value(context.Background(), test)
+	got, err := v.ValueEngine(context.Background(), test, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLSHValuerMatchesTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := ExactClassSVMulti(tps, Options{})
+	exact := runTPs(t, EngineConfig{}, tps, ExactClassKernel{N: train.N()})
 	// (eps, delta) contract against the exact values; deep-like data has
 	// high contrast so retrieval is near-perfect and the truncation error
 	// dominates.
@@ -138,7 +138,7 @@ func TestLSHValuerStreaming(t *testing.T) {
 		vec.AXPY(acc, 1, sv)
 	}
 	vec.Scale(acc, 0.25)
-	batch, err := v.Value(context.Background(), q)
+	batch, err := v.ValueEngine(context.Background(), q, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestLSHValuerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := dataset.Regression(dataset.RegressionConfig{N: 5, Dim: train.Dim(), Seed: 3})
-	if _, err := v.Value(context.Background(), bad); err == nil {
+	if _, err := v.ValueEngine(context.Background(), bad, EngineConfig{}); err == nil {
 		t.Error("regression test set accepted")
 	}
 }
@@ -211,7 +211,7 @@ func TestMultiAveragingConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := ExactClassSVMulti(tps, Options{Workers: 4})
+	multi := runTPs(t, EngineConfig{Workers: 4}, tps, ExactClassKernel{N: train.N()})
 	manual := make([]float64, train.N())
 	for _, tp := range tps {
 		vec.AXPY(manual, 1, ExactClassSV(tp))

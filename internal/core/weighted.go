@@ -37,15 +37,6 @@ func EstimateWeightedCost(n, k int) float64 {
 	return total * float64(n)
 }
 
-// ExactWeightedSVMulti averages ExactWeightedSV over test points (Eq. 8)
-// through the shared Engine.
-func ExactWeightedSVMulti(tps []*knn.TestPoint, opts Options) []float64 {
-	if len(tps) == 0 {
-		return nil
-	}
-	return mustRun(tps, opts, WeightedKernel{N: tps[0].N()})
-}
-
 // svWeights abstracts the coalition-size weight family of a Shapley-style
 // game so the Theorem 7 counting machinery serves both the data-only game
 // (Theorem 7/8) and the composite game with an analyst (Theorems 11/12),

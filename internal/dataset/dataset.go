@@ -5,7 +5,7 @@
 // The valuation algorithms only ever observe pairwise distances, labels and
 // the relative contrast of a dataset, so the synthetic generators are
 // calibrated on those properties rather than on image semantics (see
-// DESIGN.md, "Substitutions").
+// MixtureConfig in synthetic.go).
 package dataset
 
 import (

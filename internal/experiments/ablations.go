@@ -106,8 +106,14 @@ func (c AblationTruncation) Run() (*Table, error) {
 		return nil, err
 	}
 	var exact, trunc []float64
-	exactTime := timed(func() { exact = core.ExactClassSVMulti(tps, core.Options{Workers: 1}) })
-	truncTime := timed(func() { trunc = core.TruncatedClassSVMulti(tps, c.Eps, core.Options{Workers: 1}) })
+	exactTime := timed(func() { exact, err = runKernel(tps, 1, core.ExactClassKernel{N: c.N}) })
+	if err != nil {
+		return nil, err
+	}
+	truncTime := timed(func() { trunc, err = runKernel(tps, 1, core.TruncatedClassKernel{N: c.N, Eps: c.Eps}) })
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		Title:  f("Ablation: truncation at K* without LSH (N=%d, eps=%.2g)", c.N, c.Eps),
 		Header: []string{"variant", "time", "max|err|"},
@@ -151,8 +157,15 @@ func (c AblationParallel) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	serial := timed(func() { core.ExactClassSVMulti(tps, core.Options{Workers: 1}) })
-	parallel := timed(func() { core.ExactClassSVMulti(tps, core.Options{}) })
+	kern := core.ExactClassKernel{N: c.N}
+	serial := timed(func() { _, err = runKernel(tps, 1, kern) })
+	if err != nil {
+		return nil, err
+	}
+	parallel := timed(func() { _, err = runKernel(tps, 0, kern) })
+	if err != nil {
+		return nil, err
+	}
 	return &Table{
 		Title:  f("Ablation: serial vs parallel test-point fan-out (N=%d, Ntest=%d)", c.N, c.NTest),
 		Header: []string{"variant", "time"},

@@ -1,18 +1,24 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 6 and Appendix A). Each runner returns a Table that
-// cmd/svbench prints and bench_test.go asserts shape properties on.
+// cmd/svbench prints and experiments_test.go asserts shape properties on.
 //
 // Sizes default to laptop-scale stand-ins of the paper's corpora; pass a
-// larger Scale to approach the published sizes (see DESIGN.md,
-// "Substitutions", for why the shapes — who wins, by what factor, where the
-// crossovers are — transfer even at reduced scale).
+// larger Scale to approach the published sizes. The stand-ins are
+// calibrated on the only dataset properties the algorithms observe —
+// distances, labels and relative contrast (internal/dataset/synthetic.go) —
+// so the shapes (who wins, by what factor, where the crossovers are)
+// transfer even at reduced scale.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 	"time"
+
+	"knnshapley/internal/core"
+	"knnshapley/internal/knn"
 )
 
 // Table is a rendered experiment result.
@@ -86,4 +92,11 @@ func timed(fn func()) time.Duration {
 	start := time.Now()
 	fn()
 	return time.Since(start)
+}
+
+// runKernel averages kern over prebuilt test points on the engine with the
+// given worker count (0 = all cores).
+func runKernel(tps []*knn.TestPoint, workers int, kern core.Kernel[*knn.TestPoint]) ([]float64, error) {
+	eng := core.NewEngine[*knn.TestPoint](core.EngineConfig{Workers: workers})
+	return eng.Run(context.Background(), core.NewSliceSource(tps), kern)
 }

@@ -54,8 +54,14 @@ func (c Fig14) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	unweighted := core.ExactClassSVMulti(unwTPs, core.Options{})
-	weighted := core.ExactWeightedSVMulti(wTPs, core.Options{})
+	unweighted, err := runKernel(unwTPs, 0, core.ExactClassKernel{N: train.N()})
+	if err != nil {
+		return nil, err
+	}
+	weighted, err := runKernel(wTPs, 0, core.WeightedKernel{N: train.N()})
+	if err != nil {
+		return nil, err
+	}
 
 	tbl := &Table{
 		Title:  f("Figure 14: dog-fish valuation (K=%d, N=%d)", c.K, c.NTrain),
@@ -160,7 +166,8 @@ func (c Fig15) Run() (*Table, error) {
 	rng := rand.New(rand.NewPCG(c.Seed+9, 41))
 
 	// (a) vary model quality via label noise; analyst SV should track the
-	// total utility.
+	// total utility. The composite kernel returns the N seller shares
+	// followed by the analyst's share at index N.
 	for _, noise := range c.NoiseGrid {
 		train := dataset.DogFishLike(c.BaseNTrain, c.Seed)
 		if noise > 0 {
@@ -170,11 +177,14 @@ func (c Fig15) Run() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp := compositeMulti(tps)
+		comp, err := runKernel(tps, 0, core.CompositeKernel{M: train.N()})
+		if err != nil {
+			return nil, err
+		}
 		tbl.Rows = append(tbl.Rows, []string{
 			"a", f("label noise %.0f%%", 100*noise),
 			f("%.4f", knn.AverageUtility(tps, allIdx(train.N()))),
-			f("%.4f", comp.Analyst), "", "", "", "",
+			f("%.4f", comp[train.N()]), "", "", "", "",
 		})
 	}
 
@@ -184,11 +194,17 @@ func (c Fig15) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dataOnly := core.ExactClassSVMulti(tps, core.Options{})
-	comp := compositeMulti(tps)
+	dataOnly, err := runKernel(tps, 0, core.ExactClassKernel{N: train.N()})
+	if err != nil {
+		return nil, err
+	}
+	comp, err := runKernel(tps, 0, core.CompositeKernel{M: train.N()})
+	if err != nil {
+		return nil, err
+	}
 	tbl.Rows = append(tbl.Rows, []string{
 		"b", "data-only vs composite sellers", "", "", "", "", "",
-		f("%.4f", stats.Pearson(dataOnly, comp.Sellers)),
+		f("%.4f", stats.Pearson(dataOnly, comp[:train.N()])),
 	})
 
 	// (c)/(d) trends with the number of contributors.
@@ -198,33 +214,25 @@ func (c Fig15) Run() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp := compositeMulti(tps)
-		dataOnly := core.ExactClassSVMulti(tps, core.Options{})
+		comp, err := runKernel(tps, 0, core.CompositeKernel{M: n})
+		if err != nil {
+			return nil, err
+		}
+		dataOnly, err := runKernel(tps, 0, core.ExactClassKernel{N: n})
+		if err != nil {
+			return nil, err
+		}
 		s := stats.Summarize(dataOnly)
 		tbl.Rows = append(tbl.Rows, []string{
 			"c/d", f("%d contributors", n),
 			f("%.4f", knn.AverageUtility(tps, allIdx(n))),
-			f("%.4f", comp.Analyst),
+			f("%.4f", comp[n]),
 			f("%.6f", s.Mean), f("%.6f", s.Min), f("%.6f", s.Max), "",
 		})
 	}
 	tbl.Notes = append(tbl.Notes,
 		"analyst share grows with utility and with contributor count; per-contributor value shrinks")
 	return tbl, nil
-}
-
-func compositeMulti(tps []*knn.TestPoint) core.CompositeResult {
-	n := tps[0].N()
-	acc := core.CompositeResult{Sellers: make([]float64, n)}
-	for _, tp := range tps {
-		res := core.CompositeClassSV(tp)
-		vec.AXPY(acc.Sellers, 1, res.Sellers)
-		acc.Analyst += res.Analyst
-	}
-	inv := 1 / float64(len(tps))
-	vec.Scale(acc.Sellers, inv)
-	acc.Analyst *= inv
-	return acc
 }
 
 func allIdx(n int) []int {
@@ -287,7 +295,10 @@ func (c Fig16) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	knnSV := core.ExactClassSVMulti(tps, core.Options{})
+	knnSV, err := runKernel(tps, 0, core.ExactClassKernel{N: train.N()})
+	if err != nil {
+		return nil, err
+	}
 
 	// Logistic-regression Shapley values via permutation sampling with full
 	// retraining per prefix — the generic (expensive) path the paper

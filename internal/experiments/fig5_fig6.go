@@ -50,7 +50,10 @@ func (c Fig5) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	exact := core.ExactClassSVMulti(tps, core.Options{})
+	exact, err := runKernel(tps, 0, core.ExactClassKernel{N: train.N()})
+	if err != nil {
+		return nil, err
+	}
 
 	// The MC estimate at each checkpoint is the prefix of one deterministic
 	// permutation stream (same seed, growing T), evaluated with the
@@ -136,7 +139,10 @@ func (c Fig6) Run() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		exactTime := timed(func() { core.ExactClassSVMulti(tps, core.Options{Workers: 1}) })
+		exactTime := timed(func() { _, err = runKernel(tps, 1, core.ExactClassKernel{N: n}) })
+		if err != nil {
+			return nil, err
+		}
 		exactTime /= time.Duration(c.NTest)
 
 		var lshBuild, lshQuery time.Duration

@@ -84,8 +84,11 @@ func (c Fig7) Run() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			exactTime := timed(func() { core.ExactClassSVMulti(tps, core.Options{Workers: 1}) }) /
+			exactTime := timed(func() { _, err = runKernel(tps, 1, core.ExactClassKernel{N: train.N()}) }) /
 				time.Duration(c.NTest)
+			if err != nil {
+				return nil, err
+			}
 			v, err := core.NewLSHValuer(train, core.LSHConfig{
 				K: k, Eps: 0.1, Delta: 0.1, Seed: c.Seed, MaxTables: 64, Workers: 1,
 			})

@@ -74,7 +74,10 @@ func (c Fig9) Run() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact := core.ExactClassSVMulti(tps, core.Options{})
+		exact, err := runKernel(tps, 0, core.ExactClassKernel{N: train.N()})
+		if err != nil {
+			return nil, err
+		}
 
 		tuned := lsh.Tune(train.X, train.X, kStar, 0.1, 1, maxInts(c.Tables), c.Seed, rng)
 		params := tuned.Params
@@ -93,8 +96,7 @@ func (c Fig9) Run() (*Table, error) {
 				for r, id := range res.IDs {
 					correct[r] = train.Labels[id] == test.Labels[j]
 				}
-				sv := truncatedForBench(res.IDs, correct, train.N(), c.K, c.Eps)
-				vec.AXPY(approx, 1, sv)
+				core.TruncatedFromRankingInto(res.IDs, correct, train.N(), c.K, c.Eps, approx)
 				truth := knn.Neighbors(train.X, test.X[j], kStar, vec.L2)
 				recallSum += lsh.Recall(truth, res.IDs)
 				candSum += res.Candidates
@@ -109,12 +111,6 @@ func (c Fig9) Run() (*Table, error) {
 		}
 	}
 	return tbl, nil
-}
-
-// truncatedForBench exposes the core truncation over an explicit retrieved
-// ranking (what the LSH valuer does internally).
-func truncatedForBench(ranking []int, correct []bool, n, k int, eps float64) []float64 {
-	return core.TruncatedFromRanking(ranking, correct, n, k, eps)
 }
 
 func maxInts(xs []int) int {

@@ -144,7 +144,7 @@ type Config struct {
 	// submitted with a non-empty Spec.Envelope — the write-ahead hook that
 	// makes jobs replayable after a crash (internal/journal implements it).
 	Journal Journal
-	// Now overrides the clock, for TTL tests.
+	// Now overrides the clock, for tests (TTL expiry, cache-hit durations).
 	Now func() time.Time
 }
 

@@ -104,7 +104,11 @@ func TestJobLifecycle(t *testing.T) {
 // cache: it is done at Submit time, carries the identical Report, and the
 // engine (Spec.Run) does not execute again.
 func TestResultCacheHit(t *testing.T) {
-	m := New(Config{Workers: 1})
+	// A frozen manager clock makes the hit's lookup Duration exactly zero,
+	// while the original run's Duration comes from the session's own
+	// wall clock and so stays positive.
+	frozen := time.Unix(1700000000, 0)
+	m := New(Config{Workers: 1, Now: func() time.Time { return frozen }})
 	defer m.Close()
 	train, test := smallData(t)
 	v, err := knnshapley.New(train, knnshapley.WithK(2))
@@ -138,8 +142,8 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	// The hit is a marked deep copy of the cached report: identical values
 	// in a distinct backing array (so a caller mutating its copy cannot
-	// corrupt the cached entry), CacheHit set, and the (near-zero) lookup
-	// duration instead of the original run's wall-clock time.
+	// corrupt the cached entry), CacheHit set, and the lookup duration
+	// instead of the original run's wall-clock time.
 	if len(secondRep.Values) != len(firstRep.Values) {
 		t.Fatalf("cache hit has %d values, want %d", len(secondRep.Values), len(firstRep.Values))
 	}
@@ -153,6 +157,9 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	if !secondRep.CacheHit {
 		t.Fatal("cached report not marked CacheHit")
+	}
+	if secondRep.Duration != 0 {
+		t.Fatalf("cached Duration %v, want 0 on a frozen clock", secondRep.Duration)
 	}
 	if secondRep.Duration >= firstRep.Duration {
 		t.Fatalf("cached Duration %v not below the original run's %v", secondRep.Duration, firstRep.Duration)

@@ -172,7 +172,7 @@ func (p TruncatedParams) Run(ctx context.Context, v *Valuer, test *Dataset) (*Re
 
 // MCParams runs the improved Monte-Carlo estimator (Algorithm 2):
 // heap-incremental utility evaluation plus a statistical permutation budget
-// (Theorem 5). The fields mirror MCOptions one for one.
+// (Theorem 5).
 //
 // The zero-value Bound (Bennett) needs eps and delta; as a convenience a
 // request carrying a fixed budget t with eps or delta unset selects the
@@ -204,6 +204,22 @@ func (p MCParams) effective() MCParams {
 		p.Bound = Fixed
 	}
 	return p
+}
+
+// internal maps the parameters and the session's engine settings onto the
+// core sampler's configuration.
+func (p MCParams) internal(cfg config) core.MCConfig {
+	return core.MCConfig{
+		Eps:            p.Eps,
+		Delta:          p.Delta,
+		Bound:          core.BoundKind(p.Bound),
+		T:              p.T,
+		RangeHalfWidth: p.RangeHalfWidth,
+		Heuristic:      p.Heuristic,
+		Seed:           p.Seed,
+		Workers:        cfg.Workers,
+		BatchSize:      cfg.BatchSize,
+	}
 }
 
 // mcParamSpecs is the schema fragment shared by montecarlo and sellersmc.
@@ -279,7 +295,7 @@ func (p MCParams) Run(ctx context.Context, v *Valuer, test *Dataset) (*Report, e
 	if err != nil {
 		return nil, err
 	}
-	mcfg := MCOptions(p.effective()).internal(v.cfg)
+	mcfg := p.effective().internal(v.cfg)
 	mcfg.Progress = v.engine(ctx, test.N()).Progress
 	res, err := core.ImprovedMCStream(ctx, src, v.cfg.kind(v.train), v.train.N(), v.cfg.K, mcfg)
 	if err != nil {
@@ -454,7 +470,7 @@ func (p SellerMCParams) Run(ctx context.Context, v *Valuer, test *Dataset) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	mcfg := MCOptions(p.MCParams.effective()).internal(v.cfg)
+	mcfg := p.MCParams.effective().internal(v.cfg)
 	mcfg.Progress = v.engine(ctx, test.N()).Progress
 	res, err := core.MultiSellerMC(ctx, tps, p.Owners, p.M, mcfg)
 	if err != nil {

@@ -88,7 +88,7 @@ func TestFloat32ToleranceTruncated(t *testing.T) {
 func TestFloat32ToleranceMonteCarlo(t *testing.T) {
 	v64, v32, test := precisionPair(t)
 	ctx := context.Background()
-	opts := MCOptions{T: 60, Seed: 9}
+	opts := MCParams{T: 60, Seed: 9}
 	r64, err := v64.MonteCarlo(ctx, test, opts)
 	if err != nil {
 		t.Fatal(err)

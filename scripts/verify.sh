@@ -12,7 +12,9 @@
 # GOAMD64=v3 cross-build of the assembly, fuzz smoke
 # runs over the decode/storage/shard-codec surfaces, a serving benchmark
 # of the upload-once/value-many registry path, a method-discovery
-# end-to-end run (a real svserver answering "svcli methods"), a
+# end-to-end run (a real svserver answering "svcli methods"), a run of
+# every examples/ program (each must exit zero; examples/streaming ends in
+# a bit-identity check against a from-scratch valuation), a
 # multi-process cluster end-to-end run (three workers + coordinator,
 # by-ref exact and truncated scatter-gather bit-identical to in-process,
 # one worker SIGKILLed mid-job, SIGTERM drain), a crash-durability end-to-end run (svserver
@@ -112,6 +114,17 @@ for name in exact truncated montecarlo baseline sellers sellersmc composite lsh 
     fi
 done
 kill "$svpid"
+
+# Examples: build and run every examples/ program; a non-zero exit fails
+# the run. About 5 s in all on a 2-vCPU host, most of it examples/proxy.
+go build -o "$bindir/examples/" ./examples/...
+for ex in "$bindir"/examples/*; do
+    if ! "$ex" >"$bindir/example.log" 2>&1; then
+        echo "example $(basename "$ex") failed:" >&2
+        cat "$bindir/example.log" >&2
+        exit 1
+    fi
+done
 
 # Cluster end-to-end: three svserver workers plus one coordinator, all real
 # processes; by-ref exact and truncated (eps 0.01) valuations scattered into

@@ -1,7 +1,6 @@
 package knnshapley
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -123,37 +122,18 @@ func ReadBinary(r io.Reader) (*Dataset, error) { return dataset.ReadBinary(r) }
 // bytes.
 func WriteBinary(w io.Writer, d *Dataset) error { return dataset.WriteBinary(w, d) }
 
-// Config selects the KNN utility whose Shapley values are computed.
-type Config struct {
-	// K is the number of neighbors (required, >= 1).
-	K int
-	// Metric defaults to L2 — the metric of the paper's experiments and of
-	// the LSH approximation.
-	Metric Metric
-	// Weight, when non-nil, selects the weighted KNN utilities (Eqs. 26/27)
-	// instead of the unweighted ones (Eqs. 5/25).
-	Weight WeightFunc
-	// Workers bounds the goroutines computing at once (0 = all cores): the
-	// per-test-point kernels, and a large batch's distance scan and
-	// ordered reduce.
-	Workers int
-	// BatchSize bounds how many test points are materialized at once: the
-	// engine streams test points in batches, so peak memory is
-	// BatchSize·N distances rather than Ntest·N (0 = 64).
-	BatchSize int
-	// Precision selects the distance-scan compute mode: Float64 (default,
-	// bit-exact) or Float32 (the training matrix is stored and scanned in
-	// single precision — roughly half the memory bandwidth and twice the
-	// SIMD width, with distances accurate to single-precision rounding; see
-	// the Performance section of the package documentation).
-	Precision Precision
-	// Indexes, when non-nil, is the persistent index store the session
-	// reloads ANN indexes from (and persists fresh builds into) instead of
-	// rebuilding on every session-cache miss. See WithIndexStore.
-	Indexes IndexStore
+// config is a session's settings, filled in by the With* options.
+type config struct {
+	K         int        // neighbors (WithK, required >= 1)
+	Metric    Metric     // neighbor ranking (WithMetric, default L2)
+	Weight    WeightFunc // non-nil selects the weighted utilities (WithWeight)
+	Workers   int        // concurrent goroutines (WithWorkers, 0 = all cores)
+	BatchSize int        // test points in flight (WithBatchSize, 0 = 64)
+	Precision Precision  // distance-scan width (WithPrecision, default Float64)
+	Indexes   IndexStore // persistent ANN index store (WithIndexStore, nil = none)
 }
 
-func (c Config) kind(train *Dataset) knn.Kind {
+func (c config) kind(train *Dataset) knn.Kind {
 	switch {
 	case train.IsRegression() && c.Weight != nil:
 		return knn.WeightedRegress
@@ -166,22 +146,16 @@ func (c Config) kind(train *Dataset) knn.Kind {
 	}
 }
 
-func (c Config) testPoints(train, test *Dataset, pre *knn.Precomp) ([]*knn.TestPoint, error) {
-	if c.K <= 0 {
-		return nil, fmt.Errorf("knnshapley: Config.K = %d, want >= 1", c.K)
-	}
+func (c config) testPoints(train, test *Dataset, pre *knn.Precomp) ([]*knn.TestPoint, error) {
 	return knn.BuildTestPointsPre(c.kind(train), c.K, c.Weight, c.Metric, train, test, pre)
 }
 
-// stream validates the configuration and returns a batched test-point
-// producer: distances are computed one engine batch at a time (with the
-// norm-precompute GEMV kernel on contiguous datasets, reusing pre when
-// non-nil) instead of eagerly materializing the Ntest×N matrix. A large
-// batch's scan is split over the engine's worker count.
-func (c Config) stream(train, test *Dataset, pre *knn.Precomp) (*knn.Stream, error) {
-	if c.K <= 0 {
-		return nil, fmt.Errorf("knnshapley: Config.K = %d, want >= 1", c.K)
-	}
+// stream returns a batched test-point producer: distances are computed one
+// engine batch at a time (with the norm-precompute GEMV kernel on
+// contiguous datasets, reusing pre when non-nil) instead of eagerly
+// materializing the Ntest×N matrix. A large batch's scan is split over the
+// engine's worker count.
+func (c config) stream(train, test *Dataset, pre *knn.Precomp) (*knn.Stream, error) {
 	s, err := knn.NewStreamPre(c.kind(train), c.K, c.Weight, c.Metric, train, test, pre)
 	if err != nil {
 		return nil, err
@@ -190,56 +164,14 @@ func (c Config) stream(train, test *Dataset, pre *knn.Precomp) (*knn.Stream, err
 	return s, nil
 }
 
-func (c Config) engine() core.EngineConfig {
+func (c config) engine() core.EngineConfig {
 	return core.EngineConfig{Workers: c.Workers, BatchSize: c.BatchSize}
 }
 
-// Exact computes the exact Shapley value of every training point with
-// respect to the KNN utility averaged over the test set (Theorems 1, 6
-// and 7).
-//
-// Deprecated: construct a session with New and call Valuer.Exact, which
-// reuses the validated training set across calls and honors a
-// context.Context. This wrapper builds a one-shot Valuer and produces
-// bit-identical values; the one behavioral change shared by all the
-// deprecated wrappers is that an empty or nil test set now returns a
-// descriptive error instead of nil values.
-func Exact(train, test *Dataset, cfg Config) ([]float64, error) {
-	v, err := New(train, withConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := v.Exact(context.Background(), test)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Values, nil
-}
-
-// EstimateWeightedCost approximates the number of utility evaluations Exact
-// performs per test point for a weighted utility with n training points.
+// EstimateWeightedCost approximates the number of utility evaluations
+// Valuer.Exact performs per test point for a weighted utility with n
+// training points.
 func EstimateWeightedCost(n, k int) float64 { return core.EstimateWeightedCost(n, k) }
-
-// Truncated computes the (eps, 0)-approximation of Theorem 2 for unweighted
-// KNN classification: only the K* = max{K, ⌈1/eps⌉} nearest neighbors of
-// each test point receive (exact) values, everyone else zero. Guarantees
-// max_i |ŝ_i − s_i| ≤ eps and preserves the value ranking of the K* nearest.
-//
-// Deprecated: use New and Valuer.Truncated.
-func Truncated(train, test *Dataset, cfg Config, eps float64) ([]float64, error) {
-	if train != nil && (train.IsRegression() || cfg.Weight != nil) {
-		return nil, fmt.Errorf("knnshapley: Truncated applies to unweighted classification")
-	}
-	v, err := New(train, withConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := v.Truncated(context.Background(), test, eps)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Values, nil
-}
 
 // Monetize converts relative Shapley values into currency given an affine
 // revenue model R(S) = a·ν(S) + b (Section 7): each point receives

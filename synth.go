@@ -5,7 +5,8 @@ import "knnshapley/internal/dataset"
 // The Synth functions expose the repository's synthetic dataset generators:
 // Gaussian-mixture embeddings calibrated to mimic the distance geometry
 // (accuracy band and relative contrast) of the paper's benchmark datasets.
-// See DESIGN.md, "Substitutions", for the calibration rationale.
+// See MixtureConfig and the generators in internal/dataset/synthetic.go
+// for the calibration rationale.
 
 // SynthMNIST stands in for MNIST deep features (10 classes, ~95% 1NN).
 func SynthMNIST(n int, seed uint64) *Dataset { return dataset.MNISTLike(n, seed) }

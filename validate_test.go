@@ -157,7 +157,7 @@ func TestValuerRejectsBadArguments(t *testing.T) {
 	check("Exact empty test", err, "empty test set")
 	_, err = v.Exact(ctx, nil)
 	check("Exact nil test", err, "nil test set")
-	_, err = v.MonteCarlo(ctx, emptyTest, MCOptions{Bound: Fixed, T: 1})
+	_, err = v.MonteCarlo(ctx, emptyTest, MCParams{Bound: Fixed, T: 1})
 	check("MonteCarlo empty test", err, "empty test set")
 	_, err = v.Truncated(ctx, emptyTest, 0.1)
 	check("Truncated empty test", err, "empty test set")
@@ -174,7 +174,7 @@ func TestValuerRejectsBadArguments(t *testing.T) {
 	bad[5] = 7
 	_, err = v.Sellers(ctx, test, bad, 3)
 	check("Sellers owner out of range", err, "owner 7 of point 5 outside [0,3)")
-	_, err = v.SellersMC(ctx, test, owners, 0, MCOptions{Bound: Fixed, T: 1})
+	_, err = v.SellersMC(ctx, test, owners, 0, MCParams{Bound: Fixed, T: 1})
 	check("SellersMC m=0", err, "seller count m = 0")
 	_, err = v.Utility(ctx, test, []int{-1})
 	check("Utility bad subset", err, "subset index -1")
@@ -182,12 +182,40 @@ func TestValuerRejectsBadArguments(t *testing.T) {
 
 // A NaN distance never compares, so the top-K heap and the full sort rank
 // it differently and Theorem 2 silently breaks. New must reject a NaN or
-// ±Inf training feature and every valuation call a non-finite test feature.
+// ±Inf training feature and every registered method a non-finite test
+// feature.
 func TestNonFiniteFeaturesRejected(t *testing.T) {
 	train, test := SynthMNIST(60, 1), SynthMNIST(5, 2)
 	v, err := New(train, WithK(3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	owners := AssignSellers(train.N(), 3)
+	mc := MCParams{Bound: Fixed, T: 2, Seed: 1}
+	methods := []Method{
+		ExactParams{},
+		TruncatedParams{Eps: 0.1},
+		mc,
+		BaselineParams{Eps: 0.5, Delta: 0.5, T: 2, Seed: 1},
+		SellerParams{Owners: owners, M: 3},
+		SellerMCParams{Owners: owners, M: 3, MCParams: mc},
+		CompositeParams{},
+		LSHParams{Eps: 0.1, Delta: 0.1, Seed: 1},
+		KDParams{Eps: 0.1},
+		UtilityParams{Subset: []int{0, 1}},
+		AutoParams{Eps: 0.1, Delta: 0.1, Seed: 1},
+	}
+	listed := make(map[string]bool, len(methods))
+	for _, m := range methods {
+		listed[m.Name()] = true
+	}
+	for _, m := range Methods() {
+		if _, stub := m.(benchNoopParams); stub {
+			continue // evaluate_test.go's dispatch stub values nothing
+		}
+		if !listed[m.Name()] {
+			t.Errorf("registered method %q is missing from this test's list", m.Name())
+		}
 	}
 	ctx := context.Background()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -198,12 +226,9 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 		}
 		badTest := test.Clone()
 		badTest.X[2][1] = bad
-		for _, req := range []Request{
-			{Method: "exact", Test: badTest},
-			{Method: "truncated", Params: TruncatedParams{Eps: 0.1}, Test: badTest},
-		} {
-			if _, err := v.Evaluate(ctx, req); !errors.Is(err, dataset.ErrNonFinite) {
-				t.Errorf("Evaluate %s with a %v test feature: err = %v, want ErrNonFinite", req.Method, bad, err)
+		for _, m := range methods {
+			if _, err := v.Evaluate(ctx, Request{Params: m, Test: badTest}); !errors.Is(err, dataset.ErrNonFinite) {
+				t.Errorf("Evaluate %s with a %v test feature: err = %v, want ErrNonFinite", m.Name(), bad, err)
 			}
 		}
 	}

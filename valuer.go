@@ -14,26 +14,26 @@ import (
 )
 
 // Option configures a Valuer at construction time.
-type Option func(*Config)
+type Option func(*config)
 
 // WithK sets the number of neighbors K of the KNN utility (required, >= 1).
-func WithK(k int) Option { return func(c *Config) { c.K = k } }
+func WithK(k int) Option { return func(c *config) { c.K = k } }
 
 // WithMetric selects the distance metric ranking neighbors (default L2).
-func WithMetric(m Metric) Option { return func(c *Config) { c.Metric = m } }
+func WithMetric(m Metric) Option { return func(c *config) { c.Metric = m } }
 
 // WithWeight selects the weighted KNN utilities (Eqs. 26/27) instead of the
 // unweighted ones (Eqs. 5/25).
-func WithWeight(w WeightFunc) Option { return func(c *Config) { c.Weight = w } }
+func WithWeight(w WeightFunc) Option { return func(c *config) { c.Weight = w } }
 
 // WithWorkers bounds the goroutines a valuation computes on at once
 // (default: all cores): the per-test-point kernels, and a large batch's
 // distance scan and ordered reduce.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
 
 // WithBatchSize bounds how many test points are in flight at once; peak
 // memory is BatchSize·N distances (default 64).
-func WithBatchSize(n int) Option { return func(c *Config) { c.BatchSize = n } }
+func WithBatchSize(n int) Option { return func(c *config) { c.BatchSize = n } }
 
 // WithPrecision selects the distance-scan compute mode (default Float64).
 // WithPrecision(Float32) stores and scans the training matrix in single
@@ -41,11 +41,7 @@ func WithBatchSize(n int) Option { return func(c *Config) { c.BatchSize = n } }
 // bandwidth-bound scan — at the cost of single-precision rounding in the
 // distances (see the Performance section of the package documentation for
 // the tolerance contract).
-func WithPrecision(p Precision) Option { return func(c *Config) { c.Precision = p } }
-
-// withConfig replays a legacy Config wholesale — the adapter the deprecated
-// free functions use to construct their one-shot Valuer.
-func withConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
+func WithPrecision(p Precision) Option { return func(c *config) { c.Precision = p } }
 
 // Report is the unified outcome of every Valuer method: the values plus how
 // they were computed. Fields beyond Values/Method/Duration are populated
@@ -123,7 +119,7 @@ type kdEntry struct {
 // A Valuer is safe for concurrent use by multiple goroutines.
 type Valuer struct {
 	train *Dataset
-	cfg   Config
+	cfg   config
 
 	mu          sync.Mutex
 	lsh         map[lshKey]*lshEntry
@@ -148,12 +144,12 @@ type Valuer struct {
 //	v, err := knnshapley.New(train, knnshapley.WithK(5))
 //	rep, err := v.Exact(ctx, test)
 func New(train *Dataset, opts ...Option) (*Valuer, error) {
-	var cfg Config
+	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	if cfg.K <= 0 {
-		return nil, fmt.Errorf("knnshapley: Config.K = %d, want >= 1 (set WithK)", cfg.K)
+		return nil, fmt.Errorf("knnshapley: K = %d, want >= 1 (set WithK)", cfg.K)
 	}
 	if cfg.Precision != Float64 && cfg.Precision != Float32 {
 		return nil, fmt.Errorf("knnshapley: unknown precision %v", cfg.Precision)
@@ -299,10 +295,9 @@ func (v *Valuer) Truncated(ctx context.Context, test *Dataset, eps float64) (*Re
 // and is the recommended algorithm for weighted KNN, where exact
 // computation costs N^K. Cancellation is checked every permutation.
 //
-// It is a thin wrapper over Evaluate with MCParams (the fields map one for
-// one).
-func (v *Valuer) MonteCarlo(ctx context.Context, test *Dataset, opts MCOptions) (*Report, error) {
-	return v.Evaluate(ctx, Request{Params: MCParams(opts), Test: test})
+// It is a thin wrapper over Evaluate with MCParams.
+func (v *Valuer) MonteCarlo(ctx context.Context, test *Dataset, p MCParams) (*Report, error) {
+	return v.Evaluate(ctx, Request{Params: p, Test: test})
 }
 
 // Sellers computes the exact Shapley value of each seller when sellers
@@ -320,9 +315,9 @@ func (v *Valuer) Sellers(ctx context.Context, test *Dataset, owners []int, m int
 // K (Figure 13). Cancellation is checked every permutation.
 //
 // It is a thin wrapper over Evaluate with SellerMCParams.
-func (v *Valuer) SellersMC(ctx context.Context, test *Dataset, owners []int, m int, opts MCOptions) (*Report, error) {
+func (v *Valuer) SellersMC(ctx context.Context, test *Dataset, owners []int, m int, p MCParams) (*Report, error) {
 	return v.Evaluate(ctx, Request{
-		Params: SellerMCParams{Owners: owners, M: m, MCParams: MCParams(opts)},
+		Params: SellerMCParams{Owners: owners, M: m, MCParams: p},
 		Test:   test,
 	})
 }

@@ -120,88 +120,6 @@ func TestLSHWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// The deprecated free functions are wrappers over a one-shot Valuer and
-// must reproduce its outputs bit for bit.
-func TestDeprecatedWrappersBitIdentical(t *testing.T) {
-	train := SynthMNIST(120, 1)
-	test := SynthMNIST(9, 2)
-	ctx := context.Background()
-	v, err := New(train, WithK(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := v.Exact(ctx, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Exact(train, test, Config{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "Exact", old, rep.Values)
-
-	rep, err = v.Truncated(ctx, test, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err = Truncated(train, test, Config{K: 3}, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "Truncated", old, rep.Values)
-
-	opts := MCOptions{Bound: Fixed, T: 64, Seed: 11}
-	rep, err = v.MonteCarlo(ctx, test, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRep, err := MonteCarlo(train, test, Config{K: 3}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "MonteCarlo", oldRep.SV, rep.Values)
-	if oldRep.Permutations != rep.Permutations || oldRep.Budget != rep.Budget {
-		t.Fatalf("MonteCarlo metadata diverged: %+v vs %+v", oldRep, rep)
-	}
-
-	owners := AssignSellers(train.N(), 6)
-	rep, err = v.Sellers(ctx, test, owners, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err = SellerValues(train, test, owners, 6, Config{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "Sellers", old, rep.Values)
-
-	rep, err = v.Composite(ctx, test, owners, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldComp, err := CompositeValues(train, test, owners, 6, Config{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "Composite", oldComp.Sellers, rep.Values)
-	if oldComp.Analyst != rep.Analyst {
-		t.Fatalf("Composite analyst diverged: %v vs %v", oldComp.Analyst, rep.Analyst)
-	}
-
-	newU, err := v.Utility(ctx, test, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldU, err := Utility(train, test, Config{K: 3}, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if newU != oldU {
-		t.Fatalf("Utility diverged: %v vs %v", newU, oldU)
-	}
-}
-
 func assertBitIdentical(t *testing.T, name string, old, now []float64) {
 	t.Helper()
 	if len(old) != len(now) {
@@ -231,7 +149,7 @@ func TestReportMetadata(t *testing.T) {
 	if rep.Method != "exact" || len(rep.Values) != train.N() {
 		t.Fatalf("report %+v", rep)
 	}
-	mc, err := v.MonteCarlo(ctx, test, MCOptions{Bound: Fixed, T: 32, Seed: 1})
+	mc, err := v.MonteCarlo(ctx, test, MCParams{Bound: Fixed, T: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
