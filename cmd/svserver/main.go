@@ -1029,7 +1029,7 @@ func (s *server) handleIndexSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	writeJSON(w, http.StatusAccepted, statusResponse(job.Snapshot()))
+	writeJSON(w, http.StatusAccepted, cluster.JobStatusWire(job.Snapshot()))
 }
 
 // indexSpec validates one index request and turns it into a job spec: the
@@ -1338,7 +1338,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	writeJSON(w, http.StatusAccepted, statusResponse(job.Snapshot()))
+	writeJSON(w, http.StatusAccepted, cluster.JobStatusWire(job.Snapshot()))
 }
 
 // submit maps manager-level submission errors onto HTTP backpressure. A
@@ -1363,7 +1363,7 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, statusResponse(job.Snapshot()))
+	writeJSON(w, http.StatusOK, cluster.JobStatusWire(job.Snapshot()))
 }
 
 func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -1406,7 +1406,7 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, statusResponse(job.Snapshot()))
+	writeJSON(w, http.StatusOK, cluster.JobStatusWire(job.Snapshot()))
 }
 
 // handleValue is POST /value: the synchronous submit-and-wait wrapper over
@@ -1757,28 +1757,6 @@ func buildResponse(rep *knnshapley.Report, meta jobMeta, cached bool) *valueResp
 	if rep.Method == "composite" {
 		analyst := rep.Analyst
 		resp.Analyst = &analyst
-	}
-	return resp
-}
-
-// statusResponse renders a job snapshot in the wire format.
-func statusResponse(s jobs.Snapshot) *jobStatusResponse {
-	resp := &jobStatusResponse{
-		ID:        s.ID,
-		Status:    string(s.State),
-		Done:      s.Done,
-		Total:     s.Total,
-		CacheHit:  s.CacheHit,
-		Error:     s.Err,
-		CreatedAt: s.Created,
-	}
-	if !s.Started.IsZero() {
-		t := s.Started
-		resp.StartedAt = &t
-	}
-	if !s.Finished.IsZero() {
-		t := s.Finished
-		resp.FinishedAt = &t
 	}
 	return resp
 }

@@ -197,22 +197,20 @@
 //
 // Valuing a versioned dataset is incremental (internal/cluster's
 // Incremental + RankCache): the first exact or truncated valuation caches
-// each test point's full sorted neighbor ranking, keyed on (train ID, test
-// ID, K*, metric, precision), together with a precomputed index→run table.
-// A later valuation of a descendant walks the lineage chain to the nearest
-// cached ancestor and patches it — appended rows are distance-scanned
-// (ΔN·d work), merged into the sorted lists under the engine's exact
-// comparison key as a sparse overlay; removals filter the lists — and the
-// KNN-Shapley recurrence is replayed by computing one value per
-// equal-correctness run and streaming the values back through the cached
-// run table, a sequential O(N) gather rather than a fresh O(N·d) scan and
-// O(N log N) sort (a truncated valuation with K* < N walks only the
-// spliced K* prefix). Incremental values are bit-identical to valuing the
-// child from scratch (pinned across append/remove/mixed edits and both
-// methods); BENCH_8.json measures re-valuing after a 10-row append at
-// N=1e5 at ~68× faster than the from-scratch scan. See examples/streaming
-// for the arrival-stream shape of a data market driven through the delta
-// API.
+// each test point's full sorted neighbor ranking and its distances, keyed
+// on (train ID, test ID, K, metric, precision). A later valuation of a
+// descendant walks the lineage chain to the nearest cached ancestor and
+// patches it — appended rows are distance-scanned (ΔN·d work), merged into
+// the sorted lists under the engine's exact comparison key as a sparse
+// overlay; removals filter the lists — and the KNN-Shapley recurrence is
+// replayed with the engine's own walker over the spliced ranking, O(N)
+// adds rather than a fresh O(N·d) scan and O(N log N) sort (a truncated
+// valuation with K* < N walks only the spliced K* prefix). Incremental
+// values are bit-identical to valuing the child from scratch (pinned across
+// append/remove/mixed edits and both methods); svbench's delta_append_dn10
+// record measures re-valuing after a 10-row append at N=1e5 at ~50× faster
+// than the from-scratch scan. See examples/streaming for the arrival-stream
+// shape of a data market driven through the delta API.
 //
 // # Index persistence and the algo=auto planner
 //

@@ -7,9 +7,9 @@ import (
 )
 
 // DefaultRankCacheBudget bounds the neighbor-rank cache's memory when the
-// serving layer does not override it. A full-ranking entry costs ~12 bytes
-// per (training point, test point) pair plus flips, so 256 MiB holds a
-// handful of N=10⁶-pair sessions.
+// serving layer does not override it. A full-ranking entry costs 12 bytes
+// per (training point, test point) pair, so 256 MiB holds a handful of
+// N=10⁶-pair sessions.
 const DefaultRankCacheBudget = 256 << 20
 
 // RankKey identifies one cached neighbor ranking: which training content was

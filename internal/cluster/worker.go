@@ -344,9 +344,8 @@ func (w *Worker) Handler() *http.ServeMux {
 	return mux
 }
 
-// JobStatusWire renders a job snapshot in the shared wire shape; svserver
-// has its own identical renderer, but the standalone handler (and the
-// coordinator's tests) cannot import package main.
+// JobStatusWire renders a job snapshot in the shared wire shape, for the
+// shard worker's handlers and svserver's job endpoints alike.
 func JobStatusWire(s jobs.Snapshot) *wire.JobStatus {
 	resp := &wire.JobStatus{
 		ID:        s.ID,

@@ -151,9 +151,16 @@ type MCResult struct {
 // average over test points is the multi-test estimate — which is what lets
 // the sampler fan out over the worker pool instead of running one global
 // permutation loop.
+//
+// The players are the training points, or with Groups set the sellers of
+// the Section 6.2.2 comparison (Figure 13): inserting a seller streams all
+// its points into the heap. Point-level sampling is seller-level sampling
+// with one point per seller.
 type MCKernel struct {
 	N      int
+	Groups [][]int // Groups[j] = training indices owned by player j; nil = one player per point
 	Budget int
+	Seed   uint64
 	Cfg    MCConfig // defaults applied
 
 	perms atomic.Int64 // max permutations any item executed
@@ -161,20 +168,25 @@ type MCKernel struct {
 }
 
 // OutLen implements Kernel.
-func (k *MCKernel) OutLen() int { return k.N }
+func (k *MCKernel) OutLen() int {
+	if k.Groups != nil {
+		return len(k.Groups)
+	}
+	return k.N
+}
 
 // Compute implements Kernel.
 func (k *MCKernel) Compute(ctx context.Context, idx int, tp *knn.TestPoint, s *Scratch, dst []float64) error {
 	if err := checkTrainSize(tp, k.N); err != nil {
 		return err
 	}
-	n := tp.N()
+	players := k.OutLen()
 	inc := knn.NewIncremental(tp)
-	rng := mcRNG(k.Cfg.Seed, idx)
-	perm := s.Ints(n)
+	rng := mcRNG(k.Seed, idx)
+	perm := s.Ints(players)
 	var prevEst []float64
 	if k.Cfg.Heuristic {
-		prevEst = s.Floats(3, n)
+		prevEst = s.Floats(3, players)
 		for i := range prevEst {
 			prevEst[i] = 0
 		}
@@ -192,12 +204,22 @@ func (k *MCKernel) Compute(ctx context.Context, idx int, tp *knn.TestPoint, s *S
 		fisherYates(perm, rng)
 		inc.Reset()
 		prev := inc.Utility()
-		for _, i := range perm {
-			u, changed := inc.Add(i)
-			if changed {
-				evals++
+		for _, p := range perm {
+			// Player p brings its seller's points, or at point level itself.
+			u := prev
+			var changed bool
+			if k.Groups == nil {
+				if u, changed = inc.Add(p); changed {
+					evals++
+				}
+			} else {
+				for _, i := range k.Groups[p] {
+					if u, changed = inc.Add(i); changed {
+						evals++
+					}
+				}
 			}
-			dst[i] += u - prev
+			dst[p] += u - prev
 			prev = u
 		}
 		if k.Cfg.Heuristic && t+1 >= k.Cfg.MinPermutations {
@@ -289,8 +311,13 @@ func ImprovedMCStream(ctx context.Context, src Source[*knn.TestPoint], kind knn.
 	if err != nil {
 		return MCResult{}, err
 	}
-	kern := &MCKernel{N: n, Budget: cfg.Budget(n, k), Cfg: cfg}
-	sv, err := NewEngine[*knn.TestPoint](cfg.engine()).Run(ctx, src, kern)
+	kern := &MCKernel{N: n, Budget: cfg.Budget(n, k), Seed: cfg.Seed, Cfg: cfg}
+	return kern.run(ctx, src, cfg)
+}
+
+// run drives the kernel over src through the Engine and reports the estimate.
+func (k *MCKernel) run(ctx context.Context, src Source[*knn.TestPoint], cfg MCConfig) (MCResult, error) {
+	sv, err := NewEngine[*knn.TestPoint](cfg.engine()).Run(ctx, src, k)
 	if err != nil {
 		return MCResult{}, err
 	}
@@ -299,101 +326,10 @@ func ImprovedMCStream(ctx context.Context, src Source[*knn.TestPoint], kind knn.
 	}
 	return MCResult{
 		SV:           sv,
-		Permutations: int(kern.perms.Load()),
-		Budget:       kern.Budget,
-		UtilityEvals: int(kern.evals.Load()),
+		Permutations: int(k.perms.Load()),
+		Budget:       k.Budget,
+		UtilityEvals: int(k.evals.Load()),
 	}, nil
-}
-
-// SellerMCKernel is the seller-level Algorithm 2: permutation sampling over
-// sellers where inserting a seller streams all its points into the
-// per-test-point heap (the Section 6.2.2 comparison for Figure 13).
-type SellerMCKernel struct {
-	N      int
-	M      int
-	Points [][]int // Points[j] = training indices owned by seller j
-	Budget int
-	Cfg    MCConfig
-
-	perms atomic.Int64
-	evals atomic.Int64
-}
-
-// OutLen implements Kernel.
-func (k *SellerMCKernel) OutLen() int { return k.M }
-
-// Compute implements Kernel.
-func (k *SellerMCKernel) Compute(ctx context.Context, idx int, tp *knn.TestPoint, s *Scratch, dst []float64) error {
-	if err := checkTrainSize(tp, k.N); err != nil {
-		return err
-	}
-	inc := knn.NewIncremental(tp)
-	rng := mcRNG(k.Cfg.Seed^0xfeedface87654321, idx)
-	perm := s.Ints(k.M)
-	var prevEst []float64
-	if k.Cfg.Heuristic {
-		prevEst = s.Floats(3, k.M)
-		for i := range prevEst {
-			prevEst[i] = 0
-		}
-	}
-	evals := 0
-	calm := 0
-	t := 0
-	for ; t < k.Budget; t++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fisherYates(perm, rng)
-		inc.Reset()
-		prev := inc.Utility()
-		for _, sel := range perm {
-			u := inc.Utility()
-			for _, i := range k.Points[sel] {
-				var changed bool
-				u, changed = inc.Add(i)
-				if changed {
-					evals++
-				}
-			}
-			dst[sel] += u - prev
-			prev = u
-		}
-		if k.Cfg.Heuristic && t+1 >= k.Cfg.MinPermutations {
-			maxChange := 0.0
-			inv := 1 / float64(t+1)
-			for i := range dst {
-				est := dst[i] * inv
-				if d := est - prevEst[i]; d > maxChange {
-					maxChange = d
-				} else if -d > maxChange {
-					maxChange = -d
-				}
-				prevEst[i] = est
-			}
-			if maxChange < k.Cfg.Eps/50 {
-				calm++
-				if calm >= k.Cfg.HeuristicPatience {
-					t++
-					break
-				}
-			} else {
-				calm = 0
-			}
-		} else if k.Cfg.Heuristic {
-			inv := 1 / float64(t+1)
-			for i := range dst {
-				prevEst[i] = dst[i] * inv
-			}
-		}
-	}
-	inv := 1 / float64(t)
-	for i := range dst {
-		dst[i] *= inv
-	}
-	k.evals.Add(int64(evals))
-	atomicMax(&k.perms, int64(t))
-	return nil
 }
 
 // MultiSellerMC estimates seller-level Shapley values by permutation
@@ -417,15 +353,6 @@ func MultiSellerMC(ctx context.Context, tps []*knn.TestPoint, owners []int, m in
 		}
 		points[o] = append(points[o], i)
 	}
-	kern := &SellerMCKernel{N: n, M: m, Points: points, Budget: cfg.Budget(m, tps[0].K), Cfg: cfg}
-	sv, err := NewEngine[*knn.TestPoint](cfg.engine()).Run(ctx, NewSliceSource(tps), kern)
-	if err != nil {
-		return MCResult{}, err
-	}
-	return MCResult{
-		SV:           sv,
-		Permutations: int(kern.perms.Load()),
-		Budget:       kern.Budget,
-		UtilityEvals: int(kern.evals.Load()),
-	}, nil
+	kern := &MCKernel{N: n, Groups: points, Budget: cfg.Budget(m, tps[0].K), Seed: cfg.Seed ^ 0xfeedface87654321, Cfg: cfg}
+	return kern.run(ctx, NewSliceSource(tps), cfg)
 }

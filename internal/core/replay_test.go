@@ -114,8 +114,7 @@ func TestRankingAdaptersMatchReference(t *testing.T) {
 
 // Packed full replays, summed over several test points into one vector the
 // way the engine's ordered reduce and the cluster merge sum them, must add
-// the exact values bit for bit: both the per-rank walk (AddValues with
-// kStar = n) and the per-run gather that serves cached replays.
+// the exact values bit for bit (AddValues with kStar = n).
 func TestReplayPackedMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, n := range []int{1, 2, 3, 7, 64, 257, 1000} {
@@ -123,8 +122,6 @@ func TestReplayPackedMatchesExact(t *testing.T) {
 			for _, k := range []int{1, 5, 100} {
 				want := make([]float64, n)
 				walked := make([]float64, n)
-				gathered := make([]float64, n)
-				runOf := make([]uint32, n)
 				for tp := 0; tp < 3; tp++ {
 					l := randPacked(rng, n, n, p)
 					ranking, correct := unpackRanking(l)
@@ -132,14 +129,8 @@ func TestReplayPackedMatchesExact(t *testing.T) {
 						want[j] += v
 					}
 					AddValues(l, n, k, n, walked)
-					flips := FlipsOfPacked(l)
-					runvals := make([]float64, len(flips)+1)
-					RunValues(flips, l[n-1], n, k, runvals)
-					RunOf(l, flips, runOf)
-					GatherRuns(runOf, runvals, gathered)
 				}
 				requireSameBits(t, want, walked, "walk")
-				requireSameBits(t, want, gathered, "gather")
 			}
 		}
 	}

@@ -21,8 +21,10 @@
 # SIGKILLed mid-job, restarted on the same data dir; the write-ahead job
 # journal must replay the job under its original ID with a bit-identical
 # result), an incremental-delta end-to-end run (upload, value, append rows
-# via PUT /datasets/{id}/delta, re-value; bit-identical to from-scratch
-# with /metrics proving the O(ΔN) patch path ran), a planner/index-store
+# via PUT /datasets/{id}/delta, re-value; append again to the child and
+# value the grandchild exact and truncated, so the rank cache replays an
+# overlay patched on top of an overlay; every result bit-identical to
+# from-scratch with /metrics proving both O(ΔN) patches ran), a planner/index-store
 # end-to-end run (algo=auto picks truncated cold, an explicit kd index
 # build job persists a .knnsi artifact, the restarted server recovers it,
 # auto flips to kd with /metrics proving the reload, and the dataset
@@ -318,6 +320,35 @@ metrics=$(curl -sf "http://$daddr/metrics")
 for want in "svserver_incremental_fromscratch_total 1" "svserver_incremental_patches_total 1"; do
     if ! grep -q "^$want\$" <<<"$metrics"; then
         echo "delta E2E: expected \"$want\" in /metrics:" >&2
+        grep "^svserver_incremental" <<<"$metrics" >&2
+        exit 1
+    fi
+done
+
+# A second append to the child: the grandchild's cached ranking is patched
+# off the child's, an overlay on top of an overlay. Its exact and truncated
+# (eps 0.01, K* < N) valuations by ref must both match in-process runs over
+# the concatenated CSV, with one more patch and still one full scan.
+awk 'BEGIN{srand(24); for(r=0;r<10;r++){for(c=0;c<16;c++)printf "%.6f,", rand()*2-1; print int(rand()*3)}}' >"$ddir/extra2.csv"
+cat "$ddir/combined.csv" "$ddir/extra2.csv" >"$ddir/combined2.csv"
+gid=$("$bindir/svcli" delta -server "http://$daddr" -id "$cid" -append "$ddir/extra2.csv")
+for algo in "exact" "truncated -eps 0.01"; do
+    name=${algo%% *}
+    # $algo is split on purpose: it carries the method's flags.
+    "$bindir/svcli" -train "$ddir/combined2.csv" -test "$ddir/test.csv" -k 5 -algo $algo \
+        >"$ddir/local2-$name.csv"
+    "$bindir/svcli" -train-ref "$gid" -test "$ddir/test.csv" -k 5 -algo $algo \
+        -server "http://$daddr" >"$ddir/delta2-$name.csv"
+    if ! cmp -s "$ddir/local2-$name.csv" "$ddir/delta2-$name.csv"; then
+        echo "delta E2E: grandchild $name valuation differs from the from-scratch run:" >&2
+        diff "$ddir/local2-$name.csv" "$ddir/delta2-$name.csv" | head >&2
+        exit 1
+    fi
+done
+metrics=$(curl -sf "http://$daddr/metrics")
+for want in "svserver_incremental_fromscratch_total 1" "svserver_incremental_patches_total 2"; do
+    if ! grep -q "^$want\$" <<<"$metrics"; then
+        echo "delta E2E: expected \"$want\" after the second append in /metrics:" >&2
         grep "^svserver_incremental" <<<"$metrics" >&2
         exit 1
     fi
