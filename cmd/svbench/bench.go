@@ -664,9 +664,8 @@ func benchJournal() (benchRecord, error) {
 	}
 	defer jw.Close()
 	env, err := json.Marshal(wire.JobEnvelope{
-		V:          wire.JobEnvelopeVersion,
-		TotalUnits: benchNTest,
-		Request:    json.RawMessage(`{"algorithm":"exact","k":5,"trainRef":"svbench","testRef":"svbench"}`),
+		V:       wire.JobEnvelopeVersion,
+		Request: json.RawMessage(`{"algorithm":"exact","k":5,"trainRef":"svbench","testRef":"svbench"}`),
 	})
 	if err != nil {
 		return benchRecord{}, err

@@ -30,7 +30,7 @@
 //	POST   /value            — submit-and-wait convenience wrapper
 //	GET    /methods          — discover the served methods + param schemas
 //	GET    /healthz          — liveness probe
-//	GET    /statz            — job-manager and registry counters
+//	GET    /statz            — job-manager, registry, planner and rank-cache counters
 //	GET    /metrics          — the same counters in Prometheus text format
 //	GET    /cluster/statz    — coordinator/worker cluster counters
 //	POST   /shard/jobs       — enqueue one shard sub-job (cluster internal)
@@ -246,6 +246,18 @@
 // On SIGINT/SIGTERM the server stops accepting connections, drains in-flight
 // HTTP requests for -drain-timeout, then shuts the job manager down
 // (canceling still-running jobs) and exits.
+//
+// # Counters
+//
+// GET /statz, GET /cluster/statz and GET /metrics render the same values.
+// Each counter is declared once, as a field of the Stats type of the
+// package that keeps it (jobs.Stats, registry.Stats, registry.IndexStats,
+// planner.Stats, cluster.IncrementalStats, cluster.RankCacheStats and
+// wire.ClusterStatz with its wire.PeerStatus rows): the json tag names its
+// /statz key, the prom tag its Prometheus series and help. A field without a
+// prom tag (the budgets, the rank cache's puts) stays off /metrics. Every
+// family carries HELP and TYPE lines, and a name ending in _total is a
+// counter.
 package main
 
 import (
@@ -260,6 +272,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -706,165 +720,129 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, `{"status":"ok"}`)
 }
 
-func (s *server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	st := s.mgr.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"jobs": st.Jobs, "queued": st.Queued, "running": st.Running,
-		"cacheHits": st.CacheHits, "runs": st.Runs,
-		"valuerBuilds":  st.ValuerBuilds,
-		"replayed":      st.Replayed,
-		"restored":      st.Restored,
-		"reportEntries": st.ReportEntries, "valuerEntries": st.ValuerEntries,
-		"registry":    registryStats(s.reg.Stats()),
-		"indexes":     indexStoreStats(s.indexes.Stats()),
-		"planner":     plannerStats(planner.Counters()),
-		"incremental": s.inc.Stats(),
-		"rankCache":   s.inc.Cache().Stats(),
-	})
+// statzResponse is the body of GET /statz: the job manager's counters at the
+// top level and one block per subsystem, each declared as the package
+// comment's Counters section describes.
+type statzResponse struct {
+	jobs.Stats
+	Registry    registry.Stats           `json:"registry"`
+	Indexes     registry.IndexStats      `json:"indexes"`
+	Planner     planner.Stats            `json:"planner"`
+	Incremental cluster.IncrementalStats `json:"incremental"`
+	RankCache   cluster.RankCacheStats   `json:"rankCache"`
 }
 
-// indexStoreStats maps the index-store counters onto the wire type.
-func indexStoreStats(st registry.IndexStats) wire.IndexStoreStats {
-	return wire.IndexStoreStats{
-		Indexes:    st.Indexes,
-		DiskBytes:  st.DiskBytes,
-		DiskBudget: st.DiskBudget,
-		Saves:      st.Saves,
-		Loads:      st.Loads,
-		Misses:     st.Misses,
-		Reclaims:   st.Reclaims,
-		Deletes:    st.Deletes,
-		Corrupt:    st.Corrupt,
+func (s *server) statz() statzResponse {
+	return statzResponse{
+		Stats:       s.mgr.Stats(),
+		Registry:    s.reg.Stats(),
+		Indexes:     s.indexes.Stats(),
+		Planner:     planner.Counters(),
+		Incremental: s.inc.Stats(),
+		RankCache:   s.inc.Cache().Stats(),
 	}
 }
 
-// plannerStats maps the algo=auto planner counters onto the wire type.
-func plannerStats(st planner.Stats) wire.PlannerStats {
-	return wire.PlannerStats{
-		Plans:        st.Plans,
-		Picks:        st.Picks,
-		Fallbacks:    st.Fallbacks,
-		Extrapolated: st.Extrapolated,
-	}
-}
-
-// handleClusterStatz is GET /cluster/statz: on a coordinator, peer health
-// and the scatter counters; on a plain worker, just its shard-job count.
-func (s *server) handleClusterStatz(w http.ResponseWriter, r *http.Request) {
-	st := wire.ClusterStatz{}
+// clusterStatz is the body of GET /cluster/statz: on a coordinator, peer
+// health and the scatter counters; on a plain worker, its shard-job count
+// with the coordinator counters at 0.
+func (s *server) clusterStatz() wire.ClusterStatz {
+	var st wire.ClusterStatz
 	if s.coord != nil {
 		st = s.coord.Statz()
-		st.Fallbacks = s.fallbacks.Load()
 	}
+	st.Fallbacks = s.fallbacks.Load()
 	st.ShardJobs = s.worker.ShardJobs()
-	writeJSON(w, http.StatusOK, st)
+	return st
+}
+
+func (s *server) handleStatz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.statz())
+}
+
+func (s *server) handleClusterStatz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.clusterStatz())
 }
 
 // handleMetrics is GET /metrics: the /statz and /cluster/statz counters in
-// the Prometheus text exposition format, hand-rendered — the counters
-// already exist, only the spelling changes, and a client dependency for
-// twenty gauge lines would be the heavier artifact.
+// the Prometheus text exposition format, rendered from the same values by
+// writeMetrics. Every family carries its HELP and TYPE lines.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
-	js := s.mgr.Stats()
-	gauge("svserver_jobs_retained", "Jobs currently retained (any state).", js.Jobs)
-	gauge("svserver_jobs_queued", "Jobs waiting to run.", js.Queued)
-	gauge("svserver_jobs_running", "Jobs currently executing.", js.Running)
-	counter("svserver_job_cache_hits_total", "Jobs served from the result cache.", js.CacheHits)
-	counter("svserver_job_runs_total", "Valuation executions.", js.Runs)
-	counter("svserver_valuer_builds_total", "Valuer sessions constructed.", js.ValuerBuilds)
-	counter("svserver_jobs_replayed_total", "Journal-replayed jobs re-submitted after a restart.", js.Replayed)
-	counter("svserver_jobs_restored_total", "Journal-replayed terminal jobs restored as history.", js.Restored)
-	gauge("svserver_report_cache_entries", "Result-cache occupancy.", js.ReportEntries)
-	gauge("svserver_valuer_cache_entries", "Session-cache occupancy.", js.ValuerEntries)
-	rs := s.reg.Stats()
-	gauge("svserver_registry_datasets", "Datasets stored.", rs.Datasets)
-	gauge("svserver_registry_resident", "Datasets decoded in memory.", rs.Resident)
-	gauge("svserver_registry_mem_bytes", "Bytes of decoded datasets resident.", rs.MemBytes)
-	gauge("svserver_registry_disk_bytes", "Bytes of datasets on disk.", rs.DiskBytes)
-	counter("svserver_registry_hits_total", "Registry lookups served from memory.", rs.Hits)
-	counter("svserver_registry_misses_total", "Registry lookups that missed memory.", rs.Misses)
-	counter("svserver_registry_loads_total", "Datasets reloaded from disk.", rs.Loads)
-	counter("svserver_registry_evictions_total", "Datasets evicted from memory.", rs.Evictions)
-	counter("svserver_registry_puts_total", "Dataset uploads stored.", rs.Puts)
-	counter("svserver_registry_reuploads_total", "Idempotent re-uploads.", rs.Reuploads)
-	counter("svserver_registry_deletes_total", "Dataset deletions.", rs.Deletes)
-	counter("svserver_registry_reclaims_total", "Disk-budget reclaims.", rs.Reclaims)
-	counter("svserver_registry_deltas_total", "Versioned datasets minted by delta application.", rs.Deltas)
-	ix := s.indexes.Stats()
-	gauge("svserver_index_store_indexes", "Persisted ANN indexes stored.", ix.Indexes)
-	gauge("svserver_index_store_disk_bytes", "Bytes of persisted ANN indexes on disk.", ix.DiskBytes)
-	counter("svserver_index_store_saves_total", "ANN indexes persisted.", ix.Saves)
-	counter("svserver_index_store_loads_total", "ANN indexes reloaded instead of rebuilt.", ix.Loads)
-	counter("svserver_index_store_misses_total", "Index lookups that found nothing.", ix.Misses)
-	counter("svserver_index_store_reclaims_total", "Indexes reclaimed by the disk budget.", ix.Reclaims)
-	counter("svserver_index_store_deletes_total", "Indexes deleted (dataset cascade included).", ix.Deletes)
-	counter("svserver_index_store_corrupt_total", "Index containers that failed verification and were dropped.", ix.Corrupt)
-	ps := planner.Counters()
-	counter("svserver_planner_plans_total", "algo=auto planning decisions made.", ps.Plans)
-	counter("svserver_planner_fallbacks_total", "Planner decisions that fell back to exact within the uncertainty margin.", ps.Fallbacks)
-	counter("svserver_planner_extrapolated_total", "Planner decisions outside the calibration hull.", ps.Extrapolated)
-	for _, m := range []string{"exact", "truncated", "montecarlo", "lsh", "kd"} {
-		fmt.Fprintf(&b, "svserver_planner_picks_total{method=%q} %d\n", m, ps.Picks[m])
-	}
-	is := s.inc.Stats()
-	counter("svserver_incremental_fromscratch_total", "Neighbor rankings built by a full scan.", is.FromScratch)
-	counter("svserver_incremental_patches_total", "Neighbor rankings derived by an O(ΔN) append patch.", is.Patches)
-	counter("svserver_incremental_removals_total", "Neighbor rankings derived by a removal remap.", is.Removals)
-	counter("svserver_incremental_replays_total", "Valuations replayed from cached rankings.", is.Replays)
-	rcs := s.inc.Cache().Stats()
-	gauge("svserver_rank_cache_entries", "Cached neighbor-ranking entries.", rcs.Entries)
-	gauge("svserver_rank_cache_bytes", "Bytes of cached neighbor rankings.", rcs.Bytes)
-	counter("svserver_rank_cache_hits_total", "Rank-cache lookups served.", rcs.Hits)
-	counter("svserver_rank_cache_misses_total", "Rank-cache lookups missed.", rcs.Misses)
-	counter("svserver_rank_cache_evictions_total", "Rank-cache entries evicted by the byte budget.", rcs.Evictions)
-	counter("svserver_shard_jobs_total", "Cluster shard sub-jobs accepted by this worker.", s.worker.ShardJobs())
-	if s.coord != nil {
-		cs := s.coord.Statz()
-		counter("svserver_cluster_valuations_total", "Valuations completed via scatter-gather.", cs.Valuations)
-		counter("svserver_cluster_reassignments_total", "Shards reassigned to a replica after a peer failure.", cs.Reassignments)
-		counter("svserver_cluster_fallbacks_total", "Valuations degraded to local execution (no healthy peers).", s.fallbacks.Load())
-		counter("svserver_cluster_wire_bytes_total", "Shard-report bytes gathered from peers.", s.coord.BytesOnWire())
-		for _, p := range cs.Peers {
-			h := 0
-			if p.Healthy {
-				h = 1
-			}
-			fmt.Fprintf(&b, "svserver_cluster_peer_healthy{peer=%q} %d\n", p.URL, h)
-			fmt.Fprintf(&b, "svserver_cluster_peer_shards_total{peer=%q} %d\n", p.URL, p.Shards)
-			fmt.Fprintf(&b, "svserver_cluster_peer_failures_total{peer=%q} %d\n", p.URL, p.Failures)
-			fmt.Fprintf(&b, "svserver_cluster_peer_retries_total{peer=%q} %d\n", p.URL, p.Retries)
-		}
-	}
+	writeMetrics(&b, reflect.ValueOf(s.statz()))
+	writeMetrics(&b, reflect.ValueOf(s.clusterStatz()))
 	fmt.Fprint(w, b.String())
 }
 
-// registryStats maps the registry counters onto the wire type.
-func registryStats(st registry.Stats) wire.RegistryStats {
-	return wire.RegistryStats{
-		Datasets:   st.Datasets,
-		Resident:   st.Resident,
-		MemBytes:   st.MemBytes,
-		DiskBytes:  st.DiskBytes,
-		MemBudget:  st.MemBudget,
-		DiskBudget: st.DiskBudget,
-		Hits:       st.Hits,
-		Misses:     st.Misses,
-		Loads:      st.Loads,
-		Evictions:  st.Evictions,
-		Puts:       st.Puts,
-		Reuploads:  st.Reuploads,
-		Deletes:    st.Deletes,
-		Reclaims:   st.Reclaims,
-		Deltas:     st.Deltas,
+// writeMetrics renders the prom-tagged fields of the struct v, walking
+// embedded and nested structs in field order; untagged fields stay off the
+// page. A tag reads "name,help". A map[string]int64 tagged
+// "name{label},help" is one family with a sample per key. A slice of
+// structs gives one family per tagged field of its element, each sample
+// labelled by the element's field tagged "{label}".
+func writeMetrics(b *strings.Builder, v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f, tag := v.Field(i), v.Type().Field(i).Tag.Get("prom")
+		switch f.Kind() {
+		case reflect.Struct:
+			writeMetrics(b, f)
+		case reflect.Slice:
+			for j := 0; j < f.Type().Elem().NumField(); j++ {
+				writeFamily(b, f.Type().Elem().Field(j).Tag.Get("prom"), f.Len(), func(k int) (string, reflect.Value) {
+					return labelSet(f.Index(k)), f.Index(k).Field(j)
+				})
+			}
+		case reflect.Map:
+			keys := f.MapKeys()
+			sort.Slice(keys, func(a, c int) bool { return keys[a].String() < keys[c].String() })
+			name, _, _ := strings.Cut(tag, ",")
+			_, label, _ := strings.Cut(strings.TrimSuffix(name, "}"), "{")
+			writeFamily(b, tag, len(keys), func(k int) (string, reflect.Value) {
+				return fmt.Sprintf("{%s=%q}", label, keys[k].String()), f.MapIndex(keys[k])
+			})
+		default:
+			writeFamily(b, tag, 1, func(int) (string, reflect.Value) { return "", f })
+		}
 	}
+}
+
+// writeFamily writes the HELP and TYPE lines of the family a tag declares
+// (a name ending in _total is a counter, any other a gauge) and its n
+// samples, a bool reading 1 or 0. An empty family, and a field that is
+// untagged or only a label, write nothing.
+func writeFamily(b *strings.Builder, tag string, n int, sample func(int) (labels string, v reflect.Value)) {
+	if tag == "" || tag[0] == '{' || n == 0 {
+		return
+	}
+	name, help, _ := strings.Cut(tag, ",")
+	name, _, _ = strings.Cut(name, "{")
+	typ := "gauge"
+	if strings.HasSuffix(name, "_total") {
+		typ = "counter"
+	}
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for k := 0; k < n; k++ {
+		labels, v := sample(k)
+		x := v.Interface()
+		if on, ok := x.(bool); ok {
+			x = 0
+			if on {
+				x = 1
+			}
+		}
+		fmt.Fprintf(b, "%s%s %v\n", name, labels, x)
+	}
+}
+
+// labelSet renders the field of the struct v tagged "{label}" as a label set.
+func labelSet(v reflect.Value) string {
+	for i := 0; i < v.NumField(); i++ {
+		if l, ok := strings.CutPrefix(v.Type().Field(i).Tag.Get("prom"), "{"); ok {
+			return fmt.Sprintf("{%s=%q}", strings.TrimSuffix(l, "}"), v.Field(i).String())
+		}
+	}
+	return ""
 }
 
 // datasetInfo maps one registry entry onto the wire type, attaching the
@@ -1633,7 +1611,7 @@ func (s *server) buildSpec(req *valueRequest) (*jobs.Spec, int, error) {
 			algorithm: p.Name(), trainN: train.N(),
 			trainRef: trainH.ID(), testRef: testH.ID(),
 		},
-		Envelope: s.specEnvelope(req, p, cacheKey, trainH.ID(), testH.ID(), train.N(), test.N()),
+		Envelope: s.specEnvelope(req, p, trainH.ID(), testH.ID()),
 		OnFinish: release,
 	}, http.StatusOK, nil
 }
@@ -1645,7 +1623,7 @@ func (s *server) buildSpec(req *valueRequest) (*jobs.Spec, int, error) {
 // versioned wire.JobEnvelope. Returns nil when the server runs without a
 // journal or the request cannot be serialized (the job is then memory-only,
 // which degrades durability, never submission).
-func (s *server) specEnvelope(req *valueRequest, p knnshapley.Method, cacheKey, trainID, testID string, trainN, testN int) []byte {
+func (s *server) specEnvelope(req *valueRequest, p knnshapley.Method, trainID, testID string) []byte {
 	if s.journal == nil {
 		return nil
 	}
@@ -1658,17 +1636,7 @@ func (s *server) specEnvelope(req *valueRequest, p knnshapley.Method, cacheKey, 
 		log.Printf("svserver: journal: serialize request: %v", err)
 		return nil
 	}
-	metaJSON, _ := json.Marshal(map[string]any{
-		"algorithm": p.Name(), "trainN": trainN,
-		"trainRef": trainID, "testRef": testID,
-	})
-	env, err := json.Marshal(wire.JobEnvelope{
-		V:          wire.JobEnvelopeVersion,
-		CacheKey:   cacheKey,
-		TotalUnits: testN,
-		Request:    reqJSON,
-		Meta:       metaJSON,
-	})
+	env, err := json.Marshal(wire.JobEnvelope{V: wire.JobEnvelopeVersion, Request: reqJSON})
 	if err != nil {
 		log.Printf("svserver: journal: serialize envelope: %v", err)
 		return nil

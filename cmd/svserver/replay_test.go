@@ -60,19 +60,16 @@ func uploadTestData(t *testing.T, dir string) (trainRef, testRef string, baselin
 	return trainRef, testRef, resp.Values
 }
 
-// envelope builds the journaled spec envelope for a by-ref exact request.
+// envelope builds the journaled spec envelope for a by-ref exact request in
+// the shape older writers journaled: besides v and request it carries the
+// cacheKey, totalUnits and meta keys that current writers no longer emit,
+// so every replay test also proves those envelopes still replay.
 func envelope(t *testing.T, trainRef, testRef string) []byte {
 	t.Helper()
-	reqJSON := fmt.Sprintf(`{"algorithm":"exact","k":2,"trainRef":%q,"testRef":%q}`, trainRef, testRef)
-	env, err := json.Marshal(wire.JobEnvelope{
-		V:          wire.JobEnvelopeVersion,
-		TotalUnits: 2,
-		Request:    json.RawMessage(reqJSON),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
+	return []byte(fmt.Sprintf(`{"v":%d,"cacheKey":"%s|%s|exact|k=2|metric=|precision=float64|","totalUnits":2,`+
+		`"request":{"algorithm":"exact","k":2,"trainRef":%q,"testRef":%q},`+
+		`"meta":{"algorithm":"exact","trainN":6,"trainRef":%q,"testRef":%q}}`,
+		wire.JobEnvelopeVersion, trainRef, testRef, trainRef, testRef, trainRef, testRef))
 }
 
 // A job journaled as submitted (and one as running) before a crash is

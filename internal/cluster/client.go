@@ -57,10 +57,10 @@ type peer struct {
 // (healthyPeers runs one when no peer is verified yet), so a cluster whose
 // peers are all unreachable degrades to ErrNoPeers immediately instead of
 // burning a retry budget against dead sockets.
-func newPeer(url string, hc *http.Client, inflight int, noGzip bool) *peer {
+func newPeer(url string, hc *http.Client, noGzip bool) *peer {
 	p := &peer{url: strings.TrimRight(url, "/"), hc: hc, noGzip: noGzip,
-		tokens: make(chan struct{}, inflight)}
-	for i := 0; i < inflight; i++ {
+		tokens: make(chan struct{}, maxInFlight)}
+	for i := 0; i < maxInFlight; i++ {
 		p.tokens <- struct{}{}
 	}
 	return p

@@ -20,6 +20,14 @@ import (
 	"knnshapley/internal/wire"
 )
 
+const (
+	// maxInFlight bounds concurrent sub-jobs per peer, matching the job
+	// manager's default worker count.
+	maxInFlight = 2
+	// shardRetries is the per-shard attempt budget beyond one try per owner.
+	shardRetries = 3
+)
+
 // ErrNoPeers reports that no peer was healthy when a scatter started. The
 // serving layer maps it to the degraded single-node fallback: the valuation
 // still answers, just without fan-out.
@@ -33,18 +41,11 @@ type Config struct {
 	// pushed to, so a failed primary can be replaced without re-shipping
 	// data (default 2, capped at len(Peers)).
 	Replicas int
-	// MaxInFlight bounds concurrent sub-jobs per peer (default 2, matching
-	// the job manager's default worker count).
-	MaxInFlight int
-	// Retries is the per-shard attempt budget across owners (default 3).
-	Retries int
 	// Backoff is the base delay between attempts, doubled per retry
 	// (default 50ms).
 	Backoff time.Duration
 	// PollInterval is the sub-job status poll period (default 20ms).
 	PollInterval time.Duration
-	// VNodes is the virtual nodes per peer on the ring (default 64).
-	VNodes int
 	// HealthInterval is the background peer probe period (default 5s);
 	// negative disables background probing (probes then happen only on
 	// demand, at scatter start over peers marked down).
@@ -60,12 +61,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2
-	}
-	if c.Retries <= 0 {
-		c.Retries = 3
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
@@ -134,12 +129,12 @@ func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Peers, cfg.VNodes),
+		ring:   NewRing(cfg.Peers),
 		peers:  make(map[string]*peer, len(cfg.Peers)),
 		stopCh: make(chan struct{}),
 	}
 	for _, u := range cfg.Peers {
-		p := newPeer(u, cfg.Client, cfg.MaxInFlight, cfg.DisableReportGzip)
+		p := newPeer(u, cfg.Client, cfg.DisableReportGzip)
 		c.peers[p.url] = p
 		c.order = append(c.order, p)
 	}
@@ -216,6 +211,7 @@ func (c *Coordinator) Statz() wire.ClusterStatz {
 		Coordinator:   true,
 		Valuations:    c.valuations.Load(),
 		Reassignments: c.reassignments.Load(),
+		WireBytes:     c.bytesIn.Load(),
 	}
 	for _, p := range c.order {
 		st.Peers = append(st.Peers, p.status())
@@ -496,7 +492,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh *shard, req *Request, onP
 		}
 	}()
 	owner := 0
-	for attempt := 0; attempt < c.cfg.Retries+len(sh.owners); attempt++ {
+	for attempt := 0; attempt < shardRetries+len(sh.owners); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -351,15 +351,17 @@ type LineageSource interface {
 	LineageOf(id string) (registry.Lineage, bool)
 }
 
-// IncrementalStats snapshots the orchestrator counters: FromScratch counts
-// full rank-cache builds, Patches counts O(ΔN) lineage patches, Removals the
-// O(N) compactions inside those patches, Replays every valuation served off
-// a cache entry (including the one right after a build).
+// IncrementalStats snapshots the orchestrator counters, the "incremental"
+// block of svserver's /statz and, under its prom names, of /metrics:
+// FromScratch counts full rank-cache builds, Patches counts O(ΔN) lineage
+// patches, Removals the O(N) compactions inside those patches, Replays
+// every valuation served off a cache entry (including the one right after
+// a build).
 type IncrementalStats struct {
-	FromScratch int64 `json:"from_scratch"`
-	Patches     int64 `json:"patches"`
-	Removals    int64 `json:"removals"`
-	Replays     int64 `json:"replays"`
+	FromScratch int64 `json:"from_scratch" prom:"svserver_incremental_fromscratch_total,Neighbor rankings built by a full scan."`
+	Patches     int64 `json:"patches" prom:"svserver_incremental_patches_total,Neighbor rankings derived by an O(ΔN) append patch."`
+	Removals    int64 `json:"removals" prom:"svserver_incremental_removals_total,Neighbor rankings derived by a removal remap."`
+	Replays     int64 `json:"replays" prom:"svserver_incremental_replays_total,Valuations replayed from cached rankings."`
 }
 
 // Incremental serves valuations from the neighbor-rank cache, building

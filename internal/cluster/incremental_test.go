@@ -380,6 +380,24 @@ func TestIncrementalFallsBackWithoutParent(t *testing.T) {
 	if st := inc.Stats(); st.FromScratch != 1 || st.Patches != 0 {
 		t.Fatalf("orphan child stats %+v", st)
 	}
+
+	// A negative budget disables caching: the parent, the child and the
+	// parent again are each a from-scratch build, with the same values.
+	off := NewIncremental(NewRankCache(-1), reg)
+	for i, r := range []Request{
+		{Train: parent, Test: test, TrainID: parentID, Method: "exact", K: 5},
+		{Train: child, Test: test, TrainID: ch.ID(), Method: "exact", K: 5},
+		{Train: parent, Test: test, TrainID: parentID, Method: "exact", K: 5},
+	} {
+		got, err := off.Values(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameValueBits(t, singleNodeValues(t, r.Train, test, 5, "exact", 0), got, "uncached")
+		if st := off.Stats(); st.FromScratch != int64(i+1) || st.Patches != 0 {
+			t.Fatalf("uncached valuation %d stats %+v, want only from-scratch builds", i, st)
+		}
+	}
 }
 
 func TestRankCacheLRUAndStats(t *testing.T) {
@@ -411,6 +429,18 @@ func TestRankCacheLRUAndStats(t *testing.T) {
 	c.Put("huge", mk(1000))
 	if c.Get("huge") != nil {
 		t.Fatal("oversized entry retained")
+	}
+	// A negative budget keeps nothing; only 0 selects the default.
+	off := NewRankCache(-1)
+	off.Put("a", mk(0))
+	if off.Get("a") != nil {
+		t.Fatal("negative-budget cache retained an entry")
+	}
+	if st := off.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Budget != -1 {
+		t.Fatalf("negative-budget stats %+v", st)
+	}
+	if b := NewRankCache(0).Stats().Budget; b != DefaultRankCacheBudget {
+		t.Fatalf("zero budget = %d, want the default %d", b, DefaultRankCacheBudget)
 	}
 	if got := NewRankKey("t1", "t2", 5, "", ""); got != NewRankKey("t1", "t2", 5, "l2", "float64") {
 		t.Fatalf("default normalization broken: %q", got)

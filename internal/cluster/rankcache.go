@@ -32,14 +32,16 @@ func NewRankKey(trainID, testID string, k int, metric, precision string) RankKey
 	return RankKey(fmt.Sprintf("%s|%s|k=%d|%s|%s", trainID, testID, k, metric, precision))
 }
 
-// RankCacheStats snapshots the cache counters for /statz and /metrics.
+// RankCacheStats snapshots the cache counters: the "rankCache" block of
+// svserver's /statz and, under the prom names whose help says what each
+// counts, of /metrics. Puts and Budget stay off /metrics.
 type RankCacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
+	Hits      int64 `json:"hits" prom:"svserver_rank_cache_hits_total,Rank-cache lookups served."`
+	Misses    int64 `json:"misses" prom:"svserver_rank_cache_misses_total,Rank-cache lookups missed."`
 	Puts      int64 `json:"puts"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
+	Evictions int64 `json:"evictions" prom:"svserver_rank_cache_evictions_total,Rank-cache entries evicted by the byte budget."`
+	Entries   int   `json:"entries" prom:"svserver_rank_cache_entries,Cached neighbor-ranking entries."`
+	Bytes     int64 `json:"bytes" prom:"svserver_rank_cache_bytes,Bytes of cached neighbor rankings."`
 	Budget    int64 `json:"budget"`
 }
 
@@ -54,7 +56,7 @@ type RankCache struct {
 	ll     *list.List // front = most recently used
 	items  map[RankKey]*list.Element
 
-	hits, misses, puts, evictions int64
+	st RankCacheStats // the counters; Stats fills in the gauges
 }
 
 type rankItem struct {
@@ -62,10 +64,11 @@ type rankItem struct {
 	entry *RankEntry
 }
 
-// NewRankCache builds a cache with the given byte budget; non-positive
-// selects DefaultRankCacheBudget.
+// NewRankCache builds a cache with the given byte budget; 0 selects
+// DefaultRankCacheBudget, and a negative budget keeps nothing (Put refuses
+// every entry larger than the budget), so every valuation rescans.
 func NewRankCache(budget int64) *RankCache {
-	if budget <= 0 {
+	if budget == 0 {
 		budget = DefaultRankCacheBudget
 	}
 	return &RankCache{
@@ -81,10 +84,10 @@ func (c *RankCache) Get(key RankKey) *RankEntry {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		c.st.Misses++
 		return nil
 	}
-	c.hits++
+	c.st.Hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*rankItem).entry
 }
@@ -99,7 +102,7 @@ func (c *RankCache) Put(key RankKey, e *RankEntry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.puts++
+	c.st.Puts++
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*rankItem)
 		c.bytes += e.Bytes() - it.entry.Bytes()
@@ -117,7 +120,7 @@ func (c *RankCache) Put(key RankKey, e *RankEntry) {
 		c.ll.Remove(back)
 		delete(c.items, it.key)
 		c.bytes -= it.entry.Bytes()
-		c.evictions++
+		c.st.Evictions++
 	}
 }
 
@@ -125,13 +128,7 @@ func (c *RankCache) Put(key RankKey, e *RankEntry) {
 func (c *RankCache) Stats() RankCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return RankCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Puts:      c.puts,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
-		Budget:    c.budget,
-	}
+	st := c.st
+	st.Entries, st.Bytes, st.Budget = c.ll.Len(), c.bytes, c.budget
+	return st
 }

@@ -21,12 +21,12 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is how many virtual nodes each peer contributes to the ring
-// when Config.VNodes is zero. More virtual nodes smooth the key distribution
-// across peers at the cost of a larger (still tiny) sorted point table.
+// DefaultVNodes is how many virtual nodes each peer contributes to the ring.
+// More virtual nodes smooth the key distribution across peers at the cost
+// of a larger (still tiny) sorted point table.
 const DefaultVNodes = 64
 
-// Ring is a consistent-hash ring over peer URLs: each peer owns VNodes
+// Ring is a consistent-hash ring over peer URLs: each peer owns DefaultVNodes
 // pseudo-random points on a 64-bit circle, and a key belongs to the first
 // point at or clockwise of its hash. Ties between points (distinct peers
 // hashing onto the same position) are broken per key by highest rendezvous
@@ -65,17 +65,14 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// NewRing builds a ring over peers with vnodes virtual nodes per peer
-// (0 selects DefaultVNodes). Peer order does not matter: placement depends
-// only on the peer strings themselves.
-func NewRing(peers []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring over peers with DefaultVNodes virtual nodes per
+// peer. Peer order does not matter: placement depends only on the peer
+// strings themselves.
+func NewRing(peers []string) *Ring {
 	r := &Ring{peers: append([]string(nil), peers...)}
-	r.points = make([]ringPoint, 0, len(peers)*vnodes)
+	r.points = make([]ringPoint, 0, len(peers)*DefaultVNodes)
 	for pi, p := range r.peers {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: hash64(fmt.Sprintf("%s#%d", p, v)),
 				peer: pi,

@@ -15,10 +15,10 @@ func ringPeers(n int) []string {
 
 func TestRingDeterminism(t *testing.T) {
 	peers := ringPeers(5)
-	a := NewRing(peers, 0)
+	a := NewRing(peers)
 	// Same members in a different order must place every key identically.
 	shuffled := []string{peers[3], peers[0], peers[4], peers[2], peers[1]}
-	b := NewRing(shuffled, 0)
+	b := NewRing(shuffled)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15)
 		if a.Owner(key) != b.Owner(key) {
@@ -28,7 +28,7 @@ func TestRingDeterminism(t *testing.T) {
 }
 
 func TestRingOwnersDistinct(t *testing.T) {
-	r := NewRing(ringPeers(4), 0)
+	r := NewRing(ringPeers(4))
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		owners := r.OwnersN(key, 3)
@@ -46,14 +46,14 @@ func TestRingOwnersDistinct(t *testing.T) {
 }
 
 func TestRingOwnersNClamped(t *testing.T) {
-	r := NewRing(ringPeers(2), 0)
+	r := NewRing(ringPeers(2))
 	if got := r.OwnersN("k", 5); len(got) != 2 {
 		t.Fatalf("OwnersN(5) over 2 peers = %v, want both peers", got)
 	}
 	if got := r.OwnersN("k", 0); got != nil {
 		t.Fatalf("OwnersN(0) = %v, want nil", got)
 	}
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
@@ -63,9 +63,9 @@ func TestRingOwnersNClamped(t *testing.T) {
 // moves only the keys that peer owned; every other key keeps its owner.
 func TestRingStability(t *testing.T) {
 	peers := ringPeers(6)
-	full := NewRing(peers, 0)
+	full := NewRing(peers)
 	removed := peers[2]
-	smaller := NewRing(append(append([]string(nil), peers[:2]...), peers[3:]...), 0)
+	smaller := NewRing(append(append([]string(nil), peers[:2]...), peers[3:]...))
 	moved := 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("shard-%d", i)
@@ -90,7 +90,7 @@ func TestRingStability(t *testing.T) {
 // five should own more than half of 5000 keys.
 func TestRingBalance(t *testing.T) {
 	peers := ringPeers(5)
-	r := NewRing(peers, 0)
+	r := NewRing(peers)
 	counts := map[string]int{}
 	const keys = 5000
 	for i := 0; i < keys; i++ {

@@ -731,22 +731,21 @@ func (m *Manager) Valuer(key string, build func() (*knnshapley.Valuer, error)) (
 	return e.v, e.err
 }
 
-// Stats is a point-in-time view of the manager's counters, primarily for
-// tests and observability endpoints.
+// Stats is a point-in-time view of the manager's counters: the top level of
+// svserver's /statz and, under the prom names whose help says what each
+// counts, of /metrics. Runs counts Spec.Run invocations only: RunAny jobs
+// (deltas, index builds, shard sub-jobs) are not valuations.
 type Stats struct {
-	// Jobs counts retained jobs (any state); Queued and Running break out
-	// the live ones.
-	Jobs, Queued, Running int
-	// CacheHits counts jobs served from the result cache; Runs counts
-	// Spec.Run invocations (the engine actually executing).
-	CacheHits, Runs int64
-	// ValuerBuilds counts sessions constructed (cache misses of Valuer).
-	ValuerBuilds int64
-	// Replayed counts journal-replayed jobs re-submitted to run again;
-	// Restored counts journal-replayed terminal jobs kept as history.
-	Replayed, Restored int64
-	// ReportEntries and ValuerEntries are current cache occupancies.
-	ReportEntries, ValuerEntries int
+	Jobs          int   `json:"jobs" prom:"svserver_jobs_retained,Jobs currently retained (any state)."`
+	Queued        int   `json:"queued" prom:"svserver_jobs_queued,Jobs waiting to run."`
+	Running       int   `json:"running" prom:"svserver_jobs_running,Jobs currently executing."`
+	CacheHits     int64 `json:"cacheHits" prom:"svserver_job_cache_hits_total,Jobs served from the result cache."`
+	Runs          int64 `json:"runs" prom:"svserver_job_runs_total,Valuation executions."`
+	ValuerBuilds  int64 `json:"valuerBuilds" prom:"svserver_valuer_builds_total,Valuer sessions constructed."`
+	Replayed      int64 `json:"replayed" prom:"svserver_jobs_replayed_total,Journal-replayed jobs re-submitted after a restart."`
+	Restored      int64 `json:"restored" prom:"svserver_jobs_restored_total,Journal-replayed terminal jobs restored as history."`
+	ReportEntries int   `json:"reportEntries" prom:"svserver_report_cache_entries,Result-cache occupancy."`
+	ValuerEntries int   `json:"valuerEntries" prom:"svserver_valuer_cache_entries,Session-cache occupancy."`
 }
 
 // Stats returns current counters.
@@ -834,13 +833,13 @@ func (m *Manager) runJob(job *Job) {
 	if m.journaled(job) {
 		m.cfg.Journal.Running(job.id, started)
 	}
-	m.runs.Add(1)
 	runCtx := knnshapley.ContextWithProgress(ctx, job.observe)
 	var rep *knnshapley.Report
 	var val any
 	var err error
 	switch {
 	case job.spec.Run != nil:
+		m.runs.Add(1)
 		rep, err = job.spec.Run(runCtx)
 	case job.spec.RunAny != nil:
 		val, err = job.spec.RunAny(runCtx)

@@ -170,6 +170,16 @@ func TestResultCacheHit(t *testing.T) {
 	if st := m.Stats(); st.Runs != 1 || st.CacheHits != 1 {
 		t.Fatalf("stats runs=%d hits=%d, want 1 and 1", st.Runs, st.CacheHits)
 	}
+	// A RunAny job (a delta, an index build, a shard) is not a valuation
+	// and leaves Runs alone.
+	other, err := m.Submit(Spec{RunAny: func(ctx context.Context) (any, error) { return 1, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-other.Done()
+	if st := m.Stats(); st.Runs != 1 {
+		t.Fatalf("stats runs=%d after a RunAny job, want 1", st.Runs)
+	}
 }
 
 // Canceling a queued job terminates it without it ever holding a worker,

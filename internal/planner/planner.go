@@ -9,6 +9,7 @@ package planner
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -355,35 +356,34 @@ func fmtNs(ns float64) string {
 	return time.Duration(ns).Round(10 * time.Microsecond).String()
 }
 
-// Stats is a snapshot of the planner's decision counters.
+// Stats is a snapshot of the planner's decision counters: the "planner"
+// block of svserver's /statz and, under the prom names whose help says what
+// each counts, of /metrics. Picks has a key for every method the planner
+// can pick from the start, so each keeps a series while at 0.
 type Stats struct {
-	// Plans counts Plan calls; Picks how often each method was chosen;
-	// Fallbacks the uncertainty fallbacks to exact; Extrapolated the
-	// decisions made outside the calibration hull.
-	Plans        int64            `json:"plans"`
-	Picks        map[string]int64 `json:"picks"`
-	Fallbacks    int64            `json:"fallbacks"`
-	Extrapolated int64            `json:"extrapolated"`
+	Plans        int64            `json:"plans" prom:"svserver_planner_plans_total,algo=auto planning decisions made."`
+	Picks        map[string]int64 `json:"picks" prom:"svserver_planner_picks_total{method},algo=auto decisions per picked method."`
+	Fallbacks    int64            `json:"fallbacks" prom:"svserver_planner_fallbacks_total,Planner decisions that fell back to exact within the uncertainty margin."`
+	Extrapolated int64            `json:"extrapolated" prom:"svserver_planner_extrapolated_total,Planner decisions outside the calibration hull."`
 }
 
 var (
-	statsMu      sync.Mutex
-	plans        int64
-	picks        = map[string]int64{}
-	fallbacks    int64
-	extrapolated int64
+	statsMu sync.Mutex
+	stats   = Stats{Picks: map[string]int64{
+		MethodExact: 0, MethodTruncated: 0, MethodMonteCarlo: 0, MethodLSH: 0, MethodKD: 0,
+	}}
 )
 
 func record(d Decision) {
 	statsMu.Lock()
 	defer statsMu.Unlock()
-	plans++
-	picks[d.Method]++
+	stats.Plans++
+	stats.Picks[d.Method]++
 	if d.Fallback {
-		fallbacks++
+		stats.Fallbacks++
 	}
 	if d.Extrapolated {
-		extrapolated++
+		stats.Extrapolated++
 	}
 }
 
@@ -392,9 +392,7 @@ func record(d Decision) {
 func Counters() Stats {
 	statsMu.Lock()
 	defer statsMu.Unlock()
-	p := make(map[string]int64, len(picks))
-	for k, v := range picks {
-		p[k] = v
-	}
-	return Stats{Plans: plans, Picks: p, Fallbacks: fallbacks, Extrapolated: extrapolated}
+	st := stats
+	st.Picks = maps.Clone(stats.Picks)
+	return st
 }

@@ -97,7 +97,7 @@ func (r *Registry) ApplyDelta(parentID string, d Delta) (*Handle, Lineage, bool,
 	// Last writer wins when the same content is derivable several ways; any
 	// recorded edge is a valid incremental path, so the choice is free.
 	r.lineage[h.ID()] = lin
-	r.deltas++
+	r.st.Deltas++
 	r.mu.Unlock()
 	return h, lin, created, nil
 }

@@ -69,17 +69,20 @@ type IndexInfo struct {
 	CreatedAt, LastUsed time.Time
 }
 
-// IndexStats is a point-in-time view of the store's counters.
+// IndexStats is a point-in-time view of the store's counters: the "indexes"
+// block of svserver's /statz and, under the prom names whose help says what
+// each counts, of /metrics. DiskBudget echoes the bound and stays off
+// /metrics.
 type IndexStats struct {
-	// Indexes counts stored (non-deleted) indexes.
-	Indexes int
-	// DiskBytes is the current occupancy; DiskBudget echoes the bound.
-	DiskBytes, DiskBudget int64
-	// Saves counts indexes persisted, Loads successful reloads, Misses
-	// lookups that found nothing, Reclaims budget-pressure removals, Deletes
-	// explicit removals (dataset-cascade included), Corrupt containers that
-	// failed verification and were dropped.
-	Saves, Loads, Misses, Reclaims, Deletes, Corrupt int64
+	Indexes    int   `json:"indexes" prom:"svserver_index_store_indexes,Persisted ANN indexes stored."`
+	DiskBytes  int64 `json:"diskBytes" prom:"svserver_index_store_disk_bytes,Bytes of persisted ANN indexes on disk."`
+	DiskBudget int64 `json:"diskBudget,omitempty"`
+	Saves      int64 `json:"saves" prom:"svserver_index_store_saves_total,ANN indexes persisted."`
+	Loads      int64 `json:"loads" prom:"svserver_index_store_loads_total,ANN indexes reloaded instead of rebuilt."`
+	Misses     int64 `json:"misses" prom:"svserver_index_store_misses_total,Index lookups that found nothing."`
+	Reclaims   int64 `json:"reclaims" prom:"svserver_index_store_reclaims_total,Indexes reclaimed by the disk budget."`
+	Deletes    int64 `json:"deletes" prom:"svserver_index_store_deletes_total,Indexes deleted (dataset cascade included)."`
+	Corrupt    int64 `json:"corrupt" prom:"svserver_index_store_corrupt_total,Index containers that failed verification and were dropped."`
 }
 
 // indexEntry is one stored index; fields are guarded by IndexStore.mu.
@@ -99,7 +102,7 @@ type IndexStore struct {
 	entries   map[string]*indexEntry
 	diskBytes int64
 
-	saves, loads, misses, reclaims, deletes, corrupt int64
+	st IndexStats // the counters; Stats fills in the gauges
 }
 
 // IndexID derives the store's deterministic identifier for an index of the
@@ -142,7 +145,7 @@ func NewIndexStore(cfg IndexConfig) (*IndexStore, error) {
 		ds, kind, key, _, err := parseContainer(raw)
 		if err != nil || IndexID(ds, kind, key) != name {
 			os.Remove(path) // corrupt or renamed: it would never verify on load
-			s.corrupt++
+			s.st.Corrupt++
 			continue
 		}
 		s.entries[name] = &indexEntry{
@@ -234,7 +237,7 @@ func (s *IndexStore) Put(dataset, kind, key string, payload []byte) (IndexInfo, 
 		s.diskBytes += int64(len(raw)) - e.info.Bytes
 		e.info.Bytes = int64(len(raw))
 		e.info.LastUsed = now
-		s.saves++
+		s.st.Saves++
 		return s.statLocked(e), nil
 	}
 	e := &indexEntry{
@@ -246,7 +249,7 @@ func (s *IndexStore) Put(dataset, kind, key string, payload []byte) (IndexInfo, 
 	}
 	s.entries[id] = e
 	s.diskBytes += e.info.Bytes
-	s.saves++
+	s.st.Saves++
 	s.reclaimLocked(e)
 	return s.statLocked(e), nil
 }
@@ -270,7 +273,7 @@ func (s *IndexStore) reclaimLocked(keep *indexEntry) {
 			return
 		}
 		s.removeLocked(e)
-		s.reclaims++
+		s.st.Reclaims++
 	}
 }
 
@@ -335,7 +338,7 @@ func (s *IndexStore) Get(dataset, kind, key string) (*IndexHandle, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[id]
 	if !ok || e.deleted {
-		s.misses++
+		s.st.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
@@ -357,7 +360,7 @@ func (s *IndexStore) Get(dataset, kind, key string) (*IndexHandle, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.corrupt++
+		s.st.Corrupt++
 		e.refs--
 		if !e.deleted {
 			s.removeLocked(e)
@@ -366,7 +369,7 @@ func (s *IndexStore) Get(dataset, kind, key string) (*IndexHandle, bool) {
 		}
 		return nil, false
 	}
-	s.loads++
+	s.st.Loads++
 	return &IndexHandle{s: s, e: e, payload: payload}, true
 }
 
@@ -418,7 +421,7 @@ func (s *IndexStore) Delete(id string) error {
 		return fmt.Errorf("%w: %s", ErrIndexNotFound, id)
 	}
 	s.removeLocked(e)
-	s.deletes++
+	s.st.Deletes++
 	return nil
 }
 
@@ -432,7 +435,7 @@ func (s *IndexStore) DeleteDataset(dataset string) int {
 	for _, e := range s.entries {
 		if e.info.Dataset == dataset {
 			s.removeLocked(e)
-			s.deletes++
+			s.st.Deletes++
 			n++
 		}
 	}
@@ -443,15 +446,7 @@ func (s *IndexStore) DeleteDataset(dataset string) int {
 func (s *IndexStore) Stats() IndexStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return IndexStats{
-		Indexes:    len(s.entries),
-		DiskBytes:  s.diskBytes,
-		DiskBudget: s.cfg.DiskBudget,
-		Saves:      s.saves,
-		Loads:      s.loads,
-		Misses:     s.misses,
-		Reclaims:   s.reclaims,
-		Deletes:    s.deletes,
-		Corrupt:    s.corrupt,
-	}
+	st := s.st
+	st.Indexes, st.DiskBytes, st.DiskBudget = len(s.entries), s.diskBytes, s.cfg.DiskBudget
+	return st
 }

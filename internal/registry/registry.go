@@ -97,26 +97,26 @@ type Info struct {
 	CreatedAt time.Time
 }
 
-// Stats is a point-in-time view of the registry's counters.
+// Stats is a point-in-time view of the registry's counters: the "registry"
+// block of svserver's /statz and, under the prom names whose help says what
+// each counts, of /metrics. MemBudget and DiskBudget echo Config
+// (DiskBudget 0 = unbounded) and stay off /metrics.
 type Stats struct {
-	// Datasets counts stored (non-deleted) datasets; Resident counts those
-	// currently decoded in the memory tier.
-	Datasets, Resident int
-	// MemBytes and DiskBytes are current tier occupancies; MemBudget echoes
-	// the configured bound.
-	MemBytes, DiskBytes, MemBudget int64
-	// Hits counts Gets answered from memory, Misses Gets that had to touch
-	// disk, Loads successful disk reloads, Evictions payloads dropped from
-	// the memory tier.
-	Hits, Misses, Loads, Evictions int64
-	// Puts counts datasets stored, Reuploads idempotent re-uploads of
-	// content already held, Deletes successful Delete calls, Reclaims
-	// datasets removed by disk-budget pressure.
-	Puts, Reuploads, Deletes, Reclaims int64
-	// Deltas counts versioned datasets minted by ApplyDelta.
-	Deltas int64
-	// DiskBudget echoes the configured disk bound (0 = unbounded).
-	DiskBudget int64
+	Datasets   int   `json:"datasets" prom:"svserver_registry_datasets,Datasets stored."`
+	Resident   int   `json:"resident" prom:"svserver_registry_resident,Datasets decoded in memory."`
+	MemBytes   int64 `json:"memBytes" prom:"svserver_registry_mem_bytes,Bytes of decoded datasets resident."`
+	DiskBytes  int64 `json:"diskBytes" prom:"svserver_registry_disk_bytes,Bytes of datasets on disk."`
+	MemBudget  int64 `json:"memBudget"`
+	DiskBudget int64 `json:"diskBudget,omitempty"`
+	Hits       int64 `json:"hits" prom:"svserver_registry_hits_total,Registry lookups served from memory."`
+	Misses     int64 `json:"misses" prom:"svserver_registry_misses_total,Registry lookups that missed memory."`
+	Loads      int64 `json:"loads" prom:"svserver_registry_loads_total,Datasets reloaded from disk."`
+	Evictions  int64 `json:"evictions" prom:"svserver_registry_evictions_total,Datasets evicted from memory."`
+	Puts       int64 `json:"puts" prom:"svserver_registry_puts_total,Dataset uploads stored."`
+	Reuploads  int64 `json:"reuploads" prom:"svserver_registry_reuploads_total,Idempotent re-uploads."`
+	Deletes    int64 `json:"deletes" prom:"svserver_registry_deletes_total,Dataset deletions."`
+	Reclaims   int64 `json:"reclaims" prom:"svserver_registry_reclaims_total,Disk-budget reclaims."`
+	Deltas     int64 `json:"deltas" prom:"svserver_registry_deltas_total,Versioned datasets minted by delta application."`
 }
 
 // entry is one stored dataset. Fields are guarded by Registry.mu except
@@ -147,9 +147,7 @@ type Registry struct {
 	diskBytes int64
 	lineage   map[string]Lineage // child ID → derivation, for versioned datasets
 
-	hits, misses, loads, evictions     int64
-	puts, reuploads, deletes, reclaims int64
-	deltas                             int64
+	st Stats // the counters; Stats fills in the gauges
 }
 
 // New opens a registry. With a disk tier configured the directory is created
@@ -300,7 +298,7 @@ func (r *Registry) Put(d *dataset.Dataset) (*Handle, bool, error) {
 
 	r.mu.Lock()
 	if e, ok := r.entries[id]; ok && !e.deleted {
-		r.reuploads++
+		r.st.Reuploads++
 		e.refs++
 		e.lastUsed = r.cfg.Now()
 		// Evicted (or never loaded since a restart): the uploaded copy IS
@@ -335,7 +333,7 @@ func (r *Registry) Put(d *dataset.Dataset) (*Handle, bool, error) {
 		if tmpPath != "" {
 			os.Remove(tmpPath)
 		}
-		r.reuploads++
+		r.st.Reuploads++
 		e.refs++
 		e.lastUsed = r.cfg.Now()
 		r.insertResidentLocked(e, d)
@@ -367,7 +365,7 @@ func (r *Registry) Put(d *dataset.Dataset) (*Handle, bool, error) {
 	}
 	r.insertResidentLocked(e, d)
 	r.reclaimDiskLocked()
-	r.puts++
+	r.st.Puts++
 	return &Handle{r: r, e: e, d: d}, true, nil
 }
 
@@ -395,7 +393,7 @@ func (r *Registry) reclaimDiskLocked() {
 		r.dropResidentLocked(e)
 		r.diskBytes -= e.info.Bytes
 		r.removeFileLocked(e)
-		r.reclaims++
+		r.st.Reclaims++
 	}
 }
 
@@ -446,7 +444,7 @@ func (r *Registry) evictLocked() {
 			prev := el.Prev()
 			if e.onDisk {
 				r.dropResidentLocked(e)
-				r.evictions++
+				r.st.Evictions++
 				evicted = true
 				break
 			}
@@ -482,13 +480,13 @@ func (r *Registry) Get(id string) (*Handle, error) {
 	e.refs++ // pin before unlocking so Delete cannot remove the file mid-load
 	e.lastUsed = r.cfg.Now()
 	if e.data != nil {
-		r.hits++
+		r.st.Hits++
 		r.resident.MoveToFront(e.elem)
 		h := &Handle{r: r, e: e, d: e.data}
 		r.mu.Unlock()
 		return h, nil
 	}
-	r.misses++
+	r.st.Misses++
 	r.mu.Unlock()
 
 	// Reload from disk, serialized per entry so a thundering herd decodes
@@ -516,7 +514,7 @@ func (r *Registry) Get(id string) (*Handle, error) {
 		}
 		return nil, err
 	}
-	r.loads++
+	r.st.Loads++
 	if e.data != nil {
 		// A Put of the same content raced the disk read (Put installs the
 		// uploaded copy under r.mu without taking loadMu) — the entry is
@@ -572,7 +570,7 @@ func (r *Registry) Delete(id string) error {
 	if e.refs == 0 {
 		r.removeFileLocked(e)
 	}
-	r.deletes++
+	r.st.Deletes++
 	return nil
 }
 
@@ -612,23 +610,11 @@ func (r *Registry) List() []Info {
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Stats{
-		Datasets:   len(r.entries),
-		Resident:   r.resident.Len(),
-		MemBytes:   r.memBytes,
-		DiskBytes:  r.diskBytes,
-		MemBudget:  r.cfg.MemBudget,
-		Hits:       r.hits,
-		Misses:     r.misses,
-		Loads:      r.loads,
-		Evictions:  r.evictions,
-		Puts:       r.puts,
-		Reuploads:  r.reuploads,
-		Deletes:    r.deletes,
-		Reclaims:   r.reclaims,
-		Deltas:     r.deltas,
-		DiskBudget: r.cfg.DiskBudget,
-	}
+	st := r.st
+	st.Datasets, st.Resident = len(r.entries), r.resident.Len()
+	st.MemBytes, st.DiskBytes = r.memBytes, r.diskBytes
+	st.MemBudget, st.DiskBudget = r.cfg.MemBudget, r.cfg.DiskBudget
+	return st
 }
 
 // WriteTo streams the stored dataset id in its binary encoding to w — the

@@ -1,5 +1,8 @@
 // Package wire defines the JSON types svserver speaks and svcli consumes —
 // one definition, imported by both commands, so the formats cannot drift.
+// The /statz counter blocks are the exception: RegistryStats and
+// PlannerStats alias the Stats types of the packages that keep the
+// counters, which declare each counter's JSON key and Prometheus name once.
 //
 // Valuation requests are declarative: the envelope carries the session
 // fields (algorithm, k, metric, engine knobs, datasets by payload or ref)
@@ -17,6 +20,8 @@ import (
 	"time"
 
 	"knnshapley"
+	"knnshapley/internal/planner"
+	"knnshapley/internal/registry"
 )
 
 // Payload is one inline dataset: feature rows plus either class labels or
@@ -64,8 +69,11 @@ type ValueRequest struct {
 // write-ahead job journal (internal/journal) and replayed after a restart.
 // Request is the wire JSON of a by-reference ValueRequest — datasets by
 // registry ID, never inline, so the envelope stays a few hundred bytes and
-// replay re-resolves the (directory-scan-recovered) registry by ID. Meta is
-// opaque serving-layer context carried along verbatim.
+// replay re-resolves the (directory-scan-recovered) registry by ID.
+// Everything else a replayed job needs (its result-cache key, its progress
+// total, its response metadata) is rebuilt from Request, so envelopes that
+// still carry the cacheKey, totalUnits and meta keys of older writers
+// replay unchanged: decoding ignores them.
 type JobEnvelope struct {
 	// V versions the envelope format; replay rejects versions it does not
 	// know rather than guessing.
@@ -73,16 +81,8 @@ type JobEnvelope struct {
 	// Kind selects what Request decodes to on replay: "" (historical
 	// envelopes) or "value" for a ValueRequest, "delta" for a DeltaJob.
 	Kind string `json:"kind,omitempty"`
-	// CacheKey is the job's result-cache key, preserved so a replayed run
-	// repopulates the same cache slot.
-	CacheKey string `json:"cacheKey,omitempty"`
-	// TotalUnits is the progress denominator of the original submission.
-	TotalUnits int `json:"totalUnits,omitempty"`
 	// Request is the by-ref ValueRequest JSON to re-submit.
 	Request json.RawMessage `json:"request"`
-	// Meta is opaque tenant/serving context (svserver stores its response
-	// metadata here).
-	Meta json.RawMessage `json:"meta,omitempty"`
 }
 
 // JobEnvelopeVersion is the version current writers stamp into JobEnvelope.V.
@@ -335,50 +335,17 @@ type IndexJobResult struct {
 	Loaded bool `json:"loaded"`
 }
 
-// IndexStoreStats is the "indexes" block of GET /statz.
-type IndexStoreStats struct {
-	Indexes    int   `json:"indexes"`
-	DiskBytes  int64 `json:"diskBytes"`
-	DiskBudget int64 `json:"diskBudget,omitempty"`
-	Saves      int64 `json:"saves"`
-	Loads      int64 `json:"loads"`
-	Misses     int64 `json:"misses"`
-	Reclaims   int64 `json:"reclaims"`
-	Deletes    int64 `json:"deletes"`
-	Corrupt    int64 `json:"corrupt"`
-}
-
-// PlannerStats is the "planner" block of GET /statz: how many algo=auto
-// decisions the process made and where they landed.
-type PlannerStats struct {
-	Plans        int64            `json:"plans"`
-	Picks        map[string]int64 `json:"picks,omitempty"`
-	Fallbacks    int64            `json:"fallbacks"`
-	Extrapolated int64            `json:"extrapolated"`
-}
+// RegistryStats and PlannerStats are the "registry" and "planner" blocks of
+// GET /statz. They are declared, JSON keys and Prometheus names included,
+// by the packages that keep the counters.
+type (
+	RegistryStats = registry.Stats
+	PlannerStats  = planner.Stats
+)
 
 // DatasetListResponse is the body of GET /datasets.
 type DatasetListResponse struct {
 	Datasets []DatasetInfo `json:"datasets"`
-}
-
-// RegistryStats is the registry block of GET /statz.
-type RegistryStats struct {
-	Datasets   int   `json:"datasets"`
-	Resident   int   `json:"resident"`
-	MemBytes   int64 `json:"memBytes"`
-	DiskBytes  int64 `json:"diskBytes"`
-	MemBudget  int64 `json:"memBudget"`
-	DiskBudget int64 `json:"diskBudget,omitempty"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Loads      int64 `json:"loads"`
-	Evictions  int64 `json:"evictions"`
-	Puts       int64 `json:"puts"`
-	Reuploads  int64 `json:"reuploads"`
-	Deletes    int64 `json:"deletes"`
-	Reclaims   int64 `json:"reclaims"`
-	Deltas     int64 `json:"deltas"`
 }
 
 // MethodsResponse is the body of GET /methods: the machine-readable schema
@@ -434,32 +401,25 @@ type ShardRequest struct {
 }
 
 // PeerStatus is one peer's health and traffic as the coordinator sees it
-// (GET /cluster/statz).
+// (GET /cluster/statz); URL labels the peer's samples on GET /metrics.
 type PeerStatus struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// Shards counts sub-jobs completed on this peer; Failures counts
-	// sub-job attempts that errored (transport or job failure); Retries
-	// counts re-submissions after such failures.
-	Shards   int64  `json:"shards"`
-	Failures int64  `json:"failures"`
-	Retries  int64  `json:"retries"`
+	URL      string `json:"url" prom:"{peer}"`
+	Healthy  bool   `json:"healthy" prom:"svserver_cluster_peer_healthy,Peer health as last probed (1 = healthy)."`
+	Shards   int64  `json:"shards" prom:"svserver_cluster_peer_shards_total,Shard sub-jobs completed on the peer."`
+	Failures int64  `json:"failures" prom:"svserver_cluster_peer_failures_total,Shard sub-job attempts on the peer that errored."`
+	Retries  int64  `json:"retries" prom:"svserver_cluster_peer_retries_total,Shard re-submissions after a failure on the peer."`
 	LastErr  string `json:"lastError,omitempty"`
 }
 
-// ClusterStatz is the body of GET /cluster/statz.
+// ClusterStatz is the body of GET /cluster/statz; its prom-tagged fields
+// are also rendered on GET /metrics. Coordinator is false on a worker-only
+// process, whose Peers is then empty and whose coordinator counters read 0.
 type ClusterStatz struct {
-	// Coordinator reports whether this process fans valuations out to peers
-	// (false = worker-only role; Peers is then empty).
-	Coordinator bool         `json:"coordinator"`
-	Peers       []PeerStatus `json:"peers,omitempty"`
-	// Valuations counts scatter-gather runs completed by the coordinator;
-	// Fallbacks counts valuations that ran single-node because no peer was
-	// healthy; Reassignments counts shards moved to a replica peer after
-	// their primary failed.
-	Valuations    int64 `json:"valuations"`
-	Fallbacks     int64 `json:"fallbacks"`
-	Reassignments int64 `json:"reassignments"`
-	// ShardJobs counts shard sub-jobs served by this process as a worker.
-	ShardJobs int64 `json:"shardJobs"`
+	Coordinator   bool         `json:"coordinator"`
+	Peers         []PeerStatus `json:"peers,omitempty"`
+	Valuations    int64        `json:"valuations" prom:"svserver_cluster_valuations_total,Valuations completed via scatter-gather."`
+	Fallbacks     int64        `json:"fallbacks" prom:"svserver_cluster_fallbacks_total,Valuations degraded to local execution (no healthy peers)."`
+	Reassignments int64        `json:"reassignments" prom:"svserver_cluster_reassignments_total,Shards reassigned to a replica after a peer failure."`
+	WireBytes     int64        `json:"wireBytes" prom:"svserver_cluster_wire_bytes_total,Shard-report bytes gathered from peers."`
+	ShardJobs     int64        `json:"shardJobs" prom:"svserver_shard_jobs_total,Cluster shard sub-jobs accepted by this worker."`
 }

@@ -17,7 +17,9 @@
 # a bit-identity check against a from-scratch valuation), a
 # multi-process cluster end-to-end run (three workers + coordinator,
 # by-ref exact and truncated scatter-gather bit-identical to in-process,
-# one worker SIGKILLed mid-job, SIGTERM drain), a crash-durability end-to-end run (svserver
+# /cluster/statz and every node's /metrics scraped for the scatter and
+# shard counters with no family typed twice, one worker SIGKILLed mid-job,
+# SIGTERM drain), a crash-durability end-to-end run (svserver
 # SIGKILLed mid-job, restarted on the same data dir; the write-ahead job
 # journal must replay the job under its original ID with a bit-identical
 # result), an incremental-delta end-to-end run (upload, value, append rows
@@ -133,7 +135,9 @@ done
 # per-peer shards and merged must print output bit-identical to the same
 # valuations run in-process (%g is shortest-round-trip formatting, so
 # identical text means identical float64 bits). The sync exact run reaches
-# the coordinator through svcli -peers failover past a dead URL. A second, larger async valuation gets one
+# the coordinator through svcli -peers failover past a dead URL. After both
+# runs, /cluster/statz and the /metrics pages of the coordinator and every
+# worker must show the scatter. A second, larger async valuation gets one
 # worker SIGKILLed while in flight; the coordinator must reassign its
 # shards and still answer bit-identically. Finally a SIGTERMed worker must
 # drain and log a clean shutdown.
@@ -207,6 +211,37 @@ for want in '"valuations":2' '"fallbacks":0'; do
         exit 1
     fi
 done
+# The same counters on /metrics, from the exposition writer that renders
+# every page: the coordinator's scatter counter and per-peer samples, shard
+# sub-jobs on at least one worker, and no family typed twice on any page.
+no_repeated_types() {
+    local dups
+    dups=$(grep '^# TYPE ' <<<"$1" | awk '{print $3}' | sort | uniq -d)
+    if [ -n "$dups" ]; then
+        echo "cluster E2E: $2 /metrics repeats # TYPE for: $dups" >&2
+        exit 1
+    fi
+}
+cmetrics=$(curl -sf "http://$caddr/metrics")
+no_repeated_types "$cmetrics" coordinator
+if ! grep -qx 'svserver_cluster_valuations_total 2' <<<"$cmetrics" ||
+    ! grep -qF 'svserver_cluster_peer_shards_total{peer="' <<<"$cmetrics"; then
+    echo "cluster E2E: coordinator /metrics lacks the scatter counters:" >&2
+    grep '^svserver_cluster' <<<"$cmetrics" >&2
+    exit 1
+fi
+shard_workers=0
+for w in ${peers//,/ }; do
+    wmetrics=$(curl -sf "$w/metrics")
+    no_repeated_types "$wmetrics" "worker $w"
+    if grep -Eq '^svserver_shard_jobs_total [1-9]' <<<"$wmetrics"; then
+        shard_workers=$((shard_workers + 1))
+    fi
+done
+if [ "$shard_workers" -eq 0 ]; then
+    echo "cluster E2E: no worker's /metrics shows a shard sub-job" >&2
+    exit 1
+fi
 
 "$bindir/svcli" -train "$cldir/train.csv" -test "$cldir/test.csv" -k 4 -algo exact \
     >"$cldir/local4.csv"
