@@ -280,3 +280,36 @@ func TestReplayDeltaJobs(t *testing.T) {
 		t.Fatalf("restored delta job: %d %+v", rec.Code, st)
 	}
 }
+
+// TestDeltaJobResult: a delta rides the job queue, so GET /jobs/{id} and
+// GET /jobs/{id}/result must describe it like any finished job — status
+// done with every unit done, and the body PUT /datasets/{id}/delta
+// answered, not a pointer to the shard-report endpoint.
+func TestDeltaJobResult(t *testing.T) {
+	srv := newTestServer(t, 1<<20, 0)
+	base := testRequest()
+	var up wire.UploadResponse
+	if rec := do(t, srv, http.MethodPost, "/datasets", base.Train, &up); rec.Code != http.StatusCreated {
+		t.Fatalf("upload train: %d %s", rec.Code, rec.Body.String())
+	}
+	var dresp wire.DeltaResponse
+	rec := do(t, srv, http.MethodPut, "/datasets/"+up.ID+"/delta", wire.DeltaRequest{Remove: []int{0}}, &dresp)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("delta: %d %s", rec.Code, rec.Body.String())
+	}
+	const id = "j000001" // the server's first job
+	var st jobStatusResponse
+	if rec := do(t, srv, http.MethodGet, "/jobs/"+id, nil, &st); rec.Code != http.StatusOK {
+		t.Fatalf("status: %d %s", rec.Code, rec.Body.String())
+	}
+	if st.Status != "done" || st.Total != 1 || st.Done != st.Total {
+		t.Errorf("delta job status %+v, want done with done == total == 1", st)
+	}
+	var res wire.DeltaResponse
+	if rec := do(t, srv, http.MethodGet, "/jobs/"+id+"/result", nil, &res); rec.Code != http.StatusOK {
+		t.Fatalf("result: %d %s", rec.Code, rec.Body.String())
+	}
+	if res.ID != dresp.ID || res.Parent != up.ID || res.Removed != 1 || res.Rows != dresp.Rows || !res.Created {
+		t.Fatalf("delta job result %+v, want the PUT's %+v", res, dresp)
+	}
+}

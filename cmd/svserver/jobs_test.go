@@ -241,3 +241,45 @@ func TestStatz(t *testing.T) {
 		t.Fatalf("statz runs = %v, want 1", stats["runs"])
 	}
 }
+
+// TestPlannerCountersPerServer: each server counts only its own algo=auto
+// decisions. One auto valuation on the first of two servers in one process
+// shows on its /statz and on neither counter of the second; repeating it
+// is a result-cache hit, which plans nothing and so counts nothing.
+func TestPlannerCountersPerServer(t *testing.T) {
+	first, second := newTestServer(t, 1<<20, 0), newTestServer(t, 1<<20, 0)
+	req := testRequest()
+	req.Algorithm = "auto"
+	for range 2 {
+		if rec, _ := postValue(t, first, req); rec.Code != http.StatusOK {
+			t.Fatalf("auto value: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	planner := func(srv *server) (plans int64, picks map[string]int64) {
+		var st struct {
+			Planner struct {
+				Plans int64            `json:"plans"`
+				Picks map[string]int64 `json:"picks"`
+			} `json:"planner"`
+		}
+		mustDo(t, srv, http.MethodGet, "/statz", nil, &st)
+		return st.Planner.Plans, st.Planner.Picks
+	}
+	plans, picks := planner(first)
+	var picked int64
+	for _, n := range picks {
+		picked += n
+	}
+	if plans != 1 || picked != 1 {
+		t.Fatalf("first server: %d plans, picks %v; want 1 plan and 1 pick", plans, picks)
+	}
+	plans, picks = planner(second)
+	if plans != 0 || len(picks) != 5 {
+		t.Fatalf("second server: %d plans, picks %v; want 0 plans and a pick count for each of 5 methods", plans, picks)
+	}
+	for m, n := range picks {
+		if n != 0 {
+			t.Fatalf("second server: %d %s picks, want 0", n, m)
+		}
+	}
+}

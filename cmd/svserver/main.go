@@ -116,9 +116,10 @@
 // requested (eps, delta), falling back to exact when the predicted win is
 // within the model's uncertainty. The decision (and every estimate behind
 // it) rides the result as "plan"; the "planner" block of /statz and the
-// svserver_planner_* series of /metrics count picks, fallbacks and
-// extrapolations, and the "indexes" block / svserver_index_store_* series
-// show builds persisted vs reloaded.
+// svserver_planner_* series of /metrics count this server's picks,
+// fallbacks and extrapolations (a result-cache hit plans nothing), and the
+// "indexes" block / svserver_index_store_* series show builds persisted vs
+// reloaded.
 //
 // # Job lifecycle
 //
@@ -486,6 +487,11 @@ type server struct {
 	// dataset costs O(ΔN) instead of a full rescan. Used on the local path
 	// for the same methods the coordinator can scatter.
 	inc *cluster.Incremental
+
+	// plans counts this server's algo=auto decisions: each valuation job
+	// whose report carries a plan records it, so result-cache hits, which
+	// run nothing, count nothing.
+	plans planner.Counters
 }
 
 // newServer builds a server with its own job manager and dataset registry.
@@ -737,7 +743,7 @@ func (s *server) statz() statzResponse {
 		Stats:       s.mgr.Stats(),
 		Registry:    s.reg.Stats(),
 		Indexes:     s.indexes.Stats(),
-		Planner:     planner.Counters(),
+		Planner:     s.plans.Stats(),
 		Incremental: s.inc.Stats(),
 		RankCache:   s.inc.Cache().Stats(),
 	}
@@ -1362,16 +1368,23 @@ func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rep == nil {
-		// A RunAny job: an index build's result is its JSON metadata; a
-		// cluster shard sub-job's is a binary ShardReport served elsewhere.
-		if val, err := job.Value(); err == nil {
-			if ir, ok := val.(*wire.IndexJobResult); ok {
-				writeJSON(w, http.StatusOK, ir)
-				return
-			}
+		// A RunAny job: an index build's or a delta's result is the JSON its
+		// submitting endpoint would have answered; a cluster shard
+		// sub-job's is a binary ShardReport served elsewhere.
+		val, err := job.Value()
+		if err != nil {
+			writeRunError(w, err)
+			return
 		}
-		writeError(w, http.StatusConflict,
-			fmt.Sprintf("job %s is a shard sub-job; fetch GET /shard/jobs/%s/result", snap.ID, snap.ID))
+		switch v := val.(type) {
+		case *wire.IndexJobResult, *wire.DeltaResponse:
+			writeJSON(w, http.StatusOK, v)
+		case *cluster.ShardReport:
+			writeError(w, http.StatusConflict,
+				fmt.Sprintf("job %s is a shard sub-job; fetch GET /shard/jobs/%s/result", snap.ID, snap.ID))
+		default:
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("job %s has no JSON result", snap.ID))
+		}
 		return
 	}
 	meta, _ := job.Meta().(jobMeta)
@@ -1606,7 +1619,13 @@ func (s *server) buildSpec(req *valueRequest) (*jobs.Spec, int, error) {
 	return &jobs.Spec{
 		CacheKey:   cacheKey,
 		TotalUnits: test.N(),
-		Run:        run,
+		Run: func(ctx context.Context) (*knnshapley.Report, error) {
+			rep, err := run(ctx)
+			if err == nil && rep.Plan != nil {
+				s.plans.Record(rep.Plan.Method, rep.Plan.Fallback, rep.Plan.Extrapolated)
+			}
+			return rep, err
+		},
 		Meta: jobMeta{
 			algorithm: p.Name(), trainN: train.N(),
 			trainRef: trainH.ID(), testRef: testH.ID(),

@@ -115,8 +115,8 @@
 // summation tree regardless of platform, batching or worker count, which
 // is what keeps valuations bit-reproducible. After the scan, the
 // truncated method selects its K* nearest with a partial top-K heap
-// instead of sorting all N, and the exact recursion uses a radix argsort
-// for the full distance ordering.
+// instead of sorting all N, and the exact recursion bucket-sorts the
+// distances straight into the packed ranking it walks.
 //
 // WithPrecision(Float32) opts a session into float32 compute: the
 // training set is mirrored to float32 once, the distance scan runs in

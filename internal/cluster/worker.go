@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -41,9 +42,11 @@ type ShardParams struct {
 // norm-precompute scan every single-node valuation uses, and each row's
 // distance depends only on that row and the query — so a shard's entries are
 // bit-identical to the corresponding entries of an unsharded scan, and each
-// list is selected by core.Scratch.Ranking, the single-node engine's argsort
-// or top-K — which is what makes the coordinator's merged recursion
-// reproduce single-node values exactly. Progress flows through the
+// list is core.Scratch.Packed at the shard's global offset, the single-node
+// engine's packed sort or top-K — which is what makes the coordinator's
+// merged recursion reproduce single-node values exactly. Each rank's
+// distance is copied from the scan, not rebuilt from its sort key, which
+// maps -0 to +0. Progress flows through the
 // knnshapley context callback, so a job-managed shard reports done/total like
 // any valuation.
 func ComputeShardReport(ctx context.Context, train, test *dataset.Dataset, p ShardParams) (*ShardReport, error) {
@@ -89,12 +92,11 @@ func ComputeShardReport(ctx context.Context, train, test *dataset.Dataset, p Sha
 			break
 		}
 		for _, tp := range tps[:b] {
-			ranking := scratch.Ranking(tp, limit)
-			idx := make([]uint32, len(ranking))
-			dist := make([]float64, len(ranking))
-			for r, id := range ranking {
-				idx[r] = PackIndex(p.GlobalOffset+id, tp.Correct[id])
-				dist[r] = tp.Dist[id]
+			idx := slices.Clone(scratch.Packed(tp, limit, p.GlobalOffset))
+			dist := make([]float64, len(idx))
+			for r, v := range idx {
+				id, _ := UnpackIndex(v)
+				dist[r] = tp.Dist[id-p.GlobalOffset]
 			}
 			sr.Idx = append(sr.Idx, idx)
 			sr.Dist = append(sr.Dist, dist)

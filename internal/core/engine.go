@@ -252,16 +252,7 @@ type Scratch struct {
 // NewScratch returns an empty scratch space.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// Order returns the reusable index buffer resized to n.
-func (s *Scratch) Order(n int) []int {
-	if cap(s.order) < n {
-		s.order = make([]int, n)
-	}
-	s.order = s.order[:n]
-	return s.order
-}
-
-// Ints returns a second reusable index buffer resized to n.
+// Ints returns a reusable index buffer resized to n.
 func (s *Scratch) Ints(n int) []int {
 	if cap(s.ints) < n {
 		s.ints = make([]int, n)
@@ -281,27 +272,34 @@ func (s *Scratch) Floats(slot, n int) []float64 {
 }
 
 // OrderOf returns tp's distance ordering using the scratch index buffer
-// and the worker-owned radix sorter (same ordering as tp.OrderInto, zero
+// and the worker-owned sorter (same ordering as tp.OrderInto, zero
 // steady-state allocation).
 func (s *Scratch) OrderOf(tp *knn.TestPoint) []int {
 	s.order = s.sorter.ArgsortInto(s.order, tp.Dist)
 	return s.order
 }
 
-// Ranking returns the first min(limit, N) entries of tp's (distance, index)
-// ordering: the argsort (OrderOf) when limit >= N, else heap partial
-// selection of the identical prefix in O(N + limit·log limit). It shares the
-// scratch index buffer with OrderOf, so the two results must not be held
-// simultaneously.
-func (s *Scratch) Ranking(tp *knn.TestPoint, limit int) []int {
+// Packed returns the first min(limit, N) entries of tp's packed ranking in
+// the scratch buffer: rank r holds Pack(offset+i, tp.Correct[i]) for the
+// r-th nearest training index i by (distance, index). When limit >= N the
+// worker-owned sorter builds the whole ranking in the passes that sort it;
+// otherwise heap partial selection finds the identical prefix in
+// O(N + limit·log limit) and it is packed after. offset is 0 on a single
+// node and a shard's global offset in a cluster shard report.
+func (s *Scratch) Packed(tp *knn.TestPoint, limit, offset int) []uint32 {
 	if limit >= tp.N() {
-		return s.OrderOf(tp)
+		s.packs = s.sorter.PackedInto(s.packs, tp.Dist, tp.Correct, offset, CorrectBit)
+		return s.packs
 	}
 	if s.heap == nil || s.heap.K() != limit {
 		s.heap = kheap.New(limit)
 	}
 	s.order = s.heap.TopKInto(s.order, tp.Dist)
-	return s.order
+	l := s.packBuf(len(s.order))
+	for r, id := range s.order {
+		l[r] = Pack(offset+id, tp.Correct[id])
+	}
+	return l
 }
 
 // packBuf returns the reusable packed-ranking buffer resized to n.
@@ -311,15 +309,6 @@ func (s *Scratch) packBuf(n int) []uint32 {
 	}
 	s.packs = s.packs[:n]
 	return s.packs
-}
-
-// packed packs ranking with tp's correctness flags into the scratch buffer.
-func (s *Scratch) packed(tp *knn.TestPoint, ranking []int) []uint32 {
-	l := s.packBuf(len(ranking))
-	for r, id := range ranking {
-		l[r] = Pack(id, tp.Correct[id])
-	}
-	return l
 }
 
 // packedLabels packs retrieved training ids, flagging those whose label

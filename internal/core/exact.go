@@ -19,11 +19,12 @@ func ExactClassSV(tp *knn.TestPoint) []float64 {
 }
 
 // exactClassSVInto is the scratch-aware Theorem 1 recursion writing into a
-// zeroed dst of length tp.N(): the argsort, packed once, walked by AddValues.
+// zeroed dst of length tp.N(): the packed ranking, sorted in one pass,
+// walked by AddValues.
 func exactClassSVInto(tp *knn.TestPoint, s *Scratch, dst []float64) {
 	requireKind(tp, knn.UnweightedClass)
 	n := tp.N()
-	AddValues(s.packed(tp, s.OrderOf(tp)), n, tp.K, n, dst)
+	AddValues(s.Packed(tp, n, 0), n, tp.K, n, dst)
 }
 
 // ExactClassFromRankingInto runs the Theorem 1 recursion over an externally

@@ -41,7 +41,7 @@ func TruncatedClassSV(tp *knn.TestPoint, eps float64) []float64 {
 func truncatedClassSVInto(tp *knn.TestPoint, eps float64, s *Scratch, dst []float64) {
 	requireKind(tp, knn.UnweightedClass)
 	kStar := KStar(tp.K, eps)
-	AddValues(s.packed(tp, s.Ranking(tp, kStar)), tp.N(), tp.K, kStar, dst)
+	AddValues(s.Packed(tp, kStar, 0), tp.N(), tp.K, kStar, dst)
 }
 
 // TruncatedFromRankingInto runs the Theorem 2 recursion over an externally

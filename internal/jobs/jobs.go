@@ -863,6 +863,11 @@ func (m *Manager) runJob(job *Job) {
 	switch {
 	case err == nil:
 		job.value = val
+		if job.spec.Run == nil {
+			// A finished RunAny job has done every unit, whether or not it
+			// reported progress on the way (deltas and index builds don't).
+			job.done.Store(job.total.Load())
+		}
 		job.finishLocked(StateDone, rep, nil, now)
 	case requested || errors.Is(err, context.Canceled):
 		// Explicit DELETE or manager shutdown; either way the caller asked.

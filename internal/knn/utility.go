@@ -118,7 +118,7 @@ func (tp *TestPoint) Order() []int {
 // OrderInto is Order writing into buf (reallocated only when too short) so
 // per-test-point hot loops can reuse one index buffer instead of allocating
 // N ints per call. The ordering is identical to Order's. It hands Dist
-// straight to the radix argsort — no closure, no comparison sort.
+// straight to the bucket argsort — no closure, no comparison sort.
 func (tp *TestPoint) OrderInto(buf []int) []int {
 	return vec.ArgsortDistInto(buf, tp.Dist)
 }

@@ -309,11 +309,11 @@ func Plan(w Workload) Decision {
 	// recommendation there — no cost comparison needed.
 	if w.Weighted && mc != nil {
 		sort.SliceStable(ests, func(i, j int) bool { return ests[i].Eligible && !ests[j].Eligible })
-		return finish(Decision{
+		return Decision{
 			Method: MethodMonteCarlo, Extrapolated: extrapolated,
 			Reason:    fmt.Sprintf("weighted utility: exact costs ~N^K, Monte-Carlo meets (eps=%g, delta=%g) directly", w.Eps, w.Delta),
 			Estimates: ests,
-		})
+		}
 	}
 
 	d := Decision{Method: best.Method, Extrapolated: extrapolated}
@@ -342,12 +342,6 @@ func Plan(w Workload) Decision {
 		return ests[i].TotalNs < ests[j].TotalNs
 	})
 	d.Estimates = ests
-	return finish(d)
-}
-
-// finish records the decision in the package counters and returns it.
-func finish(d Decision) Decision {
-	record(d)
 	return d
 }
 
@@ -367,32 +361,40 @@ type Stats struct {
 	Extrapolated int64            `json:"extrapolated" prom:"svserver_planner_extrapolated_total,Planner decisions outside the calibration hull."`
 }
 
-var (
-	statsMu sync.Mutex
-	stats   = Stats{Picks: map[string]int64{
-		MethodExact: 0, MethodTruncated: 0, MethodMonteCarlo: 0, MethodLSH: 0, MethodKD: 0,
-	}}
-)
+// Counters accumulates the planning decisions one server made — the
+// numbers its /statz exposes. Plan itself counts nothing, so servers in
+// one process never share counts. The zero value is ready to use and safe
+// for concurrent use.
+type Counters struct {
+	mu sync.Mutex
+	st Stats
+}
 
-func record(d Decision) {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	stats.Plans++
-	stats.Picks[d.Method]++
-	if d.Fallback {
-		stats.Fallbacks++
+// Record counts one decision that picked method.
+func (c *Counters) Record(method string, fallback, extrapolated bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.st.Picks == nil {
+		c.st.Picks = make(map[string]int64)
 	}
-	if d.Extrapolated {
-		stats.Extrapolated++
+	c.st.Plans++
+	c.st.Picks[method]++
+	if fallback {
+		c.st.Fallbacks++
+	}
+	if extrapolated {
+		c.st.Extrapolated++
 	}
 }
 
-// Counters returns a snapshot of the planner's decision counters — the
-// numbers /statz exposes.
-func Counters() Stats {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	st := stats
-	st.Picks = maps.Clone(stats.Picks)
+// Stats returns a snapshot of the counters.
+func (c *Counters) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.st
+	st.Picks = map[string]int64{
+		MethodExact: 0, MethodTruncated: 0, MethodMonteCarlo: 0, MethodLSH: 0, MethodKD: 0,
+	}
+	maps.Copy(st.Picks, c.st.Picks)
 	return st
 }

@@ -149,13 +149,22 @@ func TestPlanFallbackMargin(t *testing.T) {
 	}
 }
 
-// TestCounters: decisions land in the package counters /statz exposes.
+// TestCounters: recorded decisions land in the Stats a server's /statz
+// exposes, starting from zero with every pickable method present.
 func TestCounters(t *testing.T) {
-	before := Counters()
-	Plan(classGrid(1000, 4, 16, false, false))
-	Plan(Workload{N: 1000, Dim: 4, NTest: 16, K: 5, L2: true}) // eps=0 → exact
-	after := Counters()
-	if after.Plans != before.Plans+2 {
+	var c Counters
+	before := c.Stats()
+	for _, d := range []Decision{
+		Plan(classGrid(1000, 4, 16, false, false)),
+		Plan(Workload{N: 1000, Dim: 4, NTest: 16, K: 5, L2: true}), // eps=0 → exact
+	} {
+		c.Record(d.Method, d.Fallback, d.Extrapolated)
+	}
+	after := c.Stats()
+	if before.Plans != 0 || len(before.Picks) != 5 {
+		t.Fatalf("zero counters %+v, want 0 plans and a 0 pick for each of 5 methods", before)
+	}
+	if after.Plans != 2 {
 		t.Fatalf("plans %d -> %d, want +2", before.Plans, after.Plans)
 	}
 	if after.Picks[MethodExact] != before.Picks[MethodExact]+1 {

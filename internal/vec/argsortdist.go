@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -9,10 +10,9 @@ import (
 // 0..len(dist)-1 ordered ascending by (dist, index) — the α ordering of
 // Theorem 1 — and returns it. It is the total-order primitive of the exact
 // Shapley recursion and the hot half of the per-test-point cost, so it is
-// an LSD radix sort on the order-monotone bit pattern of each distance
-// (8-bit digits, index payload, one upfront histogram pass that skips
-// digits shared by every key) instead of a comparison sort: O(N) passes
-// versus O(N log N) comparisons through interfaces.
+// a bucket sort on the order-monotone bit pattern of each distance
+// (DistSorter.PackedInto) rather than a comparison sort: a few linear
+// passes versus O(N log N) comparisons through interfaces.
 //
 // The ordering matches a stable comparison sort on the values exactly,
 // for every float64 input: -0 and +0 compare equal and fall back to index
@@ -20,56 +20,126 @@ import (
 // inputs (< radixMinN) use an insertion sort on the identical key
 // transform, so the order never depends on input size.
 func ArgsortDistInto(idx []int, dist []float64) []int {
-	idx, done := argsortSmall(idx, dist)
-	if done {
-		return idx
-	}
-	s := distSortPool.Get().(*distSortScratch)
-	s.sort(idx, dist)
-	distSortPool.Put(s)
+	ds := distSorterPool.Get().(*DistSorter)
+	idx = ds.ArgsortInto(idx, dist)
+	distSorterPool.Put(ds)
 	return idx
 }
 
-// DistSorter is an owned radix scratch for the ArgsortDistInto ordering.
-// Callers that sort on every test point (the engine's per-worker Scratch)
-// hold one instead of using the package-level pool: the buffers then live
-// exactly as long as the worker, with no cross-worker pool traffic — and
-// no reallocation churn under the race detector, whose sync.Pool
-// deliberately drops a fraction of Puts. The zero value is ready to use.
-type DistSorter struct{ s distSortScratch }
+var distSorterPool = sync.Pool{New: func() any { return new(DistSorter) }}
 
-// ArgsortInto is ArgsortDistInto using the sorter's owned scratch.
+// DistSorter owns the buffers of the ArgsortDistInto ordering. Callers
+// that sort on every test point (the engine's per-worker Scratch) hold one
+// instead of using the package-level pool: the buffers then live exactly
+// as long as the worker, with no cross-worker pool traffic — and no
+// reallocation churn under the race detector, whose sync.Pool deliberately
+// drops a fraction of Puts. The zero value is ready to use.
+//
+// The sort makes one MSD pass over the top varying bits of
+// DistKeyBits(d) − min: with db = clamp(⌊log₂ N⌋, 8, 16) bits of digit the
+// N keys fall into at most 2^db buckets, so walking the histogram never
+// dominates and a bucket of near-uniform data holds one or two keys. The
+// keys and their payloads are scattered stably, so equal keys keep
+// ascending index order (the α tie rule), and one insertion sort over the
+// whole array then finishes every bucket without crossing a bucket
+// boundary. A bucket above maxBucket entries — a tight cluster, the
+// finite values beside a +Inf or NaN outlier — is sorted the same way on
+// its own key range first (an all-equal one is already in order), so
+// skewed input costs a few more linear passes instead of going quadratic:
+// each level narrows the key range by at least 8 bits, so no key is
+// scattered more than 8 times.
+type DistSorter struct {
+	keys, tmpKeys []uint64
+	pay, out      []uint32
+	counts        []uint32
+	stack         [][2]int
+}
+
+// ArgsortInto is ArgsortDistInto using the sorter's owned scratch: the
+// packed sort with offset 0 and no flags, widened to ints.
 func (ds *DistSorter) ArgsortInto(idx []int, dist []float64) []int {
-	idx, done := argsortSmall(idx, dist)
-	if done {
-		return idx
+	ds.out = ds.PackedInto(ds.out, dist, nil, 0, 0)
+	idx = resize(idx, len(dist))
+	for r, p := range ds.out {
+		idx[r] = int(p)
 	}
-	ds.s.sort(idx, dist)
 	return idx
 }
 
-// argsortSmall resizes idx and handles the sub-radixMinN insertion-sort
-// case shared by the pool and owned-scratch entry points; done reports
-// whether the sort already happened.
-func argsortSmall(idx []int, dist []float64) ([]int, bool) {
+// PackedInto fills dst (reallocated only when too short) with the
+// ArgsortDistInto ordering of dist in packed form and returns it: entry r
+// is uint32(offset + i) for the r-th nearest index i, with flag set when
+// correct[i]. correct is either nil (no flags) or as long as dist, and
+// offset + len(dist) must stay below flag (below 2^32 when flag is 0). It
+// builds the packed ranking of the Shapley recursion in the same passes
+// that sort it — offset 0 for a single node, the shard's global offset for
+// a cluster shard report.
+func (ds *DistSorter) PackedInto(dst []uint32, dist []float64, correct []bool, offset int, flag uint32) []uint32 {
 	n := len(dist)
-	if cap(idx) < n {
-		idx = make([]int, n)
+	dst = resize(dst, n)
+	if n == 0 {
+		return dst
 	}
-	idx = idx[:n]
+	// The small path fills dst and insertion-sorts it in place; the bucket
+	// path fills the sorter's buffers and scatters them into dst.
+	keys, pay := resize(ds.tmpKeys, n), dst
 	if n >= radixMinN {
-		return idx, false
+		keys, pay = resize(ds.keys, n), resize(ds.pay, n)
 	}
-	for i := range idx {
-		idx[i] = i
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	base := uint32(offset)
+	for i, d := range dist {
+		k := DistKeyBits(d)
+		keys[i] = k
+		lo = min(lo, k)
+		hi = max(hi, k)
+		pay[i] = base + uint32(i)
 	}
-	insertionArgsortBits(idx, dist)
-	return idx, true
+	if correct != nil {
+		for i, c := range correct[:n] {
+			pay[i] |= flag * b2u32(c)
+		}
+	}
+	if n < radixMinN {
+		ds.tmpKeys = keys
+		insertionSortKeys(keys, dst)
+		return dst
+	}
+	ds.keys, ds.pay = keys, pay
+	if lo == hi {
+		copy(dst, pay) // one key: index order
+		return dst
+	}
+	tmpKeys := resize(ds.tmpKeys, n)
+	ds.tmpKeys = tmpKeys
+	ds.stack = ds.stack[:0]
+	ds.scatter(keys, pay, tmpKeys, dst, lo, hi, 0)
+	// Each pending bucket's entries sit in (tmpKeys, dst); the source
+	// arrays are free scratch over the same range.
+	for len(ds.stack) > 0 {
+		b := ds.stack[len(ds.stack)-1]
+		ds.stack = ds.stack[:len(ds.stack)-1]
+		bk, bp := tmpKeys[b[0]:b[1]], dst[b[0]:b[1]]
+		blo, bhi := minMax(bk)
+		if blo == bhi {
+			continue
+		}
+		sk, sp := keys[b[0]:b[1]], pay[b[0]:b[1]]
+		copy(sk, bk)
+		copy(sp, bp)
+		ds.scatter(sk, sp, bk, bp, blo, bhi, b[0])
+	}
+	insertionSortKeys(tmpKeys, dst)
+	return dst
 }
 
-// radixMinN is the input size below which the radix machinery (histogram
+// radixMinN is the input size below which the bucket machinery (histogram
 // zeroing, scratch traffic) loses to a plain insertion sort.
 const radixMinN = 64
+
+// maxBucket is the largest bucket left to the final insertion sort; a
+// larger one is bucket-sorted again on its own key range.
+const maxBucket = 64
 
 // DistKeyBits maps v onto bits whose unsigned order equals the (v, ties
 // pending) comparison order for all floats: negative values flip entirely,
@@ -87,90 +157,81 @@ func DistKeyBits(v float64) uint64 {
 	return b | 1<<63
 }
 
-// insertionArgsortBits sorts idx ascending by (DistKeyBits(dist[i]), i).
-func insertionArgsortBits(idx []int, dist []float64) {
-	for i := 1; i < len(idx); i++ {
-		x := idx[i]
-		kx := DistKeyBits(dist[x])
-		j := i
-		for ; j > 0; j-- {
-			y := idx[j-1]
-			ky := DistKeyBits(dist[y])
-			if ky < kx || (ky == kx && y < x) {
-				break
-			}
-			idx[j] = y
+// scatter distributes the (srcK, srcP) pairs, whose keys lie in [lo, hi]
+// with lo < hi, stably over the top varying bits of key − lo into (dstK,
+// dstP), and queues every bucket above maxBucket entries (as a range
+// offset by base) for another pass.
+func (ds *DistSorter) scatter(srcK []uint64, srcP []uint32, dstK []uint64, dstP []uint32, lo, hi uint64, base int) {
+	db := min(max(bits.Len(uint(len(srcK)))-1, 8), 16)
+	shift := uint(max(bits.Len64(hi-lo)-db, 0))
+	counts := resize(ds.counts, int((hi-lo)>>shift)+1)
+	ds.counts = counts
+	clear(counts)
+	for _, k := range srcK {
+		counts[(k-lo)>>shift]++
+	}
+	var sum uint32
+	for b, c := range counts {
+		counts[b] = sum
+		if c > maxBucket {
+			ds.stack = append(ds.stack, [2]int{base + int(sum), base + int(sum+c)})
 		}
-		idx[j] = x
+		sum += c
+	}
+	dstK, dstP = dstK[:len(srcK)], dstP[:len(srcK)]
+	for i, k := range srcK {
+		b := (k - lo) >> shift
+		o := counts[b]
+		counts[b] = o + 1
+		dstK[o] = k
+		dstP[o] = srcP[i]
 	}
 }
 
-// distSortScratch holds the radix buffers: keys plus a double-buffered
-// (key, index) pair per element. A sync.Pool amortizes them across calls
-// and workers without threading a scratch parameter through OrderInto.
-type distSortScratch struct {
-	keys, tmpKeys []uint64
-	tmpIdx        []int
-}
-
-var distSortPool = sync.Pool{New: func() any { return new(distSortScratch) }}
-
-func (s *distSortScratch) sort(idx []int, dist []float64) {
-	n := len(dist)
-	if cap(s.keys) < n {
-		s.keys = make([]uint64, n)
-		s.tmpKeys = make([]uint64, n)
-		s.tmpIdx = make([]int, n)
-	}
-	keys, tmpKeys, tmpIdx := s.keys[:n], s.tmpKeys[:n], s.tmpIdx[:n]
-
-	// Key extraction plus all eight digit histograms in one pass.
-	var hist [8][256]uint32
-	for i := 0; i < n; i++ {
-		k := DistKeyBits(dist[i])
-		keys[i] = k
-		idx[i] = i
-		hist[0][k&0xff]++
-		hist[1][(k>>8)&0xff]++
-		hist[2][(k>>16)&0xff]++
-		hist[3][(k>>24)&0xff]++
-		hist[4][(k>>32)&0xff]++
-		hist[5][(k>>40)&0xff]++
-		hist[6][(k>>48)&0xff]++
-		hist[7][(k>>56)&0xff]++
-	}
-
-	src, dst := keys, tmpKeys
-	srcI, dstI := idx, tmpIdx
-	for pass := 0; pass < 8; pass++ {
-		h := &hist[pass]
-		shift := uint(pass * 8)
-		// A digit every key shares permutes nothing: skip the pass. This
-		// is the common case for the high exponent bytes of a bounded
-		// distance range.
-		if int(h[(src[0]>>shift)&0xff]) == n {
+// insertionSortKeys sorts the (keys, pay) pairs stably by key. After a
+// scatter every key is already inside its bucket's range, so no entry
+// moves past its bucket and the cost is linear plus the in-bucket
+// inversions.
+func insertionSortKeys(keys []uint64, pay []uint32) {
+	pay = pay[:len(keys)]
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		if keys[i-1] <= k {
 			continue
 		}
-		var offs [256]uint32
-		var sum uint32
-		for v := 0; v < 256; v++ {
-			offs[v] = sum
-			sum += h[v]
+		p := pay[i]
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+			pay[j] = pay[j-1]
 		}
-		for i := 0; i < n; i++ {
-			k := src[i]
-			v := (k >> shift) & 0xff
-			o := offs[v]
-			offs[v] = o + 1
-			dst[o] = k
-			dstI[o] = srcI[i]
-		}
-		src, dst = dst, src
-		srcI, dstI = dstI, srcI
+		keys[j] = k
+		pay[j] = p
 	}
-	// LSD stability plus the ascending initial fill makes equal keys come
-	// out in ascending index order — the tie rule of the α ordering.
-	if &srcI[0] != &idx[0] {
-		copy(idx, srcI)
+}
+
+// b2u32 is 1 for true, 0 for false, without a branch that random
+// correctness flags would mispredict.
+func b2u32(b bool) uint32 {
+	if b {
+		return 1
 	}
+	return 0
+}
+
+func minMax(keys []uint64) (lo, hi uint64) {
+	lo, hi = keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo = min(lo, k)
+		hi = max(hi, k)
+	}
+	return lo, hi
+}
+
+// resize returns buf resized to n, reallocated only when too short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

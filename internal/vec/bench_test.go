@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // The storage benchmarks pin the flat row-major win: one query scanned
 // against N train rows held either as a contiguous row-major buffer or as a
 // slice of independently-allocated rows, plus the norm-precompute GEMV
-// kernel that the streaming engine uses and the radix argsort. Run with:
+// kernel that the streaming engine uses and the bucket argsort. Run with:
 //
 //	go test ./internal/vec -bench 'Scan|NormDot|Argsort' -benchmem
 var benchShapes = []struct {
@@ -105,20 +106,56 @@ func BenchmarkSqL2NormDotBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkArgsortDist measures the radix argsort against the generic
-// closure-key path on the same keys.
+// BenchmarkArgsortDist measures one sort per test point on the distance
+// profiles of bucketsort_test.go: the MNIST-like profile at four sizes, a
+// uniform one, and every skewed shape at N=1e5. Each case runs the []int
+// ordering (ArgsortInto, the weighted and regression kernels' sort) and
+// the packed ranking with correctness flags and an offset (PackedInto, the
+// exact kernel's and the shard report's). Run with:
+//
+//	go test ./internal/vec -run '^$' -bench ArgsortDist -benchtime 20x
 func BenchmarkArgsortDist(b *testing.B) {
-	for _, shape := range benchShapes {
-		b.Run(shape.name, func(b *testing.B) {
-			rng := rand.New(rand.NewPCG(3, 3))
-			dist := make([]float64, shape.n)
-			for i := range dist {
-				dist[i] = rng.Float64() * 20
-			}
-			idx := make([]int, shape.n)
+	type sortCase struct {
+		shape string
+		gen   func(*rand.Rand, int) []float64
+		n     int
+	}
+	var cases []sortCase
+	for _, n := range []int{1000, 5000, 20000, 100000} {
+		cases = append(cases, sortCase{"mnist", mnistLikeDist, n})
+	}
+	uniform := func(rng *rand.Rand, n int) []float64 {
+		dist := make([]float64, n)
+		for i := range dist {
+			dist[i] = rng.Float64() * 20
+		}
+		return dist
+	}
+	cases = append(cases, sortCase{"uniform", uniform, 1000}, sortCase{"uniform", uniform, 10000})
+	for _, sh := range distShapes[1:] {
+		cases = append(cases, sortCase{sh.name, sh.gen, 100000})
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewPCG(3, 3))
+		dist := c.gen(rng, c.n)
+		correct := make([]bool, c.n)
+		for i := range correct {
+			correct[i] = rng.IntN(2) == 0
+		}
+		b.Run(fmt.Sprintf("%s/n=%d/int", c.shape, c.n), func(b *testing.B) {
+			var ds DistSorter
+			idx := ds.ArgsortInto(nil, dist)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ArgsortDistInto(idx, dist)
+				idx = ds.ArgsortInto(idx, dist)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/n=%d/packed", c.shape, c.n), func(b *testing.B) {
+			var ds DistSorter
+			out := ds.PackedInto(nil, dist, correct, 7, 1<<31)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out = ds.PackedInto(out, dist, correct, 7, 1<<31)
 			}
 		})
 	}

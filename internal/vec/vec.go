@@ -7,8 +7,9 @@
 // hardware-shaped: the squared-L2 scan runs as a norm-precompute GEMV
 // sweep over the flat training matrix (SqL2NormDotBatch, SSE2 kernels on
 // amd64 with bit-identical portable fallbacks — see dot_kernels.go), and
-// the α-ordering argsort is an LSD radix sort on the distance bit patterns
-// (ArgsortDistInto) instead of a comparison sort.
+// the α-ordering argsort is an MSD bucket sort on the distance bit
+// patterns (ArgsortDistInto, DistSorter.PackedInto) instead of a
+// comparison sort.
 package vec
 
 import (
@@ -273,7 +274,7 @@ func ArgsortBy(n int, key func(int) float64) []int {
 // ArgsortByInto is ArgsortBy writing into idx (reallocated only when too
 // short), so hot loops can reuse one index buffer across calls. The ordering
 // — ascending by key, ties broken by index — is identical to ArgsortBy's.
-// The keys are materialized once and handed to the radix argsort, so the
+// The keys are materialized once and handed to the bucket argsort, so the
 // closure is invoked exactly n times instead of O(n log n) times from a
 // comparison sort.
 func ArgsortByInto(idx []int, n int, key func(int) float64) []int {

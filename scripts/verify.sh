@@ -10,7 +10,9 @@
 # hashes tables on several goroutines), the benchmark's own self-test (so an
 # internal API change that breaks the benchmark's build fails here), a
 # GOAMD64=v3 cross-build of the assembly, fuzz smoke
-# runs over the decode/storage/shard-codec surfaces, a serving benchmark
+# runs over the decode/storage/shard-codec surfaces and the distance sort
+# (the []int ordering and the packed ranking against a stable comparison
+# sort), a serving benchmark
 # of the upload-once/value-many registry path, a method-discovery
 # end-to-end run (a real svserver answering "svcli methods"), a run of
 # every examples/ program (each must exit zero; examples/streaming ends in
@@ -68,8 +70,8 @@ go test -run 'TestEvaluate|TestParams' -race .
 # workloads compile and run every internal API the benchmark calls.
 (cd perfbench && go test ./...)
 
-# Fuzz smoke: ten seconds per decode/storage surface. New crashers land in
-# testdata/fuzz/ and fail the run.
+# Fuzz smoke: ten seconds per decode/storage surface and per sort entry
+# point. New crashers land in testdata/fuzz/ and fail the run.
 go test -run '^$' -fuzz FuzzFlatRoundTrip -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz FuzzBinaryCodec -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz FuzzDecodeValueRequest -fuzztime 10s ./cmd/svserver
@@ -78,6 +80,8 @@ go test -run '^$' -fuzz FuzzShardReportCodec -fuzztime 10s ./internal/cluster
 go test -run '^$' -fuzz FuzzShardRequestJSON -fuzztime 10s ./internal/cluster
 go test -run '^$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/journal
 go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/kdtree
+go test -run '^$' -fuzz 'FuzzArgsortDist$' -fuzztime 10s ./internal/vec
+go test -run '^$' -fuzz FuzzPackedArgsortDist -fuzztime 10s ./internal/vec
 go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/lsh
 
 # Serving smoke: the upload-once/value-many comparison through the real
