@@ -50,6 +50,7 @@ var singleNodeSeries = []seriesKey{
 	{"svserver_registry_deletes_total", "", "registry.deletes"},
 	{"svserver_registry_reclaims_total", "", "registry.reclaims"},
 	{"svserver_registry_deltas_total", "", "registry.deltas"},
+	{"svserver_registry_corrupt_total", "", "registry.corrupt"},
 	{"svserver_index_store_indexes", "", "indexes.indexes"},
 	{"svserver_index_store_disk_bytes", "", "indexes.diskBytes"},
 	{"svserver_index_store_saves_total", "", "indexes.saves"},

@@ -151,7 +151,10 @@
 // downloads the binary back), deletion is refcounted so a running job
 // keeps its data, and a disk budget reclaims least-recently-used unpinned
 // datasets so auto-registration cannot grow the directory without bound.
-// Inline payloads still work and are auto-registered.
+// A stored file that fails verification fails one request and is dropped
+// (the ID then answers 404 until the content is uploaded again), and the
+// temp files of an interrupted write are removed when the directory is
+// opened. Inline payloads still work and are auto-registered.
 //
 // Valuations run through a bounded-worker job manager (internal/jobs):
 // POST /jobs enqueues a valuation and returns a job id, GET /jobs/{id}
@@ -226,10 +229,12 @@
 // reload is a sequential read and reconstruction. Both cost a small
 // fraction of the build (README, "Index persistence");
 // EnsureIndex builds or reloads eagerly, which is what cmd/svserver's
-// POST /indexes exposes as a journaled background job. Artifacts are
-// refcounted, reclaimed least-recently-used under a disk budget, verified
-// on open (a corrupt file is dropped and rebuilt, never served), and
-// deleted when their dataset is deleted.
+// POST /indexes exposes as a journaled background job. Artifacts live in
+// the same kind of file store as the datasets (internal/registry): they
+// are refcounted, reclaimed least-recently-used under a disk budget,
+// checked by header when the directory is opened and in full on load (a
+// corrupt file is dropped and rebuilt, never served), and deleted when
+// their dataset is deleted.
 //
 // On top of the store sits a planner: Request{Method: "auto"} (AutoParams
 // {Eps, Delta, Seed}) predicts the wall-clock cost of every method able to

@@ -178,10 +178,9 @@ func Build(data [][]float64, params Params, workers int) (*Index, error) {
 		go func() {
 			defer wg.Done()
 			b := &tableBuilder{
-				d0:    make([]float64, params.M),
-				d1:    make([]float64, params.M),
-				pairs: make([]keyID, len(data)),
-				tmp:   make([]keyID, len(data)),
+				d0:   make([]float64, params.M),
+				d1:   make([]float64, params.M),
+				keys: make([]uint64, len(data)),
 			}
 			for t := int(next.Add(1) - 1); t < params.L; t = int(next.Add(1) - 1) {
 				b.fill(&idx.tables[t], data, params.R)
@@ -192,83 +191,47 @@ func Build(data [][]float64, params Params, workers int) (*Index, error) {
 	return idx, nil
 }
 
-// keyID is one point's bucket key in a table under construction.
-type keyID struct {
-	key uint64
-	id  uint32
-}
-
 // tableBuilder is one build worker's O(N) scratch.
 type tableBuilder struct {
-	d0, d1     []float64
-	pairs, tmp []keyID
+	d0, d1 []float64
+	keys   []uint64 // bucket key of each point, then sorted
+	sorter vec.DistSorter
 }
 
 // fill hashes every row into tb (whose projections are set), lays the
 // buckets out in CSR form, sorted by (key, id), and builds the directory.
+// The ids arrive ascending and the sort is stable, so each bucket's ids
+// stay ascending.
 func (b *tableBuilder) fill(tb *table, data [][]float64, r float64) {
 	n := len(data)
+	tb.ids = make([]uint32, n)
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		vec.DotRows2(b.d0, b.d1, tb.proj, data[i], data[i+1])
-		b.pairs[i] = keyID{hashKey(b.d0, tb.offset, r), uint32(i)}
-		b.pairs[i+1] = keyID{hashKey(b.d1, tb.offset, r), uint32(i + 1)}
+		b.keys[i], tb.ids[i] = hashKey(b.d0, tb.offset, r), uint32(i)
+		b.keys[i+1], tb.ids[i+1] = hashKey(b.d1, tb.offset, r), uint32(i+1)
 	}
 	if i < n {
 		vec.DotRows(b.d0, tb.proj, data[i])
-		b.pairs[i] = keyID{hashKey(b.d0, tb.offset, r), uint32(i)}
+		b.keys[i], tb.ids[i] = hashKey(b.d0, tb.offset, r), uint32(i)
 	}
-	pairs := b.sortByKey()
+	b.sorter.SortKeys(b.keys, tb.ids)
 	u := 1
 	for p := 1; p < n; p++ {
-		if pairs[p].key != pairs[p-1].key {
+		if b.keys[p] != b.keys[p-1] {
 			u++
 		}
 	}
 	tb.keys = make([]uint64, 0, u)
 	tb.starts = make([]uint32, 0, u+1)
-	tb.ids = make([]uint32, n)
-	for p, kv := range pairs {
-		if p == 0 || kv.key != pairs[p-1].key {
-			tb.keys = append(tb.keys, kv.key)
+	for p, k := range b.keys {
+		if p == 0 || k != b.keys[p-1] {
+			tb.keys = append(tb.keys, k)
 			tb.starts = append(tb.starts, uint32(p))
 		}
-		tb.ids[p] = kv.id
 	}
 	tb.starts = append(tb.starts, uint32(n))
 	tb.fillSlots()
-}
-
-// sortByKey sorts pairs by key with a stable LSD radix sort on 8-bit
-// digits, ping-ponging with tmp, and returns whichever buffer holds the
-// result. The pairs arrive in ascending id order, so stability leaves the
-// ids of each key ascending: the (key, id) order of the CSR layout.
-func (b *tableBuilder) sortByKey() []keyID {
-	var hist [8][256]uint32
-	for _, p := range b.pairs {
-		for d := range hist {
-			hist[d][byte(p.key>>(8*d))]++
-		}
-	}
-	src, dst := b.pairs, b.tmp
-	for d := range hist {
-		h := &hist[d]
-		if h[byte(src[0].key>>(8*d))] == uint32(len(src)) {
-			continue // every key shares this digit: nothing moves
-		}
-		var sum uint32
-		for v, c := range h {
-			h[v] = sum
-			sum += c
-		}
-		for _, p := range src {
-			v := byte(p.key >> (8 * d))
-			dst[h[v]] = p
-			h[v]++
-		}
-		src, dst = dst, src
-	}
-	return src
 }
 
 // hashKey folds one point's M projections dots[j] = w_j·x into its bucket

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -19,10 +17,13 @@ import (
 // beside their dataset: building an index over 1e5+ points costs orders of
 // magnitude more than reloading its bytes, so a Valuer session-cache miss
 // should hit disk before it hits the CPU. Each artifact is keyed by the
-// dataset's content fingerprint plus the canonical index parameters, wrapped
-// in a CRC-verified container (and the index codecs carry their own CRC
-// trailers), refcounted like dataset handles, and LRU-reclaimed under a
-// disk budget of its own.
+// dataset's content fingerprint plus the canonical index parameters and
+// wrapped in a CRC-verified container (and the index codecs carry their own
+// CRC trailers).
+//
+// It is the second kind on the dataset registry's file store (files.go),
+// in a directory and under a disk budget of its own. Its own parts are the
+// KNIX container, Put replacing an identity's bytes, Has and DeleteDataset.
 
 // indexExt is the on-disk suffix of one stored index ("KNNShapley index").
 const indexExt = ".knnsi"
@@ -87,22 +88,16 @@ type IndexStats struct {
 
 // indexEntry is one stored index; fields are guarded by IndexStore.mu.
 type indexEntry struct {
-	info    IndexInfo // static metadata; Refs materialized in statLocked
-	refs    int
-	deleted bool
-	onDisk  bool
+	file           // the file store's record: ID, refs, disk state, LRU touch
+	info IndexInfo // static metadata; the dynamic fields materialized in indexInfo
 }
 
 // IndexStore is the concurrency-safe persistent index store. Create one
-// with NewIndexStore.
+// with NewIndexStore. Stat, List and Delete come from its file store.
 type IndexStore struct {
-	cfg IndexConfig
+	files[*indexEntry, IndexInfo] // the directory, mu, and every stored index
 
-	mu        sync.Mutex
-	entries   map[string]*indexEntry
-	diskBytes int64
-
-	st IndexStats // the counters; Stats fills in the gauges
+	st IndexStats // the kind's own counters; Stats fills in the rest
 }
 
 // IndexID derives the store's deterministic identifier for an index of the
@@ -113,55 +108,47 @@ func IndexID(dataset, kind, key string) string {
 	return fmt.Sprintf("%s.%s.%016x", dataset, kind, h.Sum64())
 }
 
+// validIndexID reports whether id has the "<dataset>.<kind>.<keyhash>"
+// shape IndexID mints, the only file stems the store will touch on disk.
+func validIndexID(id string) bool {
+	parts := strings.Split(id, ".")
+	n := len(parts)
+	return n >= 3 && parts[0] != "" && parts[n-2] != "" && validID(parts[n-1])
+}
+
 // NewIndexStore opens an index store: the directory is created if needed
-// and existing *.knnsi containers are indexed by their headers; files that
-// fail header verification are removed (they would never load).
+// and existing *.knnsi containers are indexed by their headers alone;
+// files that fail header verification are removed (they would never load).
 func NewIndexStore(cfg IndexConfig) (*IndexStore, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("registry: index store needs a directory")
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	s := &IndexStore{}
+	s.files = files[*indexEntry, IndexInfo]{
+		dir: cfg.Dir, ext: indexExt, budget: cfg.DiskBudget, now: cfg.Now,
+		validID: validIndexID, notFound: ErrIndexNotFound, info: indexInfo,
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	s := &IndexStore{cfg: cfg, entries: make(map[string]*indexEntry)}
-	files, err := os.ReadDir(cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	now := cfg.Now()
-	for _, f := range files {
-		name, ok := strings.CutSuffix(f.Name(), indexExt)
-		if !ok || f.IsDir() {
-			continue
-		}
-		path := filepath.Join(cfg.Dir, f.Name())
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		ds, kind, key, _, err := parseContainer(raw)
-		if err != nil || IndexID(ds, kind, key) != name {
-			os.Remove(path) // corrupt or renamed: it would never verify on load
-			s.st.Corrupt++
-			continue
-		}
-		s.entries[name] = &indexEntry{
-			info: IndexInfo{
-				ID: name, Dataset: ds, Kind: kind, Key: key,
-				Bytes: int64(len(raw)), CreatedAt: now, LastUsed: now,
-			},
-			onDisk: true,
-		}
-		s.diskBytes += int64(len(raw))
+	if err := s.open(checkContainer); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// encodeContainer frames payload with the verified header.
-func encodeContainer(dataset, kind, key string, payload []byte) ([]byte, error) {
+// checkContainer verifies one container's header, which must name the
+// identity its file is stored under.
+func checkContainer(id string, r io.Reader, _ int64) (*indexEntry, error) {
+	ds, kind, key, _, err := readContainerHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if IndexID(ds, kind, key) != id {
+		return nil, fmt.Errorf("registry: index %s holds (%s,%s,%s)", id, ds, kind, key)
+	}
+	return &indexEntry{info: IndexInfo{ID: id, Dataset: ds, Kind: kind, Key: key}}, nil
+}
+
+// containerHeader is the verified header that frames one index's payload.
+func containerHeader(dataset, kind, key string) ([]byte, error) {
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
 	bw.U64(containerMagic)
@@ -172,133 +159,60 @@ func encodeContainer(dataset, kind, key string, payload []byte) ([]byte, error) 
 	if err := bw.Finish(); err != nil {
 		return nil, err
 	}
-	return append(buf.Bytes(), payload...), nil
+	return buf.Bytes(), nil
 }
 
-// parseContainer verifies the header of one container file and returns its
-// identity plus the payload (the index codec's own bytes, which carry a
-// CRC trailer of their own).
-func parseContainer(raw []byte) (dataset, kind, key string, payload []byte, err error) {
-	br := binio.NewReader(bytes.NewReader(raw))
+// readContainerHeader verifies the header at the start of r and returns the
+// identity it names plus its length in bytes.
+func readContainerHeader(r io.Reader) (dataset, kind, key string, n int, err error) {
+	br := binio.NewReader(r)
 	if m := br.U64(); br.Err() == nil && m != containerMagic {
-		return "", "", "", nil, fmt.Errorf("registry: bad index magic %#x", m)
+		return "", "", "", 0, fmt.Errorf("registry: bad index magic %#x", m)
 	}
 	if v := br.U64(); br.Err() == nil && v != containerVersion {
-		return "", "", "", nil, fmt.Errorf("registry: unsupported index container version %d", v)
+		return "", "", "", 0, fmt.Errorf("registry: unsupported index container version %d", v)
 	}
 	dataset = br.String(maxKeyLen)
 	kind = br.String(maxKeyLen)
 	key = br.String(maxKeyLen)
 	if err := br.Verify(); err != nil {
-		return "", "", "", nil, fmt.Errorf("registry: index container: %w", err)
+		return "", "", "", 0, fmt.Errorf("registry: index container: %w", err)
 	}
 	// Header length is fully determined by the decoded field sizes: two u64,
 	// three length-prefixed strings, one CRC trailer.
-	hdrLen := 16 + (4 + len(dataset)) + (4 + len(kind)) + (4 + len(key)) + 4
-	return dataset, kind, key, raw[hdrLen:], nil
-}
-
-func (s *IndexStore) path(id string) string {
-	return filepath.Join(s.cfg.Dir, id+indexExt)
+	return dataset, kind, key, 16 + (4 + len(dataset)) + (4 + len(kind)) + (4 + len(key)) + 4, nil
 }
 
 // Put persists one serialized index under (dataset, kind, key), replacing
 // any previous content for the same identity, and enforces the disk budget.
 func (s *IndexStore) Put(dataset, kind, key string, payload []byte) (IndexInfo, error) {
-	raw, err := encodeContainer(dataset, kind, key, payload)
+	hdr, err := containerHeader(dataset, kind, key)
 	if err != nil {
 		return IndexInfo{}, err
 	}
 	id := IndexID(dataset, kind, key)
-	tmp, err := os.CreateTemp(s.cfg.Dir, id+".tmp*")
+	tmp, err := s.writeTemp(id, func(w io.Writer) error {
+		_, err := io.Copy(w, io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(payload)))
+		return err
+	})
 	if err != nil {
-		return IndexInfo{}, fmt.Errorf("registry: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return IndexInfo{}, fmt.Errorf("registry: write index %s: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return IndexInfo{}, fmt.Errorf("registry: %w", err)
+		return IndexInfo{}, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		os.Remove(tmp.Name())
-		return IndexInfo{}, fmt.Errorf("registry: %w", err)
+	// Same identity re-persisted (a rebuild, or two sessions that built
+	// concurrently): the rename swaps the bytes under the existing entry.
+	e, ok := s.entries[id]
+	if !ok {
+		e = &indexEntry{info: IndexInfo{ID: id, Dataset: dataset, Kind: kind, Key: key}}
+		e.id = id
 	}
-	now := s.cfg.Now()
-	if e, ok := s.entries[id]; ok && !e.deleted {
-		// Same identity re-persisted (e.g. two sessions built concurrently):
-		// the rename already swapped the bytes; refresh the accounting.
-		s.diskBytes += int64(len(raw)) - e.info.Bytes
-		e.info.Bytes = int64(len(raw))
-		e.info.LastUsed = now
-		s.st.Saves++
-		return s.statLocked(e), nil
+	if err := s.installLocked(e, tmp, int64(len(hdr)+len(payload))); err != nil {
+		return IndexInfo{}, err
 	}
-	e := &indexEntry{
-		info: IndexInfo{
-			ID: id, Dataset: dataset, Kind: kind, Key: key,
-			Bytes: int64(len(raw)), CreatedAt: now, LastUsed: now,
-		},
-		onDisk: true,
-	}
-	s.entries[id] = e
-	s.diskBytes += e.info.Bytes
 	s.st.Saves++
-	s.reclaimLocked(e)
-	return s.statLocked(e), nil
-}
-
-// reclaimLocked enforces the disk budget: least-recently-used unpinned
-// indexes go first; keep (the index just written) survives even when the
-// budget is smaller than one artifact, so a Put always lands.
-func (s *IndexStore) reclaimLocked(keep *indexEntry) {
-	if s.cfg.DiskBudget <= 0 || s.diskBytes <= s.cfg.DiskBudget {
-		return
-	}
-	cands := make([]*indexEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		if e.refs == 0 && e != keep {
-			cands = append(cands, e)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].info.LastUsed.Before(cands[j].info.LastUsed) })
-	for _, e := range cands {
-		if s.diskBytes <= s.cfg.DiskBudget {
-			return
-		}
-		s.removeLocked(e)
-		s.st.Reclaims++
-	}
-}
-
-// removeLocked hides e and deletes its file unless outstanding handles
-// defer the removal to the last Release.
-func (s *IndexStore) removeLocked(e *indexEntry) {
-	e.deleted = true
-	delete(s.entries, e.info.ID)
-	s.diskBytes -= e.info.Bytes
-	if e.refs == 0 {
-		s.removeFileLocked(e)
-	}
-}
-
-// removeFileLocked deletes e's container unless its ID has been
-// re-registered since (the new entry owns the path now).
-func (s *IndexStore) removeFileLocked(e *indexEntry) {
-	if !e.onDisk {
-		return
-	}
-	e.onDisk = false
-	if cur, ok := s.entries[e.info.ID]; ok && cur != e {
-		return
-	}
-	os.Remove(s.path(e.info.ID))
+	return indexInfo(e), nil
 }
 
 // IndexHandle is a pinned reference to one stored index's payload. Release
@@ -306,6 +220,7 @@ func (s *IndexStore) removeFileLocked(e *indexEntry) {
 type IndexHandle struct {
 	s       *IndexStore
 	e       *indexEntry
+	info    IndexInfo
 	payload []byte
 	once    sync.Once
 }
@@ -314,19 +229,12 @@ type IndexHandle struct {
 // CRC-verified by the codec on decode).
 func (h *IndexHandle) Payload() []byte { return h.payload }
 
-// Info returns the index's metadata.
-func (h *IndexHandle) Info() IndexInfo { return h.e.info }
+// Info returns the index's metadata as of the Get.
+func (h *IndexHandle) Info() IndexInfo { return h.info }
 
 // Release unpins the handle. It is idempotent.
 func (h *IndexHandle) Release() {
-	h.once.Do(func() {
-		h.s.mu.Lock()
-		defer h.s.mu.Unlock()
-		h.e.refs--
-		if h.e.deleted && h.e.refs == 0 {
-			h.s.removeFileLocked(h.e)
-		}
-	})
+	h.once.Do(func() { h.s.release(h.e) })
 }
 
 // Get pins and returns the index stored under (dataset, kind, key), or
@@ -337,40 +245,34 @@ func (s *IndexStore) Get(dataset, kind, key string) (*IndexHandle, bool) {
 	id := IndexID(dataset, kind, key)
 	s.mu.Lock()
 	e, ok := s.entries[id]
-	if !ok || e.deleted {
+	if !ok {
 		s.st.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	e.refs++ // pin before unlocking so a Delete cannot remove the file mid-read
-	e.info.LastUsed = s.cfg.Now()
-	path := s.path(id)
+	s.pinLocked(e) // pin before unlocking so a Delete cannot remove the file mid-read
 	s.mu.Unlock()
 
-	raw, err := os.ReadFile(path)
 	var payload []byte
-	if err == nil {
-		var ds, k, ky string
-		ds, k, ky, payload, err = parseContainer(raw)
+	if err := s.load(e, func(r io.Reader, size int64) error {
+		raw := make([]byte, size)
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return err
+		}
+		ds, k, ky, n, err := readContainerHeader(bytes.NewReader(raw))
 		if err == nil && (ds != dataset || k != kind || ky != key) {
 			err = fmt.Errorf("registry: index %s holds (%s,%s,%s)", id, ds, k, ky)
 		}
+		payload = raw[n:]
+		return err
+	}); err != nil {
+		return nil, false
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
-		s.st.Corrupt++
-		e.refs--
-		if !e.deleted {
-			s.removeLocked(e)
-		} else if e.refs == 0 {
-			s.removeFileLocked(e)
-		}
-		return nil, false
-	}
 	s.st.Loads++
-	return &IndexHandle{s: s, e: e, payload: payload}, true
+	return &IndexHandle{s: s, e: e, info: indexInfo(e), payload: payload}, true
 }
 
 // Has reports whether an index is persisted under (dataset, kind, key)
@@ -378,51 +280,17 @@ func (s *IndexStore) Get(dataset, kind, key string) (*IndexHandle, bool) {
 func (s *IndexStore) Has(dataset, kind, key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[IndexID(dataset, kind, key)]
-	return ok && !e.deleted
+	_, ok := s.entries[IndexID(dataset, kind, key)]
+	return ok
 }
 
-func (s *IndexStore) statLocked(e *indexEntry) IndexInfo {
+// indexInfo materializes the dynamic fields of e's IndexInfo; callers hold
+// the store's mutex.
+func indexInfo(e *indexEntry) IndexInfo {
 	info := e.info
-	info.Refs = e.refs
+	info.Bytes, info.Refs = e.size, e.refs
+	info.CreatedAt, info.LastUsed = e.created, e.lastUsed
 	return info
-}
-
-// Stat returns the metadata of one stored index.
-func (s *IndexStore) Stat(id string) (IndexInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok || e.deleted {
-		return IndexInfo{}, fmt.Errorf("%w: %s", ErrIndexNotFound, id)
-	}
-	return s.statLocked(e), nil
-}
-
-// List returns the metadata of every stored index, ordered by ID.
-func (s *IndexStore) List() []IndexInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]IndexInfo, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, s.statLocked(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Delete removes one index by ID; its file goes once the last handle is
-// released.
-func (s *IndexStore) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok || e.deleted {
-		return fmt.Errorf("%w: %s", ErrIndexNotFound, id)
-	}
-	s.removeLocked(e)
-	s.st.Deletes++
-	return nil
 }
 
 // DeleteDataset removes every index built over the given dataset and
@@ -435,7 +303,7 @@ func (s *IndexStore) DeleteDataset(dataset string) int {
 	for _, e := range s.entries {
 		if e.info.Dataset == dataset {
 			s.removeLocked(e)
-			s.st.Deletes++
+			s.deletes++
 			n++
 		}
 	}
@@ -447,6 +315,7 @@ func (s *IndexStore) Stats() IndexStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.st
-	st.Indexes, st.DiskBytes, st.DiskBudget = len(s.entries), s.diskBytes, s.cfg.DiskBudget
+	st.Indexes, st.DiskBytes, st.DiskBudget = len(s.entries), s.bytes, s.budget
+	st.Deletes, st.Reclaims, st.Corrupt = s.deletes, s.reclaims, s.corrupt
 	return st
 }

@@ -268,3 +268,35 @@ func TestIndexStorePutReplacesSameIdentity(t *testing.T) {
 		t.Fatalf("accounting drifted: diskBytes %d vs sum %d", st.DiskBytes, total)
 	}
 }
+
+// FuzzIndexContainer: arbitrary bytes never panic the container header
+// parser, a header it accepts re-encodes to the same bytes, and a
+// container built from any identity within the key limit round-trips.
+func FuzzIndexContainer(f *testing.F) {
+	hdr, err := containerHeader(testDS, "lsh", "k=70 delta=0.1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(hdr, "payload"...), testDS, "lsh", "k=70 delta=0.1", []byte("payload"))
+	f.Add([]byte("garbage"), "", "", "", []byte(nil))
+	f.Fuzz(func(t *testing.T, raw []byte, ds, kind, key string, payload []byte) {
+		if gds, gkind, gkey, n, err := readContainerHeader(bytes.NewReader(raw)); err == nil {
+			h, err := containerHeader(gds, gkind, gkey)
+			if err != nil || !bytes.Equal(h, raw[:n]) {
+				t.Fatalf("accepted header does not re-encode: %v", err)
+			}
+		}
+		if len(ds) > maxKeyLen || len(kind) > maxKeyLen || len(key) > maxKeyLen {
+			return
+		}
+		h, err := containerHeader(ds, kind, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := append(h, payload...)
+		gds, gkind, gkey, n, err := readContainerHeader(bytes.NewReader(c))
+		if err != nil || gds != ds || gkind != kind || gkey != key || n != len(h) || !bytes.Equal(c[n:], payload) {
+			t.Fatalf("round trip: (%q,%q,%q) header %d of %d bytes, err %v", gds, gkind, gkey, n, len(h), err)
+		}
+	})
+}

@@ -11,6 +11,11 @@
 // restarted process re-indexes its directory on New. Uploads are idempotent:
 // Put of content already stored is a cheap hit that re-pins the payload.
 //
+// The disk tier and the IndexStore (indexes.go) are two kinds on one file
+// store (files.go). A dataset file that fails to decode or no longer
+// hashes to its ID fails one Get and is dropped with its file; the ID then
+// reads ErrNotFound until the content is uploaded again.
+//
 // Get returns a refcounted *Handle. A held handle keeps the registry's
 // deletion machinery honest: Delete hides the dataset immediately (no new
 // Get or List can see it) but the backing file is removed only when the last
@@ -26,9 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -62,16 +64,6 @@ type Config struct {
 	DiskBudget int64
 	// Now overrides the clock, for tests.
 	Now func() time.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MemBudget <= 0 {
-		c.MemBudget = 256 << 20
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // Info is the metadata view of one stored dataset.
@@ -117,75 +109,50 @@ type Stats struct {
 	Deletes    int64 `json:"deletes" prom:"svserver_registry_deletes_total,Dataset deletions."`
 	Reclaims   int64 `json:"reclaims" prom:"svserver_registry_reclaims_total,Disk-budget reclaims."`
 	Deltas     int64 `json:"deltas" prom:"svserver_registry_deltas_total,Versioned datasets minted by delta application."`
+	Corrupt    int64 `json:"corrupt" prom:"svserver_registry_corrupt_total,Dataset files that failed verification and were dropped."`
 }
 
 // entry is one stored dataset. Fields are guarded by Registry.mu except
 // loadMu, which serializes the disk reload of exactly this entry while the
 // registry lock stays free for everyone else.
 type entry struct {
-	id   string
-	info Info // static metadata; InMemory/Refs materialized in infoLocked
+	file      // the file store's record: ID, refs, disk state, LRU touch
+	info Info // static metadata; the dynamic fields materialized in infoLocked
 
-	data     *dataset.Dataset // resident payload, nil when evicted
-	elem     *list.Element    // position in the LRU while resident
-	refs     int
-	deleted  bool
-	onDisk   bool
-	lastUsed time.Time // last Get/Put touch; orders disk-budget reclaim
+	data *dataset.Dataset // resident payload, nil when evicted
+	elem *list.Element    // position in the LRU while resident
 
 	loadMu sync.Mutex
 }
 
 // Registry is the concurrency-safe two-tier store. Create one with New.
+// Stat, List and Delete come from its file store.
 type Registry struct {
-	cfg Config
+	files[*entry, Info] // the disk tier, mu, and every stored dataset
 
-	mu        sync.Mutex
-	entries   map[string]*entry
-	resident  *list.List // front = most recently used *entry
-	memBytes  int64
-	diskBytes int64
-	lineage   map[string]Lineage // child ID → derivation, for versioned datasets
+	cfg      Config
+	resident *list.List // front = most recently used *entry
+	memBytes int64
+	lineage  map[string]Lineage // child ID → derivation, for versioned datasets
 
-	st Stats // the counters; Stats fills in the gauges
+	st Stats // the kind's own counters; Stats fills in the rest
 }
 
 // New opens a registry. With a disk tier configured the directory is created
-// if needed and existing *.knnsb files are indexed (payloads stay on disk
-// until first Get); files that are not parseable dataset headers are
-// ignored.
+// if needed and existing *.knnsb files are indexed by their headers
+// (payloads stay on disk until first Get); a file whose header does not
+// parse or disagrees with its size is removed and counted as corrupt.
 func New(cfg Config) (*Registry, error) {
-	cfg = cfg.withDefaults()
-	r := &Registry{
-		cfg:      cfg,
-		entries:  make(map[string]*entry),
-		resident: list.New(),
-		lineage:  make(map[string]Lineage),
+	if cfg.MemBudget <= 0 {
+		cfg.MemBudget = 256 << 20
 	}
-	if cfg.Dir == "" {
-		return r, nil
+	r := &Registry{cfg: cfg, resident: list.New(), lineage: make(map[string]Lineage)}
+	r.files = files[*entry, Info]{
+		dir: cfg.Dir, ext: fileExt, budget: cfg.DiskBudget, now: cfg.Now, validID: validID,
+		notFound: ErrNotFound, info: r.infoLocked, drop: r.dropResidentLocked,
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	files, err := os.ReadDir(cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	now := cfg.Now()
-	for _, f := range files {
-		id, ok := strings.CutSuffix(f.Name(), fileExt)
-		if !ok || f.IsDir() || !validID(id) {
-			continue
-		}
-		info, err := indexFile(filepath.Join(cfg.Dir, f.Name()))
-		if err != nil {
-			continue
-		}
-		info.ID = id
-		info.CreatedAt = now
-		r.entries[id] = &entry{id: id, info: info, onDisk: true, lastUsed: now}
-		r.diskBytes += info.Bytes
+	if err := r.open(checkHeader); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -193,32 +160,22 @@ func New(cfg Config) (*Registry, error) {
 // validID reports whether id is a 16-hex-digit fingerprint — the only IDs
 // the registry mints, and the only file stems it will touch on disk.
 func validID(id string) bool {
-	if len(id) != 16 {
-		return false
-	}
-	for _, c := range id {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return len(id) == 16 && strings.Trim(id, "0123456789abcdef") == ""
 }
 
-// indexFile reads just the binary header of one stored dataset.
-func indexFile(path string) (Info, error) {
-	f, err := os.Open(path)
+// checkHeader reads just the binary header of one stored dataset, which
+// must account for the file's size exactly.
+func checkHeader(id string, r io.Reader, size int64) (*entry, error) {
+	h, err := dataset.ReadBinaryHeader(r)
 	if err != nil {
-		return Info{}, err
+		return nil, err
 	}
-	defer f.Close()
-	h, err := dataset.ReadBinaryHeader(f)
-	if err != nil {
-		return Info{}, err
+	if h.EncodedBytes() != size {
+		return nil, fmt.Errorf("registry: %s holds %d bytes, its header %d", id, size, h.EncodedBytes())
 	}
-	return Info{
-		Rows: h.N, Dim: h.Dim, Classes: h.Classes, Regression: h.Regression,
-		Bytes: h.EncodedBytes(),
-	}, nil
+	return &entry{info: Info{
+		ID: id, Rows: h.N, Dim: h.Dim, Classes: h.Classes, Regression: h.Regression, Bytes: size,
+	}}, nil
 }
 
 // ID formats a dataset fingerprint in the registry's 16-hex form.
@@ -247,32 +204,6 @@ func (h *Handle) Release() {
 	h.once.Do(func() { h.r.release(h.e) })
 }
 
-func (r *Registry) release(e *entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e.refs--
-	if e.deleted && e.refs == 0 {
-		r.removeFileLocked(e)
-	}
-}
-
-// removeFileLocked deletes e's backing file unless its ID has been
-// re-registered since the Delete (the new entry owns the path now).
-func (r *Registry) removeFileLocked(e *entry) {
-	if !e.onDisk {
-		return
-	}
-	e.onDisk = false
-	if cur, ok := r.entries[e.id]; ok && cur != e {
-		return
-	}
-	os.Remove(r.path(e.id))
-}
-
-func (r *Registry) path(id string) string {
-	return filepath.Join(r.cfg.Dir, id+fileExt)
-}
-
 // Put stores d under its content fingerprint and returns a pinned handle to
 // it plus whether the content was new. Re-uploading stored content is an
 // idempotent hit (any already-persisted bytes are trusted; the provided copy
@@ -294,127 +225,56 @@ func (r *Registry) Put(d *dataset.Dataset) (*Handle, bool, error) {
 	}
 	d.Flatten()
 	id := ID(d.Fingerprint())
-	size := encodedBytes(d)
 
 	r.mu.Lock()
-	if e, ok := r.entries[id]; ok && !e.deleted {
-		r.st.Reuploads++
-		e.refs++
-		e.lastUsed = r.cfg.Now()
-		// Evicted (or never loaded since a restart): the uploaded copy IS
-		// the content, so install it instead of re-reading the file
-		// (insertResidentLocked keeps the existing payload when resident).
-		r.insertResidentLocked(e, d)
-		h := &Handle{r: r, e: e, d: e.data}
-		r.mu.Unlock()
+	h := r.reuploadLocked(id, d)
+	r.mu.Unlock()
+	if h != nil {
 		return h, false, nil
 	}
-	r.mu.Unlock()
 
 	// New content: encode to a temp file outside the lock (uploads may be
-	// large), but rename it onto the content-addressed path only under the
-	// lock below. Serializing every final-path rename and remove on r.mu is
-	// what makes the interleavings safe: a deferred delete (last Release of
-	// a removed entry) can never clobber a file a racing re-upload just
-	// installed, because the re-upload's entry is in the table before its
-	// rename becomes visible.
-	tmpPath := ""
-	if r.cfg.Dir != "" {
-		var err error
-		if tmpPath, err = r.writeTemp(id, d); err != nil {
-			return nil, false, err
-		}
+	// large); installLocked renames it onto the content-addressed path
+	// under the lock below.
+	tmp, err := r.writeTemp(id, func(w io.Writer) error { return dataset.WriteBinary(w, d) })
+	if err != nil {
+		return nil, false, err
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[id]; ok && !e.deleted {
+	if h := r.reuploadLocked(id, d); h != nil {
 		// Lost a Put race; fold into the idempotent path.
-		if tmpPath != "" {
-			os.Remove(tmpPath)
-		}
-		r.st.Reuploads++
-		e.refs++
-		e.lastUsed = r.cfg.Now()
-		r.insertResidentLocked(e, d)
-		return &Handle{r: r, e: e, d: e.data}, false, nil
+		r.discard(tmp)
+		return h, false, nil
 	}
-	onDisk := false
-	if tmpPath != "" {
-		if err := os.Rename(tmpPath, r.path(id)); err != nil {
-			os.Remove(tmpPath)
-			return nil, false, fmt.Errorf("registry: %w", err)
-		}
-		onDisk = true
-	}
-	now := r.cfg.Now()
-	e := &entry{
-		id: id,
-		info: Info{
-			ID: id, Name: d.Name, Rows: d.N(), Dim: d.Dim(),
-			Classes: d.Classes, Regression: d.IsRegression(),
-			Bytes: size, CreatedAt: now,
-		},
-		refs:     1,
-		onDisk:   onDisk,
-		lastUsed: now,
-	}
-	r.entries[id] = e
-	if onDisk {
-		r.diskBytes += size
+	size := encodedBytes(d)
+	e := &entry{info: Info{
+		ID: id, Name: d.Name, Rows: d.N(), Dim: d.Dim(),
+		Classes: d.Classes, Regression: d.IsRegression(), Bytes: size,
+	}}
+	e.id, e.refs = id, 1
+	if err := r.installLocked(e, tmp, size); err != nil {
+		return nil, false, err
 	}
 	r.insertResidentLocked(e, d)
-	r.reclaimDiskLocked()
 	r.st.Puts++
 	return &Handle{r: r, e: e, d: d}, true, nil
 }
 
-// reclaimDiskLocked enforces the disk budget by removing entire datasets —
-// least recently used first, skipping pinned ones — once the disk tier
-// overflows. Reclaimed IDs behave like deleted ones; the content can
-// always be re-uploaded. Callers hold r.mu.
-func (r *Registry) reclaimDiskLocked() {
-	if r.cfg.DiskBudget <= 0 || r.diskBytes <= r.cfg.DiskBudget {
-		return
+// reuploadLocked serves a Put of content already stored as a pinned hit,
+// or returns nil when id is not stored. The file is trusted, and the
+// uploaded copy, which IS the content, fills an evicted payload instead of
+// a re-read (insertResidentLocked keeps one already resident).
+func (r *Registry) reuploadLocked(id string, d *dataset.Dataset) *Handle {
+	e, ok := r.entries[id]
+	if !ok {
+		return nil
 	}
-	cands := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		if e.refs == 0 && e.onDisk {
-			cands = append(cands, e)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lastUsed.Before(cands[j].lastUsed) })
-	for _, e := range cands {
-		if r.diskBytes <= r.cfg.DiskBudget {
-			return
-		}
-		e.deleted = true
-		delete(r.entries, e.id)
-		r.dropResidentLocked(e)
-		r.diskBytes -= e.info.Bytes
-		r.removeFileLocked(e)
-		r.st.Reclaims++
-	}
-}
-
-// writeTemp encodes d into a fresh temp file in the registry directory and
-// returns its path; the caller renames it onto the content-addressed path
-// under r.mu (or removes it on abort). fsync semantics are left to the OS.
-func (r *Registry) writeTemp(id string, d *dataset.Dataset) (string, error) {
-	tmp, err := os.CreateTemp(r.cfg.Dir, id+".tmp*")
-	if err != nil {
-		return "", fmt.Errorf("registry: %w", err)
-	}
-	if err := dataset.WriteBinary(tmp, d); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("registry: write %s: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("registry: %w", err)
-	}
-	return tmp.Name(), nil
+	r.st.Reuploads++
+	r.pinLocked(e)
+	r.insertResidentLocked(e, d)
+	return &Handle{r: r, e: e, d: e.data}
 }
 
 // insertResidentLocked puts e's payload into the memory tier and rebalances
@@ -469,16 +329,17 @@ func (r *Registry) dropResidentLocked(e *entry) {
 
 // Get pins and returns the dataset stored under id. A memory-tier hit is a
 // map lookup; a miss reloads the binary file (verifying that its content
-// still hashes to id) and re-inserts the payload into the LRU.
+// still hashes to id) and re-inserts the payload into the LRU. A file that
+// fails the check fails this Get and is dropped, so id reads ErrNotFound
+// until the content is uploaded again.
 func (r *Registry) Get(id string) (*Handle, error) {
 	r.mu.Lock()
-	e, ok := r.entries[id]
-	if !ok || e.deleted {
+	e, err := r.getLocked(id)
+	if err != nil {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, err
 	}
-	e.refs++ // pin before unlocking so Delete cannot remove the file mid-load
-	e.lastUsed = r.cfg.Now()
+	r.pinLocked(e) // pin before unlocking so Delete cannot remove the file mid-load
 	if e.data != nil {
 		r.st.Hits++
 		r.resident.MoveToFront(e.elem)
@@ -500,20 +361,21 @@ func (r *Registry) Get(id string) (*Handle, error) {
 		r.mu.Unlock()
 		return h, nil
 	}
-	path := r.path(id)
 	r.mu.Unlock()
 
-	d, err := loadFile(path, id)
+	var d *dataset.Dataset
+	if err := r.load(e, func(f io.Reader, _ int64) (err error) {
+		if d, err = dataset.ReadBinary(f); err == nil && ID(d.Fingerprint()) != id {
+			err = fmt.Errorf("corrupt: content hashes to %s", ID(d.Fingerprint()))
+		}
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("registry: load %s: %w", id, err)
+	}
+	d.Name = id
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err != nil {
-		e.refs--
-		if e.deleted && e.refs == 0 {
-			r.removeFileLocked(e)
-		}
-		return nil, err
-	}
 	r.st.Loads++
 	if e.data != nil {
 		// A Put of the same content raced the disk read (Put installs the
@@ -532,78 +394,14 @@ func (r *Registry) Get(id string) (*Handle, error) {
 	return &Handle{r: r, e: e, d: d}, nil
 }
 
-// loadFile decodes one stored dataset and verifies its content address.
-func loadFile(path, id string) (*dataset.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("registry: load %s: %w", id, err)
-	}
-	defer f.Close()
-	d, err := dataset.ReadBinary(f)
-	if err != nil {
-		return nil, fmt.Errorf("registry: load %s: %w", id, err)
-	}
-	if got := ID(d.Fingerprint()); got != id {
-		return nil, fmt.Errorf("registry: %s is corrupt: content hashes to %s", id, got)
-	}
-	d.Name = id
-	return d, nil
-}
-
-// Delete removes id from the registry: it disappears from Get/List/Stat
-// immediately, and the backing file is removed once the last outstanding
-// handle is released (running jobs keep their data). Deleting an unknown id
-// returns ErrNotFound.
-func (r *Registry) Delete(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[id]
-	if !ok || e.deleted {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	e.deleted = true
-	delete(r.entries, id)
-	r.dropResidentLocked(e)
-	if e.onDisk {
-		r.diskBytes -= e.info.Bytes
-	}
-	if e.refs == 0 {
-		r.removeFileLocked(e)
-	}
-	r.st.Deletes++
-	return nil
-}
-
 // infoLocked materializes the dynamic fields of e's Info.
 func (r *Registry) infoLocked(e *entry) Info {
 	info := e.info
 	info.InMemory = e.data != nil
 	info.OnDisk = e.onDisk
 	info.Refs = e.refs
+	info.CreatedAt = e.created
 	return info
-}
-
-// Stat returns the metadata of one stored dataset.
-func (r *Registry) Stat(id string) (Info, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[id]
-	if !ok || e.deleted {
-		return Info{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return r.infoLocked(e), nil
-}
-
-// List returns the metadata of every stored dataset, ordered by ID.
-func (r *Registry) List() []Info {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Info, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, r.infoLocked(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Stats returns current counters.
@@ -612,8 +410,9 @@ func (r *Registry) Stats() Stats {
 	defer r.mu.Unlock()
 	st := r.st
 	st.Datasets, st.Resident = len(r.entries), r.resident.Len()
-	st.MemBytes, st.DiskBytes = r.memBytes, r.diskBytes
+	st.MemBytes, st.DiskBytes = r.memBytes, r.bytes
 	st.MemBudget, st.DiskBudget = r.cfg.MemBudget, r.cfg.DiskBudget
+	st.Deletes, st.Reclaims, st.Corrupt = r.deletes, r.reclaims, r.corrupt
 	return st
 }
 
@@ -625,19 +424,18 @@ func (r *Registry) Stats() Stats {
 // concurrent Delete cannot remove the file mid-stream.
 func (r *Registry) WriteTo(w io.Writer, id string) error {
 	r.mu.Lock()
-	e, ok := r.entries[id]
-	if !ok || e.deleted {
+	e, err := r.getLocked(id)
+	if err != nil {
 		r.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
+		return err
 	}
-	e.refs++
+	r.pinLocked(e)
 	onDisk := e.onDisk
-	path := r.path(id)
 	r.mu.Unlock()
 	defer r.release(e)
 
 	if onDisk {
-		f, err := os.Open(path)
+		f, _, err := r.openFile(id)
 		if err == nil {
 			defer f.Close()
 			_, err = io.Copy(w, f)

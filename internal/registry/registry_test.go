@@ -649,3 +649,109 @@ func TestWriteToFromDisk(t *testing.T) {
 		t.Fatal("WriteTo pulled the payload into the memory tier")
 	}
 }
+
+// evict pushes every other dataset out of the memory tier of a registry
+// whose budget fits one, by putting a fresh filler dataset.
+func evict(t *testing.T, r *Registry, seed uint64) {
+	t.Helper()
+	h, _, err := r.Put(testData(t, 64, 4, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+}
+
+// A corrupt file fails one Get and is dropped with its file; the
+// re-upload that follows writes a fresh file, which survives eviction.
+func TestReuploadRepairsCorruptFile(t *testing.T) {
+	d := testData(t, 64, 4, 91)
+	r := newTestRegistry(t, encodedBytes(d)+1) // one resident at a time
+	h, _, err := r.Put(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := h.ID()
+	h.Release()
+	evict(t, r, 92)
+	path := filepath.Join(r.cfg.Dir, id+fileExt)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Get(id); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("first Get of a corrupt file: %v, want the corruption error", err)
+	}
+	if _, err := r.Get(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after the corrupt load: %v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt file kept: %v", err)
+	}
+	if st := r.Stats(); st.Corrupt != 1 || st.Datasets != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt and the filler left", st)
+	}
+
+	h, created, err := r.Put(testData(t, 64, 4, 91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !created {
+		t.Fatal("re-upload of a dropped dataset not stored as new")
+	}
+	h.Release()
+	evict(t, r, 93)
+	if info, _ := r.Stat(id); info.InMemory {
+		t.Fatal("re-uploaded dataset not evicted; budget too large for this test")
+	}
+	g, err := r.Get(id)
+	if err != nil {
+		t.Fatalf("re-uploaded dataset does not reload: %v", err)
+	}
+	defer g.Release()
+	if g.Dataset().Fingerprint() != d.Fingerprint() {
+		t.Fatal("reloaded content differs")
+	}
+}
+
+// A registry reopened over a torn file (header intact, payload cut short)
+// drops it when it opens, since the header no longer accounts for the
+// file's size: the ID reads ErrNotFound and no bytes are accounted for it.
+func TestTornFileDropped(t *testing.T) {
+	dir := t.TempDir()
+	r1, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := r1.Put(testData(t, 64, 4, 95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := h.ID()
+	h.Release()
+	path := filepath.Join(dir, id+fileExt)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r2.Stats(); st.DiskBytes != 0 || st.Corrupt != 1 || st.Datasets != 0 {
+		t.Fatalf("stats %+v, want 0 disk bytes, 1 corrupt, no datasets", st)
+	}
+	if _, err := r2.Get(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a torn file: %v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("torn file kept: %v", err)
+	}
+}

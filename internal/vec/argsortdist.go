@@ -110,27 +110,52 @@ func (ds *DistSorter) PackedInto(dst []uint32, dist []float64, correct []bool, o
 		copy(dst, pay) // one key: index order
 		return dst
 	}
-	tmpKeys := resize(ds.tmpKeys, n)
-	ds.tmpKeys = tmpKeys
+	ds.tmpKeys = resize(ds.tmpKeys, n)
+	ds.sortInto(keys, pay, ds.tmpKeys, dst, lo, hi)
+	return dst
+}
+
+// SortKeys sorts the (keys[i], pay[i]) pairs by key, in place, with the
+// bucket sort of PackedInto; pairs with equal keys keep their input order.
+// It serves raw 64-bit keys, such as the LSH tables' bucket hashes, that
+// need no DistKeyBits transform.
+func (ds *DistSorter) SortKeys(keys []uint64, pay []uint32) {
+	n := len(keys)
+	if n < radixMinN {
+		insertionSortKeys(keys, pay)
+		return
+	}
+	lo, hi := minMax(keys)
+	if lo == hi {
+		return
+	}
+	ds.keys, ds.pay = resize(ds.keys, n), resize(ds.pay, n)
+	copy(ds.keys, keys)
+	copy(ds.pay, pay[:n])
+	ds.sortInto(ds.keys, ds.pay, keys, pay, lo, hi)
+}
+
+// sortInto sorts the (srcK, srcP) pairs, whose keys lie in [lo, hi] with
+// lo < hi, stably into (dstK, dstP); the source arrays end as scratch.
+func (ds *DistSorter) sortInto(srcK []uint64, srcP []uint32, dstK []uint64, dstP []uint32, lo, hi uint64) {
 	ds.stack = ds.stack[:0]
-	ds.scatter(keys, pay, tmpKeys, dst, lo, hi, 0)
-	// Each pending bucket's entries sit in (tmpKeys, dst); the source
-	// arrays are free scratch over the same range.
+	ds.scatter(srcK, srcP, dstK, dstP, lo, hi, 0)
+	// Each pending bucket's entries sit in (dstK, dstP); the source arrays
+	// are free scratch over the same range.
 	for len(ds.stack) > 0 {
 		b := ds.stack[len(ds.stack)-1]
 		ds.stack = ds.stack[:len(ds.stack)-1]
-		bk, bp := tmpKeys[b[0]:b[1]], dst[b[0]:b[1]]
+		bk, bp := dstK[b[0]:b[1]], dstP[b[0]:b[1]]
 		blo, bhi := minMax(bk)
 		if blo == bhi {
 			continue
 		}
-		sk, sp := keys[b[0]:b[1]], pay[b[0]:b[1]]
+		sk, sp := srcK[b[0]:b[1]], srcP[b[0]:b[1]]
 		copy(sk, bk)
 		copy(sp, bp)
 		ds.scatter(sk, sp, bk, bp, blo, bhi, b[0])
 	}
-	insertionSortKeys(tmpKeys, dst)
-	return dst
+	insertionSortKeys(dstK, dstP)
 }
 
 // radixMinN is the input size below which the bucket machinery (histogram

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -282,4 +283,51 @@ func FuzzPackedArgsortDist(f *testing.F) {
 		var ds DistSorter
 		checkPacked(t, dist, correct, off, flag, ds.PackedInto(nil, dist, correct, off, flag))
 	})
+}
+
+// SortKeys sorts raw 64-bit keys with their payloads exactly as a stable
+// comparison sort does: random keys drawn from a few hundred values (heavy
+// duplicates across the whole 64-bit range, like LSH bucket hashes),
+// unique random keys, all-equal keys, and sizes on both sides of
+// radixMinN; one sorter serves every case, so stale scratch would show.
+func TestSortKeysMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	shapes := []struct {
+		name string
+		key  func(pool []uint64) uint64
+	}{
+		{"duplicates", func(pool []uint64) uint64 { return pool[rng.IntN(len(pool))] }},
+		{"unique", func([]uint64) uint64 { return rng.Uint64() }},
+		{"equal", func([]uint64) uint64 { return 0x9e3779b97f4a7c15 }},
+		{"narrow", func([]uint64) uint64 { return 1<<40 + rng.Uint64N(300) }},
+	}
+	var ds DistSorter
+	for _, sh := range shapes {
+		for _, n := range []int{0, 1, 2, 17, radixMinN - 1, radixMinN, radixMinN + 1, 1000, 5000, 1 << 16} {
+			pool := make([]uint64, 1+rng.IntN(300))
+			for i := range pool {
+				pool[i] = rng.Uint64()
+			}
+			keys := make([]uint64, n)
+			pay := make([]uint32, n)
+			for i := range keys {
+				keys[i], pay[i] = sh.key(pool), uint32(i)
+			}
+			type pair struct {
+				k uint64
+				p uint32
+			}
+			want := make([]pair, n)
+			for i := range want {
+				want[i] = pair{keys[i], pay[i]}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].k < want[j].k })
+			ds.SortKeys(keys, pay)
+			for i, w := range want {
+				if keys[i] != w.k || pay[i] != w.p {
+					t.Fatalf("%s n=%d: entry %d is (%#x, %d), want (%#x, %d)", sh.name, n, i, keys[i], pay[i], w.k, w.p)
+				}
+			}
+		}
+	}
 }

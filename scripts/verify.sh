@@ -2,15 +2,18 @@
 # Tier-1 verification: formatting, vet (./... spans the library, commands
 # and examples), build, tests (including the method-registry Validate
 # tables, the Evaluate equivalence suite and the <1µs dispatch-overhead
-# gate), race passes over the job manager, the dataset registry, the
-# cluster coordinator and the context-cancellation paths, a race pass over
+# gate), race passes over the job manager, the cluster coordinator and the
+# context-cancellation paths, ten race passes over the dataset registry and
+# index store (one file store under both: its pin, reclaim and rename
+# interleavings), a race pass over
 # the vec and kheap kernels, ten race passes over the streaming distance
 # scan and the execution engine (each splits a large batch's scan or
 # reduce over several goroutines) and ten over the LSH index (its build
 # hashes tables on several goroutines), the benchmark's own self-test (so an
 # internal API change that breaks the benchmark's build fails here), a
 # GOAMD64=v3 cross-build of the assembly, fuzz smoke
-# runs over the decode/storage/shard-codec surfaces and the distance sort
+# runs over the decode/storage/shard-codec surfaces (the index store's
+# container header included) and the distance sort
 # (the []int ordering and the packed ranking against a stable comparison
 # sort), a serving benchmark
 # of the upload-once/value-many registry path, a method-discovery
@@ -60,7 +63,7 @@ go test -race -count=10 ./internal/knn ./internal/core
 go test -race -count=10 ./internal/lsh
 go test -race ./internal/jobs
 go test -race ./internal/journal
-go test -race ./internal/registry
+go test -race -count=10 ./internal/registry
 go test -race ./internal/cluster
 go test -race ./internal/planner
 go test -run TestCancel -race ./...
@@ -83,6 +86,7 @@ go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/kdtree
 go test -run '^$' -fuzz 'FuzzArgsortDist$' -fuzztime 10s ./internal/vec
 go test -run '^$' -fuzz FuzzPackedArgsortDist -fuzztime 10s ./internal/vec
 go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/lsh
+go test -run '^$' -fuzz FuzzIndexContainer -fuzztime 10s ./internal/registry
 
 # Serving smoke: the upload-once/value-many comparison through the real
 # HTTP handlers (inline re-ships and re-fingerprints the payload each call;
