@@ -16,6 +16,7 @@ import (
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/journal"
 	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
 	"knnshapley/internal/vec"
 	"knnshapley/internal/wire"
 )
@@ -347,7 +348,8 @@ func benchDispatch() ([]benchRecord, error) {
 }
 
 // benchSharded measures the scatter-gather serving path end to end: three
-// in-process worker peers behind real HTTP servers, one coordinator, and an
+// in-process svserver peers (internal/server, each over its own temp data
+// dir) behind real HTTP servers, one coordinator, and an
 // exact valuation split into per-peer shards and merged bit-identically. The
 // warm-up request pushes both datasets (upload-once, like wire_byref); the
 // timed requests are pure by-ref scatter-gather, so NsPerOp is what one
@@ -366,13 +368,17 @@ func benchSharded(n int, train, test *dataset.Dataset) ([]benchRecord, error) {
 	}()
 	var urls []string
 	for i := 0; i < 3; i++ {
-		reg, err := registry.New(registry.Config{})
+		dir, err := os.MkdirTemp("", "svbench-peer-")
 		if err != nil {
 			return nil, err
 		}
-		mgr := jobs.New(jobs.Config{Workers: 2})
-		srv := httptest.NewServer(cluster.NewWorker(reg, mgr).Handler())
-		cleanups = append(cleanups, srv.Close, mgr.Close)
+		cleanups = append(cleanups, func() { os.RemoveAll(dir) })
+		peer, err := server.New(server.Config{MaxBody: 64 << 20, Jobs: jobs.Config{Workers: 2}, Registry: registry.Config{Dir: dir}})
+		if err != nil {
+			return nil, err
+		}
+		srv := httptest.NewServer(peer.Handler())
+		cleanups = append(cleanups, peer.Close, srv.Close)
 		urls = append(urls, srv.URL)
 	}
 

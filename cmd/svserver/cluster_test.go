@@ -46,19 +46,19 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	var workerURLs []string
 	for i := 0; i < 3; i++ {
 		w := newTestServer(t, 64<<20, 0)
-		ws := httptest.NewServer(w.routes())
+		ws := httptest.NewServer(w.Handler())
 		t.Cleanup(ws.Close)
 		workerURLs = append(workerURLs, ws.URL)
 	}
 
-	coord := newTestServer(t, 64<<20, 0)
-	coord.coord = cluster.New(cluster.Config{
+	c := cluster.New(cluster.Config{
 		Peers:          workerURLs,
 		HealthInterval: -1,
 		PollInterval:   5 * time.Millisecond,
 	})
-	t.Cleanup(coord.coord.Close)
-	cs := httptest.NewServer(coord.routes())
+	t.Cleanup(c.Close)
+	coord := newCoordinatorServer(t, c)
+	cs := httptest.NewServer(coord.Handler())
 	t.Cleanup(cs.Close)
 
 	local := newTestServer(t, 64<<20, 0)
@@ -176,9 +176,9 @@ func TestClusterModeFallsBackWhenPeersDown(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	srv := newTestServer(t, 64<<20, 0)
-	srv.coord = cluster.New(cluster.Config{Peers: []string{deadURL}, HealthInterval: -1})
-	t.Cleanup(srv.coord.Close)
+	c := cluster.New(cluster.Config{Peers: []string{deadURL}, HealthInterval: -1})
+	t.Cleanup(c.Close)
+	srv := newCoordinatorServer(t, c)
 
 	rec, resp := postValue(t, srv, testRequest())
 	if rec.Code != http.StatusOK {
@@ -187,7 +187,9 @@ func TestClusterModeFallsBackWhenPeersDown(t *testing.T) {
 	if len(resp.Values) == 0 {
 		t.Fatal("fallback valuation returned no values")
 	}
-	if srv.fallbacks.Load() == 0 {
+	var st wire.ClusterStatz
+	mustDo(t, srv, http.MethodGet, "/cluster/statz", nil, &st)
+	if st.Fallbacks == 0 {
 		t.Fatal("fallback not counted")
 	}
 
@@ -205,7 +207,7 @@ func TestClusterModeFallsBackWhenPeersDown(t *testing.T) {
 // valuation result endpoint with a pointer to the right one.
 func TestShardResultGuard(t *testing.T) {
 	srv := newTestServer(t, 64<<20, 0)
-	ws := httptest.NewServer(srv.routes())
+	ws := httptest.NewServer(srv.Handler())
 	t.Cleanup(ws.Close)
 
 	train := knnshapley.SynthIris(20, 51)
@@ -230,13 +232,13 @@ func TestShardResultGuard(t *testing.T) {
 		t.Fatalf("shard submit: HTTP %d, id %q", resp.StatusCode, st.ID)
 	}
 
-	job, ok := srv.mgr.Get(st.ID)
+	job, ok := srv.Jobs().Get(st.ID)
 	if !ok {
 		t.Fatal("job vanished")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := srv.mgr.Wait(ctx, job); err != nil {
+	if _, err := srv.Jobs().Wait(ctx, job); err != nil {
 		t.Fatal(err)
 	}
 

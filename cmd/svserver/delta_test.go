@@ -78,7 +78,7 @@ func TestDeltaIncrementalValuation(t *testing.T) {
 		t.Fatalf("value parent: %d %s", rec.Code, rec.Body.String())
 	}
 	requireBits(t, "parent", parentResp.Values, exactValues(t, base.Train.X, base.Train.Labels, base.Test, 2))
-	if st := srv.inc.Stats(); st.FromScratch != 1 || st.Patches != 0 || st.Replays != 1 {
+	if st := srv.Incremental().Stats(); st.FromScratch != 1 || st.Patches != 0 || st.Replays != 1 {
 		t.Fatalf("after parent valuation: %+v", st)
 	}
 
@@ -111,7 +111,7 @@ func TestDeltaIncrementalValuation(t *testing.T) {
 	}
 	cx, cl := materialize(base.Train.X, base.Train.Labels, nil, addX, addL)
 	requireBits(t, "child append", childResp.Values, exactValues(t, cx, cl, base.Test, 2))
-	if st := srv.inc.Stats(); st.FromScratch != 1 || st.Patches != 1 || st.Replays != 2 {
+	if st := srv.Incremental().Stats(); st.FromScratch != 1 || st.Patches != 1 || st.Replays != 2 {
 		t.Fatalf("after child valuation (want only delta work): %+v", st)
 	}
 
@@ -151,7 +151,7 @@ func TestDeltaIncrementalValuation(t *testing.T) {
 	}
 	mx, ml := materialize(cx, cl, map[int]bool{0: true, 6: true}, add2X, add2L)
 	requireBits(t, "mixed delta", mixedResp.Values, exactValues(t, mx, ml, base.Test, 2))
-	if st := srv.inc.Stats(); st.FromScratch != 1 || st.Patches != 2 || st.Removals != 1 {
+	if st := srv.Incremental().Stats(); st.FromScratch != 1 || st.Patches != 2 || st.Removals != 1 {
 		t.Fatalf("after mixed delta: %+v", st)
 	}
 
@@ -173,7 +173,7 @@ func TestDeltaIncrementalValuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBits(t, "truncated delta", truncResp.Values, wantTrunc.Values)
-	if st := srv.inc.Stats(); st.FromScratch != 1 {
+	if st := srv.Incremental().Stats(); st.FromScratch != 1 {
 		t.Fatalf("truncated replay rescanned: %+v", st)
 	}
 
@@ -259,13 +259,13 @@ func TestReplayDeltaJobs(t *testing.T) {
 	if len(states) != 2 {
 		t.Fatalf("replayed %d states, want 2", len(states))
 	}
-	srv.replay(states)
+	srv.Replay(states)
 	jw2.PurgeReplayed()
 
 	pollUntil(t, srv, "j000001", func(st jobStatusResponse) bool { return st.Status == "done" })
 	var children []string
-	for _, info := range srv.reg.List() {
-		if lin, ok := srv.reg.LineageOf(info.ID); ok {
+	for _, info := range srv.Registry().List() {
+		if lin, ok := srv.Registry().LineageOf(info.ID); ok {
 			if lin.Parent != trainRef || len(lin.Removed) != 1 || lin.Appended != 0 {
 				t.Fatalf("lineage of %s: %+v", info.ID, lin)
 			}

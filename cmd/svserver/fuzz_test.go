@@ -10,6 +10,7 @@ import (
 
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
 )
 
 // FuzzDecodeValueRequest throws arbitrary bytes at the two JSON-decoding
@@ -40,17 +41,17 @@ func FuzzDecodeValueRequest(f *testing.F) {
 		`"train":{"x":[[0],[1]],"labels":[0,1]},"trainRef":"0123456789abcdef",` +
 		`"test":{"x":[[0]],"labels":[0]}}`))
 
-	srv, err := newServer(1<<20, 100*time.Millisecond, jobs.Config{
+	srv, err := server.New(server.Config{MaxBody: 1 << 20, RequestTimeout: 100 * time.Millisecond, Jobs: jobs.Config{
 		Workers:    1,
 		QueueDepth: 4,
 		JobTimeout: 100 * time.Millisecond,
 		TTL:        time.Second,
-	}, registry.Config{Dir: f.TempDir()}, registry.IndexConfig{}, nil)
+	}, Registry: registry.Config{Dir: f.TempDir()}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(srv.mgr.Close)
-	mux := srv.routes()
+	f.Cleanup(srv.Close)
+	mux := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range []string{"/value", "/jobs"} {
@@ -93,17 +94,17 @@ func FuzzDecodeDeltaRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"unknown":true}`))
 
-	srv, err := newServer(1<<20, 100*time.Millisecond, jobs.Config{
+	srv, err := server.New(server.Config{MaxBody: 1 << 20, RequestTimeout: 100 * time.Millisecond, Jobs: jobs.Config{
 		Workers:    1,
 		QueueDepth: 4,
 		JobTimeout: 100 * time.Millisecond,
 		TTL:        time.Second,
-	}, registry.Config{Dir: f.TempDir()}, registry.IndexConfig{}, nil)
+	}, Registry: registry.Config{Dir: f.TempDir()}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(srv.mgr.Close)
-	mux := srv.routes()
+	f.Cleanup(srv.Close)
+	mux := srv.Handler()
 
 	// A real parent so fuzz-crafted deltas can reach the application layer,
 	// not just the decoder.

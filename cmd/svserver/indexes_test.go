@@ -8,20 +8,20 @@ import (
 
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
 	"knnshapley/internal/wire"
 )
 
 // indexTestServer builds a server whose index store lives in a known temp
 // dir so tests can look at the .knnsi files on disk.
-func indexTestServer(t *testing.T) (*server, string) {
+func indexTestServer(t *testing.T) (*server.Server, string) {
 	t.Helper()
 	idxDir := filepath.Join(t.TempDir(), "indexes")
-	srv, err := newServer(1<<20, 0, jobs.Config{Workers: 2, QueueDepth: 16},
-		registry.Config{Dir: t.TempDir()}, registry.IndexConfig{Dir: idxDir}, nil)
+	srv, err := server.New(server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, Registry: registry.Config{Dir: t.TempDir()}, Indexes: registry.IndexConfig{Dir: idxDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.mgr.Close)
+	t.Cleanup(srv.Close)
 	return srv, idxDir
 }
 
@@ -36,7 +36,7 @@ func knnsiFiles(t *testing.T, dir string) []string {
 
 // runIndexJob submits a build request and waits for the job's
 // IndexJobResult.
-func runIndexJob(t *testing.T, srv *server, req wire.IndexRequest) wire.IndexJobResult {
+func runIndexJob(t *testing.T, srv *server.Server, req wire.IndexRequest) wire.IndexJobResult {
 	t.Helper()
 	var st jobStatusResponse
 	if rec := do(t, srv, http.MethodPost, "/indexes", req, &st); rec.Code != http.StatusAccepted {
@@ -114,8 +114,7 @@ func TestIndexReloadAcrossRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	idxDir := filepath.Join(dataDir, "indexes")
 
-	srv1, err := newServer(1<<20, 0, jobs.Config{Workers: 2, QueueDepth: 16},
-		registry.Config{Dir: dataDir}, registry.IndexConfig{Dir: idxDir}, nil)
+	srv1, err := server.New(server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, Registry: registry.Config{Dir: dataDir}, Indexes: registry.IndexConfig{Dir: idxDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,22 +126,21 @@ func TestIndexReloadAcrossRestart(t *testing.T) {
 	if !first.Built {
 		t.Fatalf("first build %+v, want built", first)
 	}
-	srv1.mgr.Close()
+	srv1.Close()
 
-	srv2, err := newServer(1<<20, 0, jobs.Config{Workers: 2, QueueDepth: 16},
-		registry.Config{Dir: dataDir}, registry.IndexConfig{Dir: idxDir}, nil)
+	srv2, err := server.New(server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, Registry: registry.Config{Dir: dataDir}, Indexes: registry.IndexConfig{Dir: idxDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv2.mgr.Close)
-	if got := srv2.indexes.Stats().Indexes; got != 1 {
+	t.Cleanup(srv2.Close)
+	if got := srv2.Indexes().Stats().Indexes; got != 1 {
 		t.Fatalf("restarted store recovered %d indexes, want 1", got)
 	}
 	second := runIndexJob(t, srv2, wire.IndexRequest{Dataset: up.ID, Kind: "lsh", K: 2, Eps: 0.4, Delta: 0.2, Seed: 7})
 	if second.Built || !second.Loaded {
 		t.Fatalf("post-restart build: built=%v loaded=%v, want a pure reload", second.Built, second.Loaded)
 	}
-	if loads := srv2.indexes.Stats().Loads; loads == 0 {
+	if loads := srv2.Indexes().Stats().Loads; loads == 0 {
 		t.Fatal("store load counter did not move on reload")
 	}
 }
@@ -184,13 +182,12 @@ func TestIndexStoreSurvivesCorruptFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(idxDir, "junk.kd.0000000000000000.knnsi"), []byte("not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(1<<20, 0, jobs.Config{Workers: 1, QueueDepth: 4},
-		registry.Config{Dir: dataDir}, registry.IndexConfig{Dir: idxDir}, nil)
+	srv, err := server.New(server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 1, QueueDepth: 4}, Registry: registry.Config{Dir: dataDir}, Indexes: registry.IndexConfig{Dir: idxDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.mgr.Close)
-	if got := srv.indexes.Stats().Indexes; got != 0 {
+	t.Cleanup(srv.Close)
+	if got := srv.Indexes().Stats().Indexes; got != 0 {
 		t.Fatalf("corrupt file counted as %d live indexes", got)
 	}
 }

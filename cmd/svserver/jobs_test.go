@@ -11,11 +11,12 @@ import (
 
 	"knnshapley"
 	"knnshapley/internal/jobs"
+	"knnshapley/internal/server"
 )
 
 // do drives one request through the full route table (so /jobs/{id} path
 // values resolve) and decodes the JSON body into out when non-nil.
-func do(t *testing.T, srv *server, method, path string, body any, out any) *httptest.ResponseRecorder {
+func do(t *testing.T, srv *server.Server, method, path string, body any, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {
@@ -29,7 +30,7 @@ func do(t *testing.T, srv *server, method, path string, body any, out any) *http
 	}
 	req := httptest.NewRequest(method, path, rd)
 	rec := httptest.NewRecorder()
-	srv.routes().ServeHTTP(rec, req)
+	srv.Handler().ServeHTTP(rec, req)
 	if out != nil && rec.Code < 300 {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
 			t.Fatalf("%s %s: decode %q: %v", method, path, rec.Body.String(), err)
@@ -40,7 +41,7 @@ func do(t *testing.T, srv *server, method, path string, body any, out any) *http
 
 // pollUntil polls GET /jobs/{id} until the predicate holds or the deadline
 // lapses, returning the final status.
-func pollUntil(t *testing.T, srv *server, id string, pred func(jobStatusResponse) bool) jobStatusResponse {
+func pollUntil(t *testing.T, srv *server.Server, id string, pred func(jobStatusResponse) bool) jobStatusResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	var st jobStatusResponse
@@ -153,8 +154,8 @@ func TestJobCancelMidRun(t *testing.T) {
 		t.Fatalf("canceled job carries no error: %+v", final)
 	}
 	var er errorResponse
-	if rec := do(t, srv, http.MethodGet, "/jobs/"+st.ID+"/result", nil, nil); rec.Code != statusClientClosedRequest {
-		t.Fatalf("canceled result status %d, want %d", rec.Code, statusClientClosedRequest)
+	if rec := do(t, srv, http.MethodGet, "/jobs/"+st.ID+"/result", nil, nil); rec.Code != server.StatusClientClosedRequest {
+		t.Fatalf("canceled result status %d, want %d", rec.Code, server.StatusClientClosedRequest)
 	} else if json.Unmarshal(rec.Body.Bytes(), &er) != nil || !er.Canceled {
 		t.Fatalf("canceled result body %s", rec.Body.String())
 	}
@@ -210,7 +211,7 @@ func TestJobCacheHitAndValuerReuse(t *testing.T) {
 
 	// ...and the run counter proves the engine executed exactly once for
 	// the three requests, through one cached Valuer session.
-	if st := srv.mgr.Stats(); st.Runs != 1 || st.CacheHits != 2 || st.ValuerBuilds != 1 {
+	if st := srv.Jobs().Stats(); st.Runs != 1 || st.CacheHits != 2 || st.ValuerBuilds != 1 {
 		t.Fatalf("stats %+v, want runs=1 cacheHits=2 valuerBuilds=1", st)
 	}
 
@@ -222,7 +223,7 @@ func TestJobCacheHitAndValuerReuse(t *testing.T) {
 	if rec, _ := postValue(t, srv, trunc); rec.Code != http.StatusOK {
 		t.Fatalf("truncated status %d", rec.Code)
 	}
-	if st := srv.mgr.Stats(); st.Runs != 2 || st.ValuerBuilds != 1 {
+	if st := srv.Jobs().Stats(); st.Runs != 2 || st.ValuerBuilds != 1 {
 		t.Fatalf("stats after truncated %+v, want runs=2 valuerBuilds=1", st)
 	}
 }
@@ -255,7 +256,7 @@ func TestPlannerCountersPerServer(t *testing.T) {
 			t.Fatalf("auto value: %d %s", rec.Code, rec.Body.String())
 		}
 	}
-	planner := func(srv *server) (plans int64, picks map[string]int64) {
+	planner := func(srv *server.Server) (plans int64, picks map[string]int64) {
 		var st struct {
 			Planner struct {
 				Plans int64            `json:"plans"`

@@ -11,13 +11,15 @@ import (
 	"time"
 
 	"knnshapley"
+	"knnshapley/internal/cluster"
 	"knnshapley/internal/jobs"
-	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
+	"knnshapley/internal/wire"
 )
 
 // newTestServer builds a server whose job manager is torn down with the
 // test and whose dataset registry lives in a per-test temp dir.
-func newTestServer(t *testing.T, maxBody int64, timeout time.Duration) *server {
+func newTestServer(t *testing.T, maxBody int64, timeout time.Duration) *server.Server {
 	t.Helper()
 	return newTestServerCfg(t, maxBody, timeout, jobs.Config{Workers: 2, QueueDepth: 16})
 }
@@ -37,17 +39,42 @@ func libraryReport(t *testing.T, train, test *knnshapley.Dataset, k int, p knnsh
 	return rep
 }
 
-func newTestServerCfg(t *testing.T, maxBody int64, timeout time.Duration, jcfg jobs.Config) *server {
+func newTestServerCfg(t *testing.T, maxBody int64, timeout time.Duration, jcfg jobs.Config) *server.Server {
 	t.Helper()
-	srv, err := newServer(maxBody, timeout, jcfg, registry.Config{Dir: t.TempDir()}, registry.IndexConfig{}, nil)
+	return startServer(t, server.Config{MaxBody: maxBody, RequestTimeout: timeout, Jobs: jcfg})
+}
+
+// newCoordinatorServer is newTestServer in coordinator mode over c.
+func newCoordinatorServer(t *testing.T, c *cluster.Coordinator) *server.Server {
+	t.Helper()
+	return startServer(t, server.Config{MaxBody: 64 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, Coordinator: c})
+}
+
+// startServer builds a server from cfg, over a per-test registry dir unless
+// cfg names one, and closes it with the test.
+func startServer(t *testing.T, cfg server.Config) *server.Server {
+	t.Helper()
+	if cfg.Registry.Dir == "" {
+		cfg.Registry.Dir = t.TempDir()
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.mgr.Close)
+	t.Cleanup(srv.Close)
 	return srv
 }
 
-func postValue(t *testing.T, srv *server, body any) (*httptest.ResponseRecorder, valueResponse) {
+// Short names for the wire types the tests exchange with the server.
+type (
+	payload           = wire.Payload
+	valueRequest      = wire.ValueRequest
+	valueResponse     = wire.ValueResponse
+	jobStatusResponse = wire.JobStatus
+	errorResponse     = wire.ErrorResponse
+)
+
+func postValue(t *testing.T, srv *server.Server, body any) (*httptest.ResponseRecorder, valueResponse) {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -55,7 +82,7 @@ func postValue(t *testing.T, srv *server, body any) (*httptest.ResponseRecorder,
 	}
 	req := httptest.NewRequest(http.MethodPost, "/value", bytes.NewReader(raw))
 	rec := httptest.NewRecorder()
-	srv.handleValue(rec, req)
+	srv.Handler().ServeHTTP(rec, req)
 	var resp valueResponse
 	if rec.Code == http.StatusOK {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -126,7 +153,7 @@ func TestValueRejectsBadRequests(t *testing.T) {
 	srv := newTestServer(t, 1<<20, 0)
 	// Wrong method.
 	rec := httptest.NewRecorder()
-	srv.handleValue(rec, httptest.NewRequest(http.MethodGet, "/value", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/value", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d", rec.Code)
 	}
@@ -159,7 +186,7 @@ func TestValueRejectsBadRequests(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	srv := newTestServer(t, 1<<20, 0)
 	rec := httptest.NewRecorder()
-	srv.handleHealthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -260,9 +287,9 @@ func TestValueClientDisconnect(t *testing.T) {
 	cancel() // the client is already gone
 	req := httptest.NewRequest(http.MethodPost, "/value", bytes.NewReader(raw)).WithContext(ctx)
 	rec := httptest.NewRecorder()
-	srv.handleValue(rec, req)
-	if rec.Code != statusClientClosedRequest {
-		t.Fatalf("status %d, want %d: %s", rec.Code, statusClientClosedRequest, rec.Body.String())
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != server.StatusClientClosedRequest {
+		t.Fatalf("status %d, want %d: %s", rec.Code, server.StatusClientClosedRequest, rec.Body.String())
 	}
 	var er errorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {

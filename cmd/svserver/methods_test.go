@@ -67,7 +67,7 @@ func TestValueRejectsMisdirectedParameter(t *testing.T) {
 		`"train":{"x":[[0],[1]],"labels":[0,1]},"test":{"x":[[0]],"labels":[0]}}`
 	req := httptest.NewRequest(http.MethodPost, "/value", strings.NewReader(body))
 	rec := httptest.NewRecorder()
-	srv.handleValue(rec, req)
+	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 	}

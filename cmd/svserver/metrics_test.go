@@ -11,6 +11,7 @@ import (
 
 	"knnshapley"
 	"knnshapley/internal/cluster"
+	"knnshapley/internal/server"
 	"knnshapley/internal/wire"
 )
 
@@ -95,7 +96,7 @@ var coordinatorSeries = []seriesKey{
 func TestMetricsContract(t *testing.T) {
 	// value uploads a fresh train/test pair to srv and runs the given
 	// by-ref valuations over it, returning the two refs.
-	value := func(t *testing.T, srv *server, seed uint64, reqs ...map[string]any) (string, string) {
+	value := func(t *testing.T, srv *server.Server, seed uint64, reqs ...map[string]any) (string, string) {
 		t.Helper()
 		var refs [2]string
 		for i, d := range []*knnshapley.Dataset{knnshapley.SynthIris(60, seed), knnshapley.SynthIris(6, seed+1)} {
@@ -125,15 +126,15 @@ func TestMetricsContract(t *testing.T) {
 	t.Run("coordinator", func(t *testing.T) {
 		var peers []string
 		for i := 0; i < 2; i++ {
-			ws := httptest.NewServer(newTestServer(t, 64<<20, 0).routes())
+			ws := httptest.NewServer(newTestServer(t, 64<<20, 0).Handler())
 			t.Cleanup(ws.Close)
 			peers = append(peers, ws.URL)
 		}
-		coord := newTestServer(t, 64<<20, 0)
-		coord.coord = cluster.New(cluster.Config{Peers: peers, HealthInterval: -1, PollInterval: 5 * time.Millisecond})
-		t.Cleanup(coord.coord.Close)
+		c := cluster.New(cluster.Config{Peers: peers, HealthInterval: -1, PollInterval: 5 * time.Millisecond})
+		t.Cleanup(c.Close)
+		coord := newCoordinatorServer(t, c)
 		value(t, coord, 64, map[string]any{"algorithm": "exact"})
-		if coord.coord.Statz().Valuations != 1 {
+		if c.Statz().Valuations != 1 {
 			t.Fatal("the valuation did not scatter")
 		}
 		checkMetricsContract(t, coord, append(append([]seriesKey(nil), singleNodeSeries...), coordinatorSeries...), nil)
@@ -141,7 +142,7 @@ func TestMetricsContract(t *testing.T) {
 }
 
 // mustDo is do for requests that must succeed.
-func mustDo(t *testing.T, srv *server, method, path string, body, out any) {
+func mustDo(t *testing.T, srv *server.Server, method, path string, body, out any) {
 	t.Helper()
 	if rec := do(t, srv, method, path, body, out); rec.Code >= 300 {
 		t.Fatalf("%s %s: HTTP %d: %s", method, path, rec.Code, rec.Body.String())
@@ -151,7 +152,7 @@ func mustDo(t *testing.T, srv *server, method, path string, body, out any) {
 // checkMetricsContract reads srv's /metrics, /statz and /cluster/statz and
 // checks the listed series against them. Families in optional may appear
 // too, at the values their keys hold; no other family may.
-func checkMetricsContract(t *testing.T, srv *server, series, optional []seriesKey) {
+func checkMetricsContract(t *testing.T, srv *server.Server, series, optional []seriesKey) {
 	t.Helper()
 	var statz, clusterStatz map[string]any
 	mustDo(t, srv, http.MethodGet, "/statz", nil, &statz)

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,19 +16,20 @@ import (
 	"knnshapley"
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
 	"knnshapley/internal/wire"
 )
 
 // doRaw drives one request with an arbitrary body/Content-Type through the
 // route table.
-func doRaw(t *testing.T, srv *server, method, path, contentType string, body []byte, out any) *httptest.ResponseRecorder {
+func doRaw(t *testing.T, srv *server.Server, method, path, contentType string, body []byte, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	rec := httptest.NewRecorder()
-	srv.routes().ServeHTTP(rec, req)
+	srv.Handler().ServeHTTP(rec, req)
 	if out != nil && rec.Code < 300 && rec.Body.Len() > 0 {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
 			t.Fatalf("%s %s: decode %q: %v", method, path, rec.Body.String(), err)
@@ -335,14 +338,13 @@ func TestQueuedCancelReleasesDatasetRefs(t *testing.T) {
 }
 
 // benchServer builds a server for the serving benchmarks.
-func benchServer(b *testing.B) *server {
+func benchServer(b *testing.B) *server.Server {
 	b.Helper()
-	srv, err := newServer(64<<20, 0, jobs.Config{Workers: 2, QueueDepth: 64},
-		registry.Config{Dir: b.TempDir()}, registry.IndexConfig{}, nil)
+	srv, err := server.New(server.Config{MaxBody: 64 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 64}, Registry: registry.Config{Dir: b.TempDir()}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(srv.mgr.Close)
+	b.Cleanup(srv.Close)
 	return srv
 }
 
@@ -368,7 +370,7 @@ func BenchmarkValueInline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mux := srv.routes()
+	mux := srv.Handler()
 	b.Logf("request bytes on wire: %d", len(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -390,7 +392,7 @@ func BenchmarkValueByRef(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mux := srv.routes()
+	mux := srv.Handler()
 	// Prime: one inline call registers the datasets and yields the refs.
 	req := httptest.NewRequest(http.MethodPost, "/value", bytes.NewReader(raw))
 	req.Header.Set("Content-Type", "application/json")
@@ -431,7 +433,7 @@ func TestDatasetDownload(t *testing.T) {
 	dl := httptest.NewRequest(http.MethodGet, "/datasets/"+up.ID, nil)
 	dl.Header.Set("Accept", "application/octet-stream")
 	rec := httptest.NewRecorder()
-	srv.routes().ServeHTTP(rec, dl)
+	srv.Handler().ServeHTTP(rec, dl)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("download status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -459,8 +461,49 @@ func TestDatasetDownload(t *testing.T) {
 	dl = httptest.NewRequest(http.MethodGet, "/datasets/ffffffffffffffff", nil)
 	dl.Header.Set("Accept", "application/octet-stream")
 	rec = httptest.NewRecorder()
-	srv.routes().ServeHTTP(rec, dl)
+	srv.Handler().ServeHTTP(rec, dl)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown download status %d, want 404", rec.Code)
+	}
+}
+
+// A dataset file that fails verification is never downloaded: with the
+// dataset evicted from memory, GET /datasets/{id} with an octet-stream
+// Accept answers a JSON error instead of the corrupt bytes, and the ID
+// reads 404 from then on.
+func TestDatasetDownloadRefusesCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	train := knnshapley.SynthMNIST(20, 5)
+	srv := startServer(t, server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 1, QueueDepth: 4},
+		Registry: registry.Config{Dir: dir, MemBudget: 1}}) // one resident at a time
+	var up wire.UploadResponse
+	if rec := do(t, srv, http.MethodPost, "/datasets", &payload{X: train.X, Labels: train.Labels}, &up); rec.Code != http.StatusCreated {
+		t.Fatalf("upload status %d: %s", rec.Code, rec.Body.String())
+	}
+	filler := knnshapley.SynthMNIST(20, 6)
+	if rec := do(t, srv, http.MethodPost, "/datasets", &payload{X: filler.X, Labels: filler.Labels}, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("filler upload status %d: %s", rec.Code, rec.Body.String())
+	}
+	path := filepath.Join(dir, up.ID+".knnsb")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, want := range []int{http.StatusInternalServerError, http.StatusNotFound} {
+		dl := httptest.NewRequest(http.MethodGet, "/datasets/"+up.ID, nil)
+		dl.Header.Set("Accept", "application/octet-stream")
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, dl)
+		var er errorResponse
+		if rec.Code != want || rec.Header().Get("Content-Type") != "application/json" ||
+			json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
+			t.Fatalf("download of a corrupt file: status %d, Content-Type %q, body %d bytes; want %d with a JSON error",
+				rec.Code, rec.Header().Get("Content-Type"), rec.Body.Len(), want)
+		}
 	}
 }

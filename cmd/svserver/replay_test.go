@@ -12,23 +12,23 @@ import (
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/journal"
 	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
 	"knnshapley/internal/wire"
 )
 
 // replayServer opens the journal under dir and builds a server over the
 // same data directory — the "restarted process" half of the replay tests.
-func replayServer(t *testing.T, dir string) (*server, []journal.JobState, *journal.Writer) {
+func replayServer(t *testing.T, dir string) (*server.Server, []journal.JobState, *journal.Writer) {
 	t.Helper()
 	jw, states, err := journal.Open(journal.Config{Dir: filepath.Join(dir, "journal")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(1<<20, 0, jobs.Config{Workers: 2, QueueDepth: 16},
-		registry.Config{Dir: dir}, registry.IndexConfig{}, jw)
+	srv, err := server.New(server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, Registry: registry.Config{Dir: dir}, Journal: jw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.mgr.Close(); jw.Close() })
+	t.Cleanup(func() { srv.Close(); jw.Close() })
 	return srv, states, jw
 }
 
@@ -37,12 +37,11 @@ func replayServer(t *testing.T, dir string) (*server, []journal.JobState, *journ
 // the replay must reproduce.
 func uploadTestData(t *testing.T, dir string) (trainRef, testRef string, baseline []float64) {
 	t.Helper()
-	srv, err := newServer(1<<20, 0, jobs.Config{Workers: 2, QueueDepth: 16},
-		registry.Config{Dir: dir}, registry.IndexConfig{}, nil)
+	srv, err := server.New(server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, Registry: registry.Config{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.mgr.Close()
+	defer srv.Close()
 	req := testRequest()
 	var up wire.UploadResponse
 	if rec := do(t, srv, http.MethodPost, "/datasets", req.Train, &up); rec.Code != http.StatusCreated {
@@ -96,7 +95,7 @@ func TestReplayQueuedAndRunningJobs(t *testing.T) {
 	if len(states) != 2 {
 		t.Fatalf("replayed %d states, want 2", len(states))
 	}
-	srv.replay(states)
+	srv.Replay(states)
 	jw2.PurgeReplayed()
 
 	for _, id := range []string{"j000005", "j000009"} {
@@ -114,7 +113,7 @@ func TestReplayQueuedAndRunningJobs(t *testing.T) {
 			}
 		}
 	}
-	if st := srv.mgr.Stats(); st.Replayed != 2 {
+	if st := srv.Jobs().Stats(); st.Replayed != 2 {
 		t.Fatalf("Stats.Replayed = %d, want 2", st.Replayed)
 	}
 	// A fresh submission must not collide with the replayed IDs.
@@ -142,7 +141,7 @@ func TestReplayMissingDatasetFails(t *testing.T) {
 	jw.Close()
 
 	srv, states, _ := replayServer(t, dir)
-	srv.replay(states)
+	srv.Replay(states)
 
 	var st jobStatusResponse
 	if rec := do(t, srv, http.MethodGet, "/jobs/j000001", nil, &st); rec.Code != http.StatusOK {
@@ -154,7 +153,7 @@ func TestReplayMissingDatasetFails(t *testing.T) {
 	if !strings.Contains(st.Error, "replay after restart failed") || !strings.Contains(st.Error, "not found") {
 		t.Fatalf("replayed job error %q lacks the descriptive replay message", st.Error)
 	}
-	if s := srv.mgr.Stats(); s.Replayed != 0 || s.Restored != 1 {
+	if s := srv.Jobs().Stats(); s.Replayed != 0 || s.Restored != 1 {
 		t.Fatalf("stats replayed=%d restored=%d, want 0 and 1", s.Replayed, s.Restored)
 	}
 }
@@ -172,7 +171,7 @@ func TestReplayUnknownEnvelopeVersionFails(t *testing.T) {
 	jw.Close()
 
 	srv, states, _ := replayServer(t, dir)
-	srv.replay(states)
+	srv.Replay(states)
 	var st jobStatusResponse
 	do(t, srv, http.MethodGet, "/jobs/j000001", nil, &st)
 	if st.Status != "failed" || !strings.Contains(st.Error, "version") {
@@ -201,7 +200,7 @@ func TestReplayRestoresTerminalHistory(t *testing.T) {
 	jw.Close()
 
 	srv, states, _ := replayServer(t, dir)
-	srv.replay(states)
+	srv.Replay(states)
 
 	var st jobStatusResponse
 	if rec := do(t, srv, http.MethodGet, "/jobs/j000001", nil, &st); rec.Code != http.StatusOK || st.Status != "done" {
@@ -217,7 +216,7 @@ func TestReplayRestoresTerminalHistory(t *testing.T) {
 	if rec := do(t, srv, http.MethodGet, "/jobs/j000003", nil, nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("expired job: %d, want 404", rec.Code)
 	}
-	if s := srv.mgr.Stats(); s.Restored != 2 {
+	if s := srv.Jobs().Stats(); s.Restored != 2 {
 		t.Fatalf("Stats.Restored = %d, want 2", s.Restored)
 	}
 }
@@ -237,16 +236,16 @@ func TestReplaySurvivesSecondRestart(t *testing.T) {
 
 	// First restart: replay re-journals, purges, completes the job.
 	srv1, states, jw1 := replayServer(t, dir)
-	srv1.replay(states)
+	srv1.Replay(states)
 	jw1.PurgeReplayed()
 	pollUntil(t, srv1, "j000001", func(st jobStatusResponse) bool { return st.Status == "done" })
-	srv1.mgr.Close()
+	srv1.Close()
 	jw1.Close()
 
 	// Second restart: the terminal history must come back from the journal
 	// the first replay wrote.
 	srv2, states2, _ := replayServer(t, dir)
-	srv2.replay(states2)
+	srv2.Replay(states2)
 	var st jobStatusResponse
 	if rec := do(t, srv2, http.MethodGet, "/jobs/j000001", nil, &st); rec.Code != http.StatusOK || st.Status != "done" {
 		t.Fatalf("second-restart history: %d, status %q", rec.Code, st.Status)
@@ -255,4 +254,48 @@ func TestReplaySurvivesSecondRestart(t *testing.T) {
 		t.Fatalf("second-restart result: %d, want 410 Gone", rec.Code)
 	}
 	_ = baseline
+}
+
+// TestJournalEnvelopesPerKind pins the envelope bytes each journaled job
+// kind is submitted with, so replay across versions keeps working: a value
+// request journals by reference with no kind, a delta and an index build
+// under their kinds.
+func TestJournalEnvelopesPerKind(t *testing.T) {
+	dir := t.TempDir()
+	srv, _, jw := replayServer(t, dir)
+	req := testRequest()
+	var up wire.UploadResponse
+	mustDo(t, srv, http.MethodPost, "/datasets", req.Train, &up)
+	trainRef := up.ID
+	mustDo(t, srv, http.MethodPost, "/datasets", req.Test, &up)
+	testRef := up.ID
+
+	var value, index jobStatusResponse
+	mustDo(t, srv, http.MethodPost, "/jobs", req, &value)
+	mustDo(t, srv, http.MethodPut, "/datasets/"+trainRef+"/delta", wire.DeltaRequest{Remove: []int{0}}, nil)
+	mustDo(t, srv, http.MethodPost, "/indexes", wire.IndexRequest{Dataset: trainRef, Kind: "kd", K: 2}, &index)
+	for _, id := range []string{value.ID, index.ID} {
+		pollUntil(t, srv, id, func(st jobStatusResponse) bool { return terminalState(st.Status) })
+	}
+	srv.Close()
+	jw.Close()
+
+	_, states, err := journal.Open(journal.Config{Dir: filepath.Join(dir, "journal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, js := range states {
+		got[js.ID] = string(js.Envelope)
+	}
+	want := map[string]string{
+		value.ID:  fmt.Sprintf(`{"v":1,"request":{"algorithm":"exact","k":2,"testRef":%q,"trainRef":%q}}`, testRef, trainRef),
+		"j000002": fmt.Sprintf(`{"v":1,"kind":"delta","request":{"parent":%q,"remove":[0]}}`, trainRef),
+		index.ID:  fmt.Sprintf(`{"v":1,"kind":"index","request":{"dataset":%q,"kind":"kd","k":2,"eps":0.1}}`, trainRef),
+	}
+	for id, w := range want {
+		if got[id] != w {
+			t.Errorf("job %s journaled envelope\n %s\nwant\n %s", id, got[id], w)
+		}
+	}
 }

@@ -138,7 +138,8 @@
 //
 // # Serving: dataset registry, background jobs, result caching
 //
-// cmd/svserver exposes the sessions over HTTP. Datasets are first-class
+// cmd/svserver exposes the sessions over HTTP through internal/server,
+// which owns every route. Datasets are first-class
 // server-side objects in a content-addressed registry
 // (internal/registry): POST /datasets stores a dataset once under its
 // content fingerprint — persisted on disk in the compact binary format of
@@ -262,8 +263,8 @@
 // a single-node run and share its result cache. Failed peers are probed, marked down and their
 // shards reassigned; with no peers healthy the coordinator computes
 // locally. GET /cluster/statz reports the topology and GET /metrics
-// exposes every counter as Prometheus text. See the cmd/svserver package
-// comment for the protocol details.
+// exposes every counter as Prometheus text. See the internal/server
+// package comment for the protocol details.
 //
 // See the examples/ directory for runnable end-to-end scenarios (data
 // debugging, data markets, streaming valuation) and cmd/svbench for the

@@ -132,7 +132,7 @@ func FuzzShardRequestJSON(f *testing.F) {
 		TrainRef: "00112233445566778899aabbccddeeff"[:16], TestRef: "ffeeddccbbaa99887766554433221100"[:16],
 		K: 5, Metric: "l2", Precision: "float64",
 		Limit: 10, GlobalOffset: 100, GlobalN: 1000, TestOffset: 0,
-		Workers: 2, BatchSize: 64,
+		BatchSize: 64,
 	})
 	f.Add(seed)
 	f.Add([]byte("{}"))

@@ -97,8 +97,8 @@ type Request struct {
 	Metric     vec.Metric
 	MetricName string
 	Precision  knn.Precision
-	// Workers and BatchSize are forwarded to the shard computations.
-	Workers, BatchSize int
+	// BatchSize is forwarded to the shard computations.
+	BatchSize int
 	// PartitionTest partitions test points across peers (each shard sees
 	// the full training set and a disjoint test range; merge is
 	// concatenation) instead of the default training-row partitioning.
@@ -409,7 +409,6 @@ func (c *Coordinator) plan(req *Request, nPeers int) ([]*shard, error) {
 		sh.req.K = req.K
 		sh.req.Metric = req.MetricName
 		sh.req.Precision = req.Precision.String()
-		sh.req.Workers = req.Workers
 		sh.req.BatchSize = req.BatchSize
 
 		// Placement: the shard's content fingerprint keys the ring, so the

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -13,39 +13,39 @@ import (
 	"time"
 
 	"knnshapley"
+	"knnshapley/internal/cluster"
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/registry"
+	"knnshapley/internal/server"
 )
 
-// testWorker is one in-process peer: registry + job manager + Worker behind
-// an httptest server, optionally wrapped.
+// testWorker is one in-process peer: a real svserver (internal/server)
+// behind an httptest server, optionally wrapped.
 type testWorker struct {
-	reg *registry.Registry
-	mgr *jobs.Manager
-	w   *Worker
 	srv *httptest.Server
 }
 
 func newTestWorker(t *testing.T, wrap func(http.Handler) http.Handler) *testWorker {
 	t.Helper()
-	reg, err := registry.New(registry.Config{})
+	peer, err := server.New(server.Config{
+		MaxBody:  64 << 20,
+		Jobs:     jobs.Config{Workers: 2},
+		Registry: registry.Config{Dir: t.TempDir()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := jobs.New(jobs.Config{Workers: 2})
-	w := NewWorker(reg, mgr)
-	var h http.Handler = w.Handler()
+	h := peer.Handler()
 	if wrap != nil {
 		h = wrap(h)
 	}
 	srv := httptest.NewServer(h)
-	tw := &testWorker{reg: reg, mgr: mgr, w: w, srv: srv}
-	t.Cleanup(func() { srv.Close(); mgr.Close() })
-	return tw
+	t.Cleanup(func() { srv.Close(); peer.Close() })
+	return &testWorker{srv: srv}
 }
 
-func testConfig(urls []string) Config {
-	return Config{
+func testConfig(urls []string) cluster.Config {
+	return cluster.Config{
 		Peers:          urls,
 		HealthInterval: -1, // probe on demand only; tests drive health explicitly
 		PollInterval:   5 * time.Millisecond,
@@ -100,7 +100,7 @@ func TestClusterEvaluateBitIdentical(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		urls = append(urls, newTestWorker(t, countPushes).srv.URL)
 	}
-	c := New(testConfig(urls))
+	c := cluster.New(testConfig(urls))
 	defer c.Close()
 
 	for _, tc := range []struct {
@@ -113,7 +113,7 @@ func TestClusterEvaluateBitIdentical(t *testing.T) {
 		{"truncated", false, localTrunc.Values},
 		{"truncated", true, localTrunc.Values},
 	} {
-		rep, err := c.Evaluate(context.Background(), Request{
+		rep, err := c.Evaluate(context.Background(), cluster.Request{
 			Train: train, Test: test, Method: tc.method, Eps: eps, K: 5,
 			PartitionTest: tc.partitionTest,
 		})
@@ -128,7 +128,7 @@ func TestClusterEvaluateBitIdentical(t *testing.T) {
 
 	// Re-running the first valuation must push nothing new.
 	before := pushes.Load()
-	if _, err := c.Evaluate(context.Background(), Request{
+	if _, err := c.Evaluate(context.Background(), cluster.Request{
 		Train: train, Test: test, Method: "exact", K: 5,
 	}); err != nil {
 		t.Fatal(err)
@@ -189,10 +189,10 @@ func TestClusterSurvivesWorkerKilledMidJob(t *testing.T) {
 		workers = append(workers, newTestWorker(t, doom(i)))
 		urls = append(urls, workers[i].srv.URL)
 	}
-	c := New(testConfig(urls))
+	c := cluster.New(testConfig(urls))
 	defer c.Close()
 
-	rep, err := c.Evaluate(context.Background(), Request{
+	rep, err := c.Evaluate(context.Background(), cluster.Request{
 		Train: train, Test: test, Method: "exact", K: 3,
 	})
 	if err != nil {
@@ -216,13 +216,13 @@ func TestClusterAllPeersDown(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	url := dead.URL
 	dead.Close()
-	c := New(testConfig([]string{url}))
+	c := cluster.New(testConfig([]string{url}))
 	defer c.Close()
 
 	train := knnshapley.SynthIris(30, 1)
 	test := knnshapley.SynthIris(5, 2)
-	_, err := c.Evaluate(context.Background(), Request{Train: train, Test: test, Method: "exact", K: 3})
-	if !errors.Is(err, ErrNoPeers) {
+	_, err := c.Evaluate(context.Background(), cluster.Request{Train: train, Test: test, Method: "exact", K: 3})
+	if !errors.Is(err, cluster.ErrNoPeers) {
 		t.Fatalf("err = %v, want ErrNoPeers", err)
 	}
 }
@@ -244,7 +244,7 @@ func TestClusterCancelPropagates(t *testing.T) {
 		})
 	}
 	tw := newTestWorker(t, block)
-	c := New(testConfig([]string{tw.srv.URL}))
+	c := cluster.New(testConfig([]string{tw.srv.URL}))
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -253,7 +253,7 @@ func TestClusterCancelPropagates(t *testing.T) {
 	go func() {
 		train := knnshapley.SynthIris(60, 5)
 		test := knnshapley.SynthIris(11, 6)
-		_, err := c.Evaluate(ctx, Request{Train: train, Test: test, Method: "exact", K: 3})
+		_, err := c.Evaluate(ctx, cluster.Request{Train: train, Test: test, Method: "exact", K: 3})
 		done <- err
 	}()
 	select {
@@ -279,7 +279,7 @@ func TestClusterProgressReported(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		urls = append(urls, newTestWorker(t, nil).srv.URL)
 	}
-	c := New(testConfig(urls))
+	c := cluster.New(testConfig(urls))
 	defer c.Close()
 
 	train := knnshapley.SynthIris(80, 21)
@@ -289,7 +289,7 @@ func TestClusterProgressReported(t *testing.T) {
 		lastDone.Store(int64(done))
 		lastTotal.Store(int64(total))
 	})
-	if _, err := c.Evaluate(ctx, Request{Train: train, Test: test, Method: "exact", K: 3}); err != nil {
+	if _, err := c.Evaluate(ctx, cluster.Request{Train: train, Test: test, Method: "exact", K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if lastTotal.Load() != int64(test.N()) {

@@ -1,10 +1,11 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
 	"testing"
 
 	"knnshapley"
+	"knnshapley/internal/cluster"
 )
 
 // TestShardReportGzipOnWire pins the compressed gather: with the default
@@ -28,9 +29,9 @@ func TestShardReportGzipOnWire(t *testing.T) {
 		t.Helper()
 		cfg := testConfig([]string{tw.srv.URL})
 		cfg.DisableReportGzip = disable
-		c := New(cfg)
+		c := cluster.New(cfg)
 		defer c.Close()
-		rep, err := c.Evaluate(context.Background(), Request{Train: train, Test: test, Method: "exact", K: 5})
+		rep, err := c.Evaluate(context.Background(), cluster.Request{Train: train, Test: test, Method: "exact", K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestShardReportGzipOnWire(t *testing.T) {
 	rawBytes := run(true)
 	gzBytes := run(false)
 	// One shard, full report: the raw transfer is exactly the encoded size.
-	wantRaw := (&ShardReport{Idx: make([][]uint32, test.N())}).EncodedBytes() + int64(test.N())*int64(train.N())*12
+	wantRaw := (&cluster.ShardReport{Idx: make([][]uint32, test.N())}).EncodedBytes() + int64(test.N())*int64(train.N())*12
 	if rawBytes != wantRaw {
 		t.Fatalf("raw transfer %d bytes, want %d", rawBytes, wantRaw)
 	}

@@ -6,10 +6,11 @@
 // the KNN-Shapley recursion over the global order — bit-identical to a
 // single-node Evaluate.
 //
-// The package has two halves. Worker (worker.go) is the per-peer side: it
-// computes one shard's sorted top-Limit neighbor lists and serves them over
-// POST /shard/jobs + GET /shard/jobs/{id}/result, reusing the process's
-// dataset registry and job manager. Coordinator (coordinator.go) is the
+// The package has two halves. ComputeShardReport (worker.go) is the
+// per-peer side: it computes one shard's sorted top-Limit neighbor lists,
+// which internal/server's shard endpoints run as a job on the peer's own
+// job manager and serve over POST /shard/jobs + GET /shard/jobs/{id}/result.
+// Coordinator (coordinator.go) is the
 // fan-out side: shard placement on the ring, idempotent dataset push, bounded
 // per-peer in-flight submission with retry/backoff and replica reassignment,
 // cancellation fan-out, and the merge.

@@ -333,6 +333,11 @@ func (r *Registry) dropResidentLocked(e *entry) {
 // fails the check fails this Get and is dropped, so id reads ErrNotFound
 // until the content is uploaded again.
 func (r *Registry) Get(id string) (*Handle, error) {
+	return r.get(id, true)
+}
+
+// get is Get; a reload re-enters the memory tier only when resident is set.
+func (r *Registry) get(id string, resident bool) (*Handle, error) {
 	r.mu.Lock()
 	e, err := r.getLocked(id)
 	if err != nil {
@@ -385,7 +390,7 @@ func (r *Registry) Get(id string) (*Handle, error) {
 		r.resident.MoveToFront(e.elem)
 		return &Handle{r: r, e: e, d: e.data}, nil
 	}
-	if !e.deleted {
+	if resident && !e.deleted {
 		// A Delete that raced the load has already dropped the entry from
 		// the table; keep the payload out of the LRU (it would never be
 		// evicted again) and let the handle alone carry it.
@@ -416,34 +421,15 @@ func (r *Registry) Stats() Stats {
 	return st
 }
 
-// WriteTo streams the stored dataset id in its binary encoding to w — the
-// download side of the content-addressed store. A dataset with a disk copy
-// is streamed straight from its file (no decode, no memory-tier traffic;
-// the registry wrote those bytes atomically itself); a memory-only dataset
-// is encoded on the fly. The dataset is pinned for the duration, so a
-// concurrent Delete cannot remove the file mid-stream.
+// WriteTo writes the stored dataset id in its binary encoding to w — the
+// download side of the content-addressed store. It serves verified content
+// only: the resident copy, or the file reloaded through Get's decode and
+// content-hash check (a file that fails is dropped and counted, and id then
+// reads ErrNotFound), without promoting it into the memory tier. Nothing
+// is written to w before the check passes. The dataset is pinned for the
+// duration, so a concurrent Delete cannot remove the file mid-stream.
 func (r *Registry) WriteTo(w io.Writer, id string) error {
-	r.mu.Lock()
-	e, err := r.getLocked(id)
-	if err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	r.pinLocked(e)
-	onDisk := e.onDisk
-	r.mu.Unlock()
-	defer r.release(e)
-
-	if onDisk {
-		f, _, err := r.openFile(id)
-		if err == nil {
-			defer f.Close()
-			_, err = io.Copy(w, f)
-			return err
-		}
-		// Fall through to the decode path if the file went missing.
-	}
-	h, err := r.Get(id)
+	h, err := r.get(id, false)
 	if err != nil {
 		return err
 	}

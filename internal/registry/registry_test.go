@@ -650,6 +650,60 @@ func TestWriteToFromDisk(t *testing.T) {
 	}
 }
 
+// WriteTo serves verified content only. While the dataset is resident, a
+// corrupted file does not leak into the download: the output is the
+// canonical encoding of the upload. Once evicted, the corrupt file fails
+// WriteTo before a byte is written and is dropped by the corruption rule.
+func TestWriteToServesOnlyVerifiedBytes(t *testing.T) {
+	d := dataset.MNISTLike(20, 5)
+	var want bytes.Buffer
+	if err := dataset.WriteBinary(&want, d); err != nil {
+		t.Fatal(err)
+	}
+	r := newTestRegistry(t, encodedBytes(d)+1) // one resident at a time
+	h, _, err := r.Put(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := h.ID()
+	h.Release()
+	path := filepath.Join(r.cfg.Dir, id+fileExt)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var got bytes.Buffer
+	if err := r.WriteTo(&got, id); err != nil {
+		t.Fatalf("resident WriteTo: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("resident WriteTo served %d bytes that differ from the upload's encoding (%d bytes)", got.Len(), want.Len())
+	}
+
+	evict(t, r, 6)
+	if info, _ := r.Stat(id); info.InMemory {
+		t.Fatal("dataset not evicted; budget too large for this test")
+	}
+	got.Reset()
+	if err := r.WriteTo(&got, id); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("WriteTo of a corrupt evicted file: %v, want the corruption error", err)
+	}
+	if got.Len() != 0 {
+		t.Fatalf("WriteTo wrote %d bytes of a file that failed verification", got.Len())
+	}
+	if _, err := r.Get(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after the corrupt download: %v, want ErrNotFound", err)
+	}
+	if st := r.Stats(); st.Corrupt != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt", st)
+	}
+}
+
 // evict pushes every other dataset out of the memory tier of a registry
 // whose budget fits one, by putting a fresh filler dataset.
 func evict(t *testing.T, r *Registry, seed uint64) {

@@ -395,8 +395,7 @@ type ShardRequest struct {
 	// TestOffset is the global index of the first test row (test-partition
 	// mode; 0 when the shard sees the whole test set).
 	TestOffset int `json:"testOffset,omitempty"`
-	// Workers and BatchSize are forwarded engine knobs (0 = defaults).
-	Workers   int `json:"workers,omitempty"`
+	// BatchSize is the shard scan's distance-tile height (0 = default).
 	BatchSize int `json:"batchSize,omitempty"`
 }
 

@@ -2,7 +2,9 @@
 # Tier-1 verification: formatting, vet (./... spans the library, commands
 # and examples), build, tests (including the method-registry Validate
 # tables, the Evaluate equivalence suite and the <1µs dispatch-overhead
-# gate), race passes over the job manager, the cluster coordinator and the
+# gate), race passes over the job manager, the cluster coordinator (against
+# real internal/server peers), the HTTP handlers of internal/server (through
+# cmd/svserver's job, dataset, replay, cluster and shard tests) and the
 # context-cancellation paths, ten race passes over the dataset registry and
 # index store (one file store under both: its pin, reclaim and rename
 # interleavings), a race pass over
@@ -25,7 +27,8 @@
 # /cluster/statz and every node's /metrics scraped for the scatter and
 # shard counters with no family typed twice, one worker SIGKILLed mid-job,
 # SIGTERM drain), a crash-durability end-to-end run (svserver
-# SIGKILLed mid-job, restarted on the same data dir; the write-ahead job
+# SIGKILLed once GET /jobs/{id} shows the job running with work left,
+# restarted on the same data dir; the write-ahead job
 # journal must replay the job under its original ID with a bit-identical
 # result), an incremental-delta end-to-end run (upload, value, append rows
 # via PUT /datasets/{id}/delta, re-value; append again to the child and
@@ -67,7 +70,7 @@ go test -race -count=10 ./internal/registry
 go test -race ./internal/cluster
 go test -race ./internal/planner
 go test -run TestCancel -race ./...
-go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay' -race ./cmd/svserver
+go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay|TestCluster|TestShard' -race ./cmd/svserver
 go test -run 'TestEvaluate|TestParams' -race .
 # perfbench is its own module (go test ./... above skips it); its tiny
 # workloads compile and run every internal API the benchmark calls.
@@ -288,14 +291,18 @@ trap cleanup EXIT
 # a result bit-identical to an uninterrupted local run (%g is
 # shortest-round-trip formatting, so identical text means identical float64
 # bits). SIGKILL, not SIGTERM: a graceful shutdown drains and journals jobs
-# as canceled, so only a hard crash exercises replay.
+# as canceled, so only a hard crash exercises replay. The job runs for
+# seconds (5,000 training rows of dim 1,024 against 2,048 test points: about
+# 4.5 s on a 2-vCPU Xeon, with a ~125 MB neighbor ranking), and the kill
+# waits until GET /jobs/{id} reads it running with test points still to go,
+# so the crash lands mid-job on a fast host too.
 jdir=$(mktemp -d)
 jpid=""
 journal_cleanup() { kill -9 "$jpid" 2>/dev/null || true; rm -rf "$jdir"; }
 trap 'cleanup; journal_cleanup' EXIT
 mkdir -p "$jdir/data"
-awk 'BEGIN{srand(11); for(r=0;r<100000;r++){for(c=0;c<16;c++)printf "%.6f,", rand()*2-1; print int(rand()*3)}}' >"$jdir/train.csv"
-awk 'BEGIN{srand(12); for(r=0;r<64;r++){for(c=0;c<16;c++)printf "%.6f,", rand()*2-1; print int(rand()*3)}}' >"$jdir/test.csv"
+awk 'BEGIN{srand(11); for(r=0;r<5000;r++){for(c=0;c<1024;c++)printf "%.6f,", rand()*2-1; print int(rand()*3)}}' >"$jdir/train.csv"
+awk 'BEGIN{srand(12); for(r=0;r<2048;r++){for(c=0;c<1024;c++)printf "%.6f,", rand()*2-1; print int(rand()*3)}}' >"$jdir/test.csv"
 "$bindir/svcli" -train "$jdir/train.csv" -test "$jdir/test.csv" -k 5 -algo exact \
     >"$jdir/local.csv"
 
@@ -304,7 +311,24 @@ jpid=$!
 jaddr=$(wait_addr "$jdir/sv1.log")
 jobid=$("$bindir/svcli" -train "$jdir/train.csv" -test "$jdir/test.csv" -k 5 -algo exact \
     -server "http://$jaddr" -by-ref -async -submit-only)
-sleep 0.4
+midjob=""
+jstatus=""
+for _ in $(seq 1 500); do
+    jstatus=$(curl -sf "http://$jaddr/jobs/$jobid" || true)
+    if grep -q '"status":"running"' <<<"$jstatus"; then
+        jdone=$(sed -n 's/.*"done":\([0-9]*\).*/\1/p' <<<"$jstatus")
+        jtotal=$(sed -n 's/.*"total":\([0-9]*\).*/\1/p' <<<"$jstatus")
+        if [ "$jdone" -lt "$jtotal" ]; then
+            midjob=$jstatus
+            break
+        fi
+    fi
+    sleep 0.02
+done
+if [ -z "$midjob" ]; then
+    echo "crash E2E: job $jobid was never seen running with test points left: $jstatus" >&2
+    exit 1
+fi
 kill -9 "$jpid"
 wait "$jpid" 2>/dev/null || true
 
