@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"knnshapley/internal/wire"
@@ -68,6 +70,36 @@ func TestShardReportRoundTrip(t *testing.T) {
 				t.Fatalf("test %d rank %d: bits %#x != %#x", ti, r, g, w)
 			}
 		}
+	}
+
+	// Pinned encoding of a two-test-point report, one hex string per field:
+	// header (magic "KSRP", version 1, globalN, test offset 0, ntest), then
+	// per test point its entry count, packed uint32 indices and float64
+	// distances, all little-endian.
+	pin := &ShardReport{
+		GlobalN: 5,
+		Idx:     [][]uint32{{PackIndex(3, true), PackIndex(0, false)}, {PackIndex(4, false)}},
+		Dist:    [][]float64{{0.25, 1}, {2}},
+	}
+	want := strings.Join([]string{
+		"5052534b", "01000000", "05000000", "00000000", "02000000",
+		"02000000", "03000080", "00000000", "000000000000d03f", "000000000000f03f",
+		"01000000", "04000000", "0000000000000040",
+	}, "")
+	var pinBuf bytes.Buffer
+	if _, err := pin.WriteTo(&pinBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(pinBuf.Bytes()); got != want {
+		t.Fatalf("report encoding:\n got %s\nwant %s", got, want)
+	}
+	raw, _ := hex.DecodeString(want)
+	dec, err := ReadShardReport(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.GlobalN != pin.GlobalN || !reflect.DeepEqual(dec.Idx, pin.Idx) || !reflect.DeepEqual(dec.Dist, pin.Dist) {
+		t.Fatalf("decoded pin %+v, want %+v", dec, pin)
 	}
 }
 

@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -212,6 +214,50 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertEqualData(t, d, got)
+	}
+
+	// Pinned encodings, one hex string per field: header (magic "KNNS",
+	// version, flags, n, dim, classes), row-major float64 features, then
+	// int32 labels or float64 targets, all little-endian.
+	class := FromFlat([]float64{1, -2, 0.5, 3, -0.25, 0}, 3, 2)
+	class.Labels, class.Classes = []int{0, 2, 1}, 3
+	reg := FromFlat([]float64{1.5, -2, 0}, 3, 1)
+	reg.Targets = []float64{0.5, -1, 3}
+	for _, pin := range []struct {
+		d      *Dataset
+		fields []string
+	}{
+		{class, []string{
+			"534e4e4b", "01000000", "00000000", "03000000", "02000000", "03000000",
+			"000000000000f03f", "00000000000000c0", "000000000000e03f",
+			"0000000000000840", "000000000000d0bf", "0000000000000000",
+			"00000000", "02000000", "01000000",
+		}},
+		{reg, []string{
+			"534e4e4b", "01000000", "01000000", "03000000", "01000000", "00000000",
+			"000000000000f83f", "00000000000000c0", "0000000000000000",
+			"000000000000e03f", "000000000000f0bf", "0000000000000840",
+		}},
+	} {
+		want := strings.Join(pin.fields, "")
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, pin.d); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != want {
+			t.Fatalf("encoding of %d-row set (regression %v):\n got %s\nwant %s",
+				pin.d.N(), pin.d.IsRegression(), got, want)
+		}
+		raw, _ := hex.DecodeString(want)
+		got, err := ReadBinary(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEqualData(t, pin.d, got)
+		if got.Classes != pin.d.Classes || got.IsRegression() != pin.d.IsRegression() {
+			t.Fatalf("decoded classes %d regression %v, want %d %v",
+				got.Classes, got.IsRegression(), pin.d.Classes, pin.d.IsRegression())
+		}
 	}
 }
 
