@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"knnshapley"
+	"knnshapley/internal/jobs"
 	"knnshapley/internal/journal"
+	"knnshapley/internal/server"
 	"knnshapley/internal/wire"
 )
 
@@ -182,6 +184,40 @@ func TestDeltaIncrementalValuation(t *testing.T) {
 		wire.DeltaRequest{Append: &payload{X: addX, Labels: addL}}, &dresp)
 	if rec.Code != http.StatusOK || dresp.Created {
 		t.Fatalf("re-derive: %d created=%v", rec.Code, dresp.Created)
+	}
+}
+
+// TestValueOverRankBudgetRunsEngine sets the rank-cache budget below the
+// request's full ranking (12 bytes × 6 training rows × 2 test points = 144
+// bytes): exact and truncated valuations then run the session's engine,
+// bit-identical to an in-process run, and build no ranking at all.
+func TestValueOverRankBudgetRunsEngine(t *testing.T) {
+	srv := startServer(t, server.Config{MaxBody: 1 << 20, Jobs: jobs.Config{Workers: 2, QueueDepth: 16}, RankCacheBudget: 100})
+	base := testRequest()
+	train, _ := knnshapley.NewClassificationDataset(base.Train.X, base.Train.Labels)
+	test, _ := knnshapley.NewClassificationDataset(base.Test.X, base.Test.Labels)
+	for _, p := range []knnshapley.Method{knnshapley.ExactParams{}, knnshapley.TruncatedParams{Eps: 0.4}} {
+		req := testRequest()
+		req.Algorithm, req.Params = p.Name(), p
+		rec, resp := postValue(t, srv, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", p.Name(), rec.Code, rec.Body.String())
+		}
+		requireBits(t, p.Name(), resp.Values, libraryReport(t, train, test, req.K, p).Values)
+	}
+	var statz struct {
+		Incremental struct {
+			FromScratch int64 `json:"from_scratch"`
+		} `json:"incremental"`
+		RankCache struct {
+			Puts int64 `json:"puts"`
+		} `json:"rankCache"`
+	}
+	if rec := do(t, srv, http.MethodGet, "/statz", nil, &statz); rec.Code != http.StatusOK {
+		t.Fatalf("statz: %d", rec.Code)
+	}
+	if statz.Incremental.FromScratch != 0 || statz.RankCache.Puts != 0 {
+		t.Fatalf("over-budget valuations built rankings: %+v", statz)
 	}
 }
 

@@ -151,11 +151,24 @@ func TestValueTruncatedAndMonteCarlo(t *testing.T) {
 
 func TestValueRejectsBadRequests(t *testing.T) {
 	srv := newTestServer(t, 1<<20, 0)
-	// Wrong method.
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/value", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET status %d", rec.Code)
+	// Wrong method, and a path no route serves: the mux's own answers
+	// carry the same JSON error body as every handler's.
+	for _, c := range []struct {
+		path   string
+		status int
+		allow  string
+	}{{"/value", http.StatusMethodNotAllowed, "POST"}, {"/nope", http.StatusNotFound, ""}} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.path, nil))
+		var body wire.ErrorResponse
+		if rec.Code != c.status || rec.Header().Get("Allow") != c.allow ||
+			rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("GET %s: status %d, Allow %q, Content-Type %q", c.path,
+				rec.Code, rec.Header().Get("Allow"), rec.Header().Get("Content-Type"))
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+			t.Fatalf("GET %s: body %q is not a JSON error: %v", c.path, rec.Body.String(), err)
+		}
 	}
 	// Unknown algorithm.
 	req := testRequest()

@@ -1,16 +1,20 @@
-// Package binio provides the buffered, CRC-summed binary primitives shared
-// by the index codecs (internal/lsh, internal/kdtree) and the registry's
-// index container: little-endian fixed-width fields with a running CRC-32
-// (IEEE) so every on-disk artifact is content-verified on load, the same
-// contract the dataset registry's .knnsb files follow.
+// Package binio is the one little-endian binary codec of every on-disk and
+// on-wire format except the job journal's record framing and the LSH index's
+// tuned-metadata block: the dataset files (KNNS), the shard reports (KSRP),
+// the LSH and k-d index codecs (internal/lsh, internal/kdtree) and the
+// registry's index container. Writer and Reader buffer the stream and keep
+// a running CRC-32 (IEEE); a format with a CRC trailer ends with Finish and
+// Verify, one without ends with Flush.
 //
 // Both Writer and Reader are sticky-error: after the first failure every
 // later call is a no-op, so codecs can emit a field sequence without
 // checking each write and collect the first error once at the end.
 //
 // The array forms (U64s, U32s, F64s) move whole arrays in chunks of
-// chunkLen bytes, with one CRC update per chunk instead of one per value:
-// the raw-array layout of the LSH index codec rests on them.
+// chunkLen bytes, with one CRC update per chunk instead of one per value.
+// U32sN and F64sN read an array whose length came from the stream itself,
+// allocating as its bytes arrive, so a hostile length fails on a short body
+// instead of forcing a giant allocation up front.
 package binio
 
 import (
@@ -20,6 +24,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // chunkLen is the encode/decode chunk of the array forms, in bytes.
@@ -103,9 +108,6 @@ func (w *Writer) F64s(vs []float64) {
 	}
 }
 
-// Bytes writes a raw byte block (no length prefix).
-func (w *Writer) Bytes(p []byte) { w.put(p) }
-
 // String writes a uint32 length prefix followed by the bytes of s.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
@@ -121,18 +123,16 @@ func (w *Writer) Err() error { return w.err }
 // Finish appends the running CRC-32 trailer (itself excluded from the sum),
 // flushes, and returns the first error of the whole write sequence.
 func (w *Writer) Finish() error {
-	if w.err != nil {
-		return w.err
+	w.U32(w.crc)
+	return w.Flush()
+}
+
+// Flush flushes without a CRC trailer, for formats that carry none, and
+// returns the first error of the whole write sequence.
+func (w *Writer) Flush() error {
+	if w.err == nil {
+		w.err = w.bw.Flush()
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], w.crc)
-	n, err := w.bw.Write(b[:])
-	w.n += int64(n)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	w.err = w.bw.Flush()
 	return w.err
 }
 
@@ -141,15 +141,26 @@ type Reader struct {
 	br  *bufio.Reader
 	crc uint32
 	err error
-	b   [chunkLen]byte
+	b   []byte // grown to the largest read, at most one chunk
 }
 
-// NewReader wraps r in a buffered, CRC-summing reader.
-func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, 1<<16)} }
+// NewReader wraps r in a buffered, CRC-summing reader. The buffer is 64 KiB,
+// or the bytes left in an *io.LimitedReader when fewer, so decoding a short
+// header (dataset.ReadBinaryHeader) allocates about what it reads.
+func NewReader(r io.Reader) *Reader {
+	size := 1 << 16
+	if lr, ok := r.(*io.LimitedReader); ok && lr.N < int64(size) {
+		size = int(lr.N)
+	}
+	return &Reader{br: bufio.NewReaderSize(r, size)}
+}
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
+	}
+	if len(r.b) < n {
+		r.b = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r.br, r.b[:n]); err != nil {
 		r.err = err
@@ -228,6 +239,38 @@ func (r *Reader) F64s(dst []float64) {
 	}
 }
 
+// U32sN reads n consecutive little-endian uint32s into a new slice (nil
+// after an error), allocating only as the bytes arrive: see readN.
+func (r *Reader) U32sN(n int) []uint32 { return readN(r, n, chunkLen/4, r.U32s) }
+
+// F64sN reads n consecutive IEEE-754 bit patterns into a new slice (nil
+// after an error), allocating only as the bytes arrive: see readN.
+func (r *Reader) F64sN(n int) []float64 { return readN(r, n, chunkLen/8, r.F64s) }
+
+// readN reads n values through fill, one chunk of per values at a time,
+// each chunk allocated just before its bytes are read, and joins the chunks
+// once all n have arrived. A length taken from a hostile header therefore
+// fails on a short body having allocated no more than the bytes present
+// plus one chunk, never n values up front.
+func readN[T any](r *Reader, n, per int, fill func([]T)) []T {
+	if n <= per {
+		out := make([]T, n)
+		if fill(out); r.err != nil {
+			return nil
+		}
+		return out
+	}
+	var chunks [][]T
+	for left := n; left > 0; left -= per {
+		c := make([]T, min(left, per))
+		if fill(c); r.err != nil {
+			return nil
+		}
+		chunks = append(chunks, c)
+	}
+	return slices.Concat(chunks...)
+}
+
 // String reads a String-encoded field, rejecting length prefixes above max —
 // the chunked-decode guard that keeps a hostile prefix from forcing a giant
 // allocation before any content is verified.
@@ -260,11 +303,12 @@ func (r *Reader) Verify() error {
 		return r.err
 	}
 	want := r.crc
-	if _, err := io.ReadFull(r.br, r.b[:4]); err != nil {
+	var b [4]byte
+	if _, err := io.ReadFull(r.br, b[:]); err != nil {
 		r.err = fmt.Errorf("binio: crc trailer: %w", err)
 		return r.err
 	}
-	if got := binary.LittleEndian.Uint32(r.b[:4]); got != want {
+	if got := binary.LittleEndian.Uint32(b[:]); got != want {
 		r.err = fmt.Errorf("binio: crc mismatch: stored %08x, computed %08x", got, want)
 	}
 	return r.err

@@ -27,8 +27,7 @@ func TestPackIndexRoundTrip(t *testing.T) {
 
 func sampleReport() *ShardReport {
 	return &ShardReport{
-		GlobalN:    10,
-		TestOffset: 3,
+		GlobalN: 10,
 		Idx: [][]uint32{
 			{PackIndex(4, true), PackIndex(0, false), PackIndex(9, true)},
 			{},
@@ -52,12 +51,13 @@ func TestShardReportRoundTrip(t *testing.T) {
 	if n != sr.EncodedBytes() || int64(buf.Len()) != n {
 		t.Fatalf("wrote %d bytes, EncodedBytes %d, buffer %d", n, sr.EncodedBytes(), buf.Len())
 	}
+	enc := bytes.Clone(buf.Bytes())
 	got, err := ReadShardReport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.GlobalN != sr.GlobalN || got.TestOffset != sr.TestOffset {
-		t.Fatalf("header %d/%d, want %d/%d", got.GlobalN, got.TestOffset, sr.GlobalN, sr.TestOffset)
+	if got.GlobalN != sr.GlobalN {
+		t.Fatalf("header n=%d, want %d", got.GlobalN, sr.GlobalN)
 	}
 	if !reflect.DeepEqual(got.Idx, sr.Idx) {
 		t.Fatalf("indices differ: %v vs %v", got.Idx, sr.Idx)
@@ -70,6 +70,12 @@ func TestShardReportRoundTrip(t *testing.T) {
 				t.Fatalf("test %d rank %d: bits %#x != %#x", ti, r, g, w)
 			}
 		}
+	}
+	// Every shard reports every test point: the header's test-offset word
+	// must be 0.
+	enc[12] = 1
+	if _, err := ReadShardReport(bytes.NewReader(enc)); err == nil {
+		t.Fatal("decoded a report with a nonzero test offset")
 	}
 
 	// Pinned encoding of a two-test-point report, one hex string per field:
@@ -163,7 +169,7 @@ func FuzzShardRequestJSON(f *testing.F) {
 	seed, _ := json.Marshal(wire.ShardRequest{
 		TrainRef: "00112233445566778899aabbccddeeff"[:16], TestRef: "ffeeddccbbaa99887766554433221100"[:16],
 		K: 5, Metric: "l2", Precision: "float64",
-		Limit: 10, GlobalOffset: 100, GlobalN: 1000, TestOffset: 0,
+		Limit: 10, GlobalOffset: 100, GlobalN: 1000,
 		BatchSize: 64,
 	})
 	f.Add(seed)

@@ -99,10 +99,6 @@ type Request struct {
 	Precision  knn.Precision
 	// BatchSize is forwarded to the shard computations.
 	BatchSize int
-	// PartitionTest partitions test points across peers (each shard sees
-	// the full training set and a disjoint test range; merge is
-	// concatenation) instead of the default training-row partitioning.
-	PartitionTest bool
 }
 
 // Coordinator owns the ring, the peer table and the scatter-gather
@@ -362,21 +358,14 @@ func reportLimit(req *Request, shardN int) int {
 	return shardN
 }
 
-// plan slices the request into one shard per available peer and assigns
-// ring owners to each. Training-row mode slices [start,end) row ranges
-// (shared storage, global offsets riding along); test-partition mode slices
-// the test set instead and ships the full training set.
+// plan slices the training set into one [start,end) row range per
+// available peer (shared storage, global offsets riding along) and assigns
+// ring owners to each; every shard ranks the whole test set.
 func (c *Coordinator) plan(req *Request, nPeers int) ([]*shard, error) {
-	sliced := req.Train
-	if req.PartitionTest {
-		sliced = req.Test
-	}
-	parts := nPeers
-	if parts > sliced.N() {
-		parts = sliced.N()
-	}
+	n := req.Train.N()
+	parts := min(nPeers, n)
 	shards := make([]*shard, parts)
-	base, rem := sliced.N()/parts, sliced.N()%parts
+	base, rem := n/parts, n%parts
 	start := 0
 	for i := range shards {
 		rows := base
@@ -384,45 +373,26 @@ func (c *Coordinator) plan(req *Request, nPeers int) ([]*shard, error) {
 			rows++
 		}
 		end := start + rows
-		sh := &shard{index: i}
-		if req.PartitionTest {
-			sh.train, sh.trainID = req.Train, req.TrainID
-			sh.test = sliceRows(req.Test, start, end)
-			sh.testID = registry.ID(sh.test.Fingerprint())
-			sh.req = wire.ShardRequest{
-				Limit:      reportLimit(req, req.Train.N()),
-				GlobalN:    req.Train.N(),
-				TestOffset: start,
-			}
-		} else {
-			sh.train = sliceRows(req.Train, start, end)
-			sh.trainID = registry.ID(sh.train.Fingerprint())
-			sh.test, sh.testID = req.Test, req.TestID
-			sh.req = wire.ShardRequest{
-				Limit:        reportLimit(req, rows),
-				GlobalOffset: start,
-				GlobalN:      req.Train.N(),
-			}
+		sh := &shard{index: i, train: sliceRows(req.Train, start, end), test: req.Test, testID: req.TestID}
+		sh.trainID = registry.ID(sh.train.Fingerprint())
+		sh.req = wire.ShardRequest{
+			TrainRef:     sh.trainID,
+			TestRef:      sh.testID,
+			K:            req.K,
+			Metric:       req.MetricName,
+			Precision:    req.Precision.String(),
+			Limit:        reportLimit(req, rows),
+			GlobalOffset: start,
+			GlobalN:      n,
+			BatchSize:    req.BatchSize,
 		}
-		sh.req.TrainRef = sh.trainID
-		sh.req.TestRef = sh.testID
-		sh.req.K = req.K
-		sh.req.Metric = req.MetricName
-		sh.req.Precision = req.Precision.String()
-		sh.req.BatchSize = req.BatchSize
 
 		// Placement: the shard's content fingerprint keys the ring, so the
 		// same shard lands on the same peers valuation after valuation —
 		// which is what keeps their registries warm. Unhealthy owners are
 		// skipped at dispatch, not here: health is a moment-in-time fact,
 		// ownership a stable one.
-		var key string
-		if req.PartitionTest {
-			key = sh.testID
-		} else {
-			key = sh.trainID
-		}
-		for _, u := range c.ring.OwnersN(key, c.cfg.Replicas) {
+		for _, u := range c.ring.OwnersN(sh.trainID, c.cfg.Replicas) {
 			sh.owners = append(sh.owners, c.peers[u])
 		}
 		// Every ring member beyond the replica set is a last-resort owner;
@@ -622,26 +592,16 @@ func (c *Coordinator) tryShardOn(ctx context.Context, p *peer, sh *shard, onProg
 }
 
 // reportProgress aggregates per-shard progress into one done/total pair:
-// with training-row shards every sub-job walks the whole test set, so the
-// slowest shard is the honest measure; with test-partition shards the
-// counts are disjoint and sum.
+// every sub-job walks the whole test set, so the slowest shard is the
+// honest measure.
 func (c *Coordinator) reportProgress(fn knnshapley.Progress, shards []*shard, req *Request) {
 	if fn == nil {
 		return
 	}
 	total := req.Test.N()
-	var done int64
-	if req.PartitionTest {
-		for _, sh := range shards {
-			done += sh.done.Load()
-		}
-	} else {
-		done = int64(total)
-		for _, sh := range shards {
-			if d := sh.done.Load(); d < done {
-				done = d
-			}
-		}
+	done := int64(total)
+	for _, sh := range shards {
+		done = min(done, sh.done.Load())
 	}
 	fn(int(done), total)
 }
@@ -661,6 +621,9 @@ func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, er
 		if sr.GlobalN != n {
 			return nil, fmt.Errorf("cluster: shard report for n=%d, want %d", sr.GlobalN, n)
 		}
+		if len(sr.Idx) != ntest || len(sr.Dist) != ntest {
+			return nil, fmt.Errorf("cluster: shard report covers %d test points, want %d", len(sr.Idx), ntest)
+		}
 	}
 	kStar := n
 	if req.Method == "truncated" {
@@ -670,22 +633,15 @@ func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, er
 	acc := make([]float64, n)
 	var merged []uint32
 	heads := make([]int, len(reports))
-	lists := make([]int, 0, len(reports)) // report indices covering test t
 
 	for t := 0; t < ntest; t++ {
-		lists = lists[:0]
 		total := 0
 		for ri, sr := range reports {
-			lt := t - sr.TestOffset
-			if lt < 0 || lt >= len(sr.Idx) {
-				continue
-			}
-			lists = append(lists, ri)
 			heads[ri] = 0
-			total += len(sr.Idx[lt])
+			total += len(sr.Idx[t])
 		}
 		if total == 0 {
-			return nil, fmt.Errorf("cluster: no shard covered test point %d", t)
+			return nil, fmt.Errorf("cluster: no shard reported neighbors of test point %d", t)
 		}
 		if req.Method == "exact" && total != n {
 			return nil, fmt.Errorf("cluster: exact merge of test point %d has %d entries, want %d", t, total, n)
@@ -706,21 +662,18 @@ func (c *Coordinator) merge(req *Request, reports []*ShardReport) ([]float64, er
 			best := -1
 			var bestKey uint64
 			var bestIdx uint32
-			for _, ri := range lists {
-				sr := reports[ri]
-				lt := t - sr.TestOffset
+			for ri, sr := range reports {
 				h := heads[ri]
-				if h >= len(sr.Idx[lt]) {
+				if h >= len(sr.Idx[t]) {
 					continue
 				}
-				key := vec.DistKeyBits(sr.Dist[lt][h])
-				idx := sr.Idx[lt][h] &^ correctBit
+				key := vec.DistKeyBits(sr.Dist[t][h])
+				idx := sr.Idx[t][h] &^ correctBit
 				if best == -1 || key < bestKey || (key == bestKey && idx < bestIdx) {
 					best, bestKey, bestIdx = ri, key, idx
 				}
 			}
-			sr := reports[best]
-			merged[out] = sr.Idx[t-sr.TestOffset][heads[best]]
+			merged[out] = reports[best].Idx[t][heads[best]]
 			heads[best]++
 		}
 		core.AddValues(merged, n, req.K, kStar, acc)

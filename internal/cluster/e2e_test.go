@@ -67,7 +67,7 @@ func requireBitIdentical(t *testing.T, label string, got, want []float64) {
 }
 
 // TestClusterEvaluateBitIdentical is the tentpole equivalence over real HTTP:
-// three workers, both methods, both partition modes — distributed values must
+// three workers, both methods — distributed values must
 // be bit-identical to the local Valuer's, and a second valuation must reuse
 // the datasets already pushed (content addressing makes pushes idempotent).
 func TestClusterEvaluateBitIdentical(t *testing.T) {
@@ -104,21 +104,17 @@ func TestClusterEvaluateBitIdentical(t *testing.T) {
 	defer c.Close()
 
 	for _, tc := range []struct {
-		method        string
-		partitionTest bool
-		want          []float64
+		method string
+		want   []float64
 	}{
-		{"exact", false, localExact.Values},
-		{"exact", true, localExact.Values},
-		{"truncated", false, localTrunc.Values},
-		{"truncated", true, localTrunc.Values},
+		{"exact", localExact.Values},
+		{"truncated", localTrunc.Values},
 	} {
 		rep, err := c.Evaluate(context.Background(), cluster.Request{
 			Train: train, Test: test, Method: tc.method, Eps: eps, K: 5,
-			PartitionTest: tc.partitionTest,
 		})
 		if err != nil {
-			t.Fatalf("%s/partitionTest=%v: %v", tc.method, tc.partitionTest, err)
+			t.Fatalf("%s: %v", tc.method, err)
 		}
 		requireBitIdentical(t, tc.method, rep.Values, tc.want)
 		if rep.TestPoints != test.N() {
@@ -138,8 +134,8 @@ func TestClusterEvaluateBitIdentical(t *testing.T) {
 	}
 
 	st := c.Statz()
-	if st.Valuations != 5 {
-		t.Fatalf("statz valuations = %d, want 5", st.Valuations)
+	if st.Valuations != 3 {
+		t.Fatalf("statz valuations = %d, want 3", st.Valuations)
 	}
 	if len(st.Peers) != 3 {
 		t.Fatalf("statz lists %d peers, want 3", len(st.Peers))

@@ -402,6 +402,14 @@ func (inc *Incremental) Stats() IncrementalStats {
 	}
 }
 
+// Fits reports whether req's from-scratch ranking, 12 bytes per (training
+// row, test point) pair, fits the rank-cache budget (never when the budget
+// is negative); one that does not would be built whole for one replay and
+// dropped.
+func (inc *Incremental) Fits(req Request) bool {
+	return 12*int64(req.Train.N())*int64(req.Test.N()) <= inc.cache.budget
+}
+
 // Values evaluates req (same shape the sharded coordinator takes: exact or
 // truncated, unweighted classification) against the rank cache, returning
 // values bit-identical to Coordinator.Evaluate and the single-node Valuer.

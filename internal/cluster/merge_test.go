@@ -153,7 +153,7 @@ func mergedRanking(t *testing.T, req *Request, reports []*ShardReport, n int) ([
 // TestMergeValuesMatchSingleNode is the end-to-end equivalence property on
 // real shard computations: slice a dataset into shards, compute each shard's
 // report in process, merge — and require bit-identical values to the local
-// Valuer for both methods, across shard counts and both partition modes.
+// Valuer for both methods, across shard counts.
 func TestMergeValuesMatchSingleNode(t *testing.T) {
 	train := knnshapley.SynthMNIST(97, 7)
 	test := knnshapley.SynthMNIST(13, 8)
@@ -178,47 +178,38 @@ func TestMergeValuesMatchSingleNode(t *testing.T) {
 		if method == "truncated" {
 			want = localTrunc.Values
 		}
-		for _, mode := range []struct {
-			name          string
-			partitionTest bool
-		}{{"train-rows", false}, {"test-points", true}} {
-			for _, parts := range []int{1, 2, 3, 7} {
-				req := &Request{
-					Train: train, Test: test, Method: method, Eps: eps, K: 5,
-					PartitionTest: mode.partitionTest,
+		for _, parts := range []int{1, 2, 3, 7} {
+			req := &Request{Train: train, Test: test, Method: method, Eps: eps, K: 5}
+			if err := validateRequest(req); err != nil {
+				t.Fatal(err)
+			}
+			shards, err := c.plan(req, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports := make([]*ShardReport, len(shards))
+			for i, sh := range shards {
+				p := ShardParams{
+					K: req.K, Limit: sh.req.Limit,
+					GlobalOffset: sh.req.GlobalOffset, GlobalN: sh.req.GlobalN,
 				}
-				if err := validateRequest(req); err != nil {
-					t.Fatal(err)
-				}
-				shards, err := c.plan(req, parts)
+				reports[i], err = ComputeShardReport(context.Background(), sh.train, sh.test, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reports := make([]*ShardReport, len(shards))
-				for i, sh := range shards {
-					p := ShardParams{
-						K: req.K, Limit: sh.req.Limit,
-						GlobalOffset: sh.req.GlobalOffset, GlobalN: sh.req.GlobalN,
-						TestOffset: sh.req.TestOffset,
-					}
-					reports[i], err = ComputeShardReport(context.Background(), sh.train, sh.test, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				got, err := c.merge(req, reports)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s/%s/%d shards: %d values, want %d", method, mode.name, parts, len(got), len(want))
-				}
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/%s/%d shards: value[%d] = %v (bits %#x), single-node %v (bits %#x)",
-							method, mode.name, parts, i, got[i], math.Float64bits(got[i]),
-							want[i], math.Float64bits(want[i]))
-					}
+			}
+			got, err := c.merge(req, reports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d shards: %d values, want %d", method, parts, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s/%d shards: value[%d] = %v (bits %#x), single-node %v (bits %#x)",
+						method, parts, i, got[i], math.Float64bits(got[i]),
+						want[i], math.Float64bits(want[i]))
 				}
 			}
 		}

@@ -22,7 +22,6 @@ type ShardParams struct {
 	Limit        int // neighbors reported per test point (0 = full shard)
 	GlobalOffset int // global index of the shard's first training row
 	GlobalN      int // unsharded training-set size
-	TestOffset   int // global index of the first test row
 	BatchSize    int // distance-tile height (0 = knn stream default 64)
 }
 
@@ -65,10 +64,9 @@ func ComputeShardReport(ctx context.Context, train, test *dataset.Dataset, p Sha
 	total := test.N()
 
 	sr := &ShardReport{
-		GlobalN:    p.GlobalN,
-		TestOffset: p.TestOffset,
-		Idx:        make([][]uint32, 0, total),
-		Dist:       make([][]float64, 0, total),
+		GlobalN: p.GlobalN,
+		Idx:     make([][]uint32, 0, total),
+		Dist:    make([][]float64, 0, total),
 	}
 	scratch := core.NewScratch()
 	tps := make([]*knn.TestPoint, batch)

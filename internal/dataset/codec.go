@@ -1,14 +1,13 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
+
+	"knnshapley/internal/binio"
 )
 
 // CSV layout: one row per instance, feature columns first, response last.
@@ -124,13 +123,16 @@ func (h BinaryHeader) PayloadBytes() int64 {
 func (h BinaryHeader) EncodedBytes() int64 { return 24 + h.PayloadBytes() }
 
 // ReadBinaryHeader decodes and validates the fixed header of a binary
-// dataset stream, leaving r positioned at the feature block.
+// dataset stream, consuming exactly its 24 bytes and leaving r positioned
+// at the feature block.
 func ReadBinaryHeader(r io.Reader) (BinaryHeader, error) {
+	return readHeader(binio.NewReader(io.LimitReader(r, 24)))
+}
+
+func readHeader(br *binio.Reader) (BinaryHeader, error) {
 	var hdr [6]uint32
-	for i := range hdr {
-		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-			return BinaryHeader{}, fmt.Errorf("dataset: binary header: %w", err)
-		}
+	if br.U32s(hdr[:]); br.Err() != nil {
+		return BinaryHeader{}, fmt.Errorf("dataset: binary header: %w", br.Err())
 	}
 	if hdr[0] != binaryMagic {
 		return BinaryHeader{}, fmt.Errorf("dataset: bad magic %#x", hdr[0])
@@ -164,97 +166,57 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 		// rather than persist an unreadable file.
 		return errors.New("dataset: refusing to encode an empty dataset")
 	}
-	bw := bufio.NewWriter(w)
 	var flags uint32
 	if d.IsRegression() {
 		flags |= 1
 	}
-	hdr := []uint32{binaryMagic, 1, flags, uint32(d.N()), uint32(d.Dim()), uint32(d.Classes)}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, 8)
+	bw := binio.NewWriter(w)
+	bw.U32s([]uint32{binaryMagic, 1, flags, uint32(d.N()), uint32(d.Dim()), uint32(d.Classes)})
 	for _, row := range d.X {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
+		bw.F64s(row)
 	}
 	if d.IsRegression() {
-		for _, v := range d.Targets {
-			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
+		bw.F64s(d.Targets)
 	} else {
-		for _, y := range d.Labels {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(y))
-			if _, err := bw.Write(buf[:4]); err != nil {
-				return err
-			}
+		labels := make([]uint32, len(d.Labels))
+		for i, y := range d.Labels {
+			labels[i] = uint32(y)
 		}
+		bw.U32s(labels)
 	}
 	return bw.Flush()
 }
 
-// readChunk is how many values ReadBinary materializes per read. Buffers
-// grow with the bytes actually consumed, so a hostile header declaring a
-// huge shape fails fast on a short body instead of forcing a giant
-// allocation up front (the property FuzzBinaryCodec pins).
-const readChunk = 1 << 14
-
-// readFloatBlock reads want little-endian float64 bit patterns in chunks.
-func readFloatBlock(r io.Reader, want int, what string) ([]float64, error) {
-	out := make([]float64, 0, min(want, readChunk))
-	buf := make([]byte, 8*min(want, readChunk))
-	for len(out) < want {
-		c := min(want-len(out), readChunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", what, err)
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-	}
-	return out, nil
-}
-
 // ReadBinary parses a dataset written by WriteBinary. The decoded dataset is
 // contiguous (flat row-major backing) and round-trips WriteBinary
-// bit-identically, fingerprint included.
+// bit-identically, fingerprint included. Its buffers grow with the bytes
+// actually read, so a header declaring a huge shape fails on a short body
+// without a giant allocation (the property FuzzBinaryCodec pins).
 func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	h, err := ReadBinaryHeader(br)
+	br := binio.NewReader(r)
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	flat, err := readFloatBlock(br, h.N*h.Dim, "features")
-	if err != nil {
-		return nil, err
+	flat := br.F64sN(h.N * h.Dim)
+	var targets []float64
+	var labels []uint32
+	if h.Regression {
+		targets = br.F64sN(h.N)
+	} else {
+		labels = br.U32sN(h.N)
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: binary payload: %w", err)
 	}
 	d := FromFlat(flat, h.N, h.Dim)
 	d.Name = "binary"
 	d.Classes = h.Classes
-	if h.Regression {
-		if d.Targets, err = readFloatBlock(br, h.N, "targets"); err != nil {
-			return nil, err
-		}
-	} else {
-		d.Labels = make([]int, 0, min(h.N, readChunk))
-		buf := make([]byte, 4*min(h.N, readChunk))
-		for len(d.Labels) < h.N {
-			c := min(h.N-len(d.Labels), readChunk)
-			if _, err := io.ReadFull(br, buf[:4*c]); err != nil {
-				return nil, fmt.Errorf("dataset: labels: %w", err)
-			}
-			for i := 0; i < c; i++ {
-				d.Labels = append(d.Labels, int(int32(binary.LittleEndian.Uint32(buf[4*i:]))))
-			}
+	d.Targets = targets
+	if labels != nil {
+		d.Labels = make([]int, h.N)
+		for i, y := range labels {
+			d.Labels[i] = int(int32(y))
 		}
 	}
 	if err := d.Validate(); err != nil {

@@ -209,6 +209,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, d); err != nil {
 			t.Fatal(err)
 		}
+		// The header read takes exactly its 24 bytes: the registry's
+		// open-time scan reads no payload.
+		r := bytes.NewReader(buf.Bytes())
+		if h, err := ReadBinaryHeader(r); err != nil || h.EncodedBytes() != int64(buf.Len()) || r.Len() != buf.Len()-24 {
+			t.Fatalf("header %+v, err %v, %d of %d bytes left", h, err, r.Len(), buf.Len())
+		}
 		got, err := ReadBinary(&buf)
 		if err != nil {
 			t.Fatal(err)

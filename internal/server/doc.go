@@ -30,6 +30,9 @@
 //	POST   /shard/jobs       — enqueue one shard sub-job (cluster internal)
 //	GET    /shard/jobs/{id}/result — binary shard report (cluster internal)
 //
+// Every error is a JSON {"error": ...} body, the mux's own 404 (no such
+// route) and 405 (with its Allow header) included.
+//
 // # Dataset registry
 //
 // POST /datasets stores a dataset under its content fingerprint and returns
@@ -75,7 +78,9 @@
 // incremental path shares result-cache entries with the engine and the
 // cluster merge. The "incremental"/"rankCache" blocks of /statz (and the
 // svserver_incremental_*/svserver_rank_cache_* series of /metrics) show
-// from-scratch builds vs O(ΔN) patches.
+// from-scratch builds vs O(ΔN) patches. An ordering over the budget, 12
+// bytes per training row and test point, is never built: that valuation
+// runs the session's engine, which streams test points in batches.
 //
 // Deltas ride the journaled job queue (envelope kind "delta"): a delta
 // accepted before a crash re-applies on replay, and completed deltas have

@@ -122,8 +122,44 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Handler serves every route.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler serves every route. The mux itself answers a path no route
+// matches (404) and a route's path under another method (405, with its
+// Allow header); muxError turns those answers into the JSON error every
+// handler writes.
+func (s *Server) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, pattern := s.mux.Handler(r); pattern == "" {
+			w = &muxError{ResponseWriter: w, r: r}
+		}
+		s.mux.ServeHTTP(w, r)
+	})
+}
+
+// muxError rewrites the mux's plain-text 404 and 405 as JSON errors and
+// drops their text bodies; any other status (the mux's path-cleaning
+// redirect) passes through.
+type muxError struct {
+	http.ResponseWriter
+	r       *http.Request
+	rewrote bool
+}
+
+func (m *muxError) WriteHeader(status int) {
+	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+		m.ResponseWriter.WriteHeader(status)
+		return
+	}
+	m.rewrote = true
+	writeError(m.ResponseWriter, status, fmt.Sprintf("%s %s: %s",
+		m.r.Method, m.r.URL.Path, strings.ToLower(http.StatusText(status))))
+}
+
+func (m *muxError) Write(p []byte) (int, error) {
+	if m.rewrote {
+		return len(p), nil
+	}
+	return m.ResponseWriter.Write(p)
+}
 
 // Close shuts the job manager down, canceling the jobs still queued or
 // running; with a journal, each is journaled as canceled.

@@ -62,7 +62,7 @@ func (s *Server) handleShardSubmit(w http.ResponseWriter, r *http.Request) {
 	params := cluster.ShardParams{
 		K: req.K, Metric: metric, Precision: precision,
 		Limit: req.Limit, GlobalOffset: req.GlobalOffset, GlobalN: req.GlobalN,
-		TestOffset: req.TestOffset, BatchSize: req.BatchSize,
+		BatchSize: req.BatchSize,
 	}
 	if train.Dim() != test.Dim() {
 		release()

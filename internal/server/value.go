@@ -271,14 +271,18 @@ func (s *Server) buildSpec(req *valueRequest) (*jobs.Spec, int, error) {
 	if creq, ok := clusterRequest(p, req, v, train, test, trainH.ID(), testH.ID()); ok {
 		if s.coord == nil {
 			// On a single node, the methods the coordinator could scatter
-			// route through the incremental evaluator instead: it keeps the
-			// full neighbor ordering per (train, test, k, metric, precision)
-			// in a budgeted cache, so valuing a delta-derived dataset costs
-			// O(ΔN) — and a cold run costs one ranked scan with values
-			// bit-identical to the engine's, so the shared result cache
-			// stays coherent across both paths.
-			run = func(ctx context.Context) (*knnshapley.Report, error) {
-				return s.incrementalReport(ctx, creq)
+			// route through the incremental evaluator when their full
+			// neighbor ranking fits the rank-cache budget: it keeps that
+			// ranking per (train, test, k, metric, precision), so valuing a
+			// delta-derived dataset costs O(ΔN) — and a cold run costs one
+			// ranked scan with values bit-identical to the engine's, so the
+			// shared result cache stays coherent across both paths. A ranking
+			// over the budget would be built whole for one replay and
+			// dropped; the engine streams test points in batches instead.
+			if s.inc.Fits(creq) {
+				run = func(ctx context.Context) (*knnshapley.Report, error) {
+					return s.incrementalReport(ctx, creq)
+				}
 			}
 		} else {
 			// In coordinator mode, distributable methods scatter across the

@@ -373,7 +373,7 @@ type ErrorResponse struct {
 // the ordinary job endpoints (GET/DELETE /jobs/{id}).
 type ShardRequest struct {
 	// TrainRef and TestRef are registry IDs of the shard's training rows and
-	// the (full or partitioned) test set.
+	// the test set.
 	TrainRef string `json:"trainRef"`
 	TestRef  string `json:"testRef"`
 	// K, Metric and Precision are the session knobs of the parent valuation;
@@ -392,9 +392,6 @@ type ShardRequest struct {
 	// GlobalN is the unsharded training-set size (echoed in the report as a
 	// merge cross-check).
 	GlobalN int `json:"globalN"`
-	// TestOffset is the global index of the first test row (test-partition
-	// mode; 0 when the shard sees the whole test set).
-	TestOffset int `json:"testOffset,omitempty"`
 	// BatchSize is the shard scan's distance-tile height (0 = default).
 	BatchSize int `json:"batchSize,omitempty"`
 }

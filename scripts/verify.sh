@@ -98,11 +98,14 @@ go test -run '^$' -bench 'BenchmarkValue' -benchtime 3x ./cmd/svserver
 
 # Method discovery end-to-end: a real svserver process on an ephemeral
 # port, interrogated by "svcli methods" — the declarative surface a client
-# sees, checked for every built-in algorithm.
+# sees, checked for every built-in algorithm. The same server then stores a
+# datagen-written binary classification set and a regression set, and must
+# serve each back byte for byte, so the KNNS decode, the registry's file and
+# the encode are checked across real processes.
 bindir=$(mktemp -d)
 logfile="$bindir/svserver.log"
 mkdir -p "$bindir/data"
-go build -o "$bindir" ./cmd/svserver ./cmd/svcli
+go build -o "$bindir" ./cmd/svserver ./cmd/svcli ./cmd/datagen
 "$bindir/svserver" -addr 127.0.0.1:0 -data-dir "$bindir/data" >"$logfile" 2>&1 &
 svpid=$!
 cleanup() { kill "$svpid" 2>/dev/null || true; rm -rf "$bindir"; }
@@ -125,6 +128,22 @@ for name in exact truncated montecarlo baseline sellers sellersmc composite lsh 
     if ! grep -q "^$name " <<<"$methods_out"; then
         echo "svcli methods: method $name missing from GET /methods output:" >&2
         printf '%s\n' "$methods_out" >&2
+        exit 1
+    fi
+done
+"$bindir/datagen" -dataset mnist -n 300 -seed 3 -format bin -out "$bindir/class.bin" 2>/dev/null
+"$bindir/datagen" -dataset regression -n 200 -dim 6 -seed 4 -format bin -out "$bindir/reg.bin" 2>/dev/null
+for set in class reg; do
+    up=$(curl -sf -H 'Content-Type: application/octet-stream' \
+        --data-binary "@$bindir/$set.bin" "http://$addr/datasets")
+    id=$(sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p' <<<"$up")
+    if [ -z "$id" ]; then
+        echo "binary upload of $set.bin failed: $up" >&2
+        exit 1
+    fi
+    curl -sf -H 'Accept: application/octet-stream' "http://$addr/datasets/$id" -o "$bindir/$set.out"
+    if ! cmp "$bindir/$set.bin" "$bindir/$set.out"; then
+        echo "GET /datasets/$id served other bytes than $set.bin uploaded" >&2
         exit 1
     fi
 done
