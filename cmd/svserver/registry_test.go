@@ -134,6 +134,51 @@ func TestBinaryUploadRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// An upload answers with the holder count a GET right after it reads: the
+// handler's own pin on the stored dataset is not a holder (0 here, where
+// nothing else holds it), whether the upload is JSON, binary or a
+// re-upload of the same bytes.
+func TestUploadReportsRefsLikeGet(t *testing.T) {
+	srv := newTestServer(t, 1<<20, 0)
+	req := testRequest()
+	test, err := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := knnshapley.WriteBinary(&bin, test); err != nil {
+		t.Fatal(err)
+	}
+	uploads := []struct {
+		name   string
+		upload func(*wire.UploadResponse) *httptest.ResponseRecorder
+		status int
+	}{
+		{"json", func(up *wire.UploadResponse) *httptest.ResponseRecorder {
+			return do(t, srv, http.MethodPost, "/datasets", req.Train, up)
+		}, http.StatusCreated},
+		{"binary", func(up *wire.UploadResponse) *httptest.ResponseRecorder {
+			return doRaw(t, srv, http.MethodPost, "/datasets", "application/octet-stream", bin.Bytes(), up)
+		}, http.StatusCreated},
+		{"binary re-upload", func(up *wire.UploadResponse) *httptest.ResponseRecorder {
+			return doRaw(t, srv, http.MethodPost, "/datasets", "application/octet-stream", bin.Bytes(), up)
+		}, http.StatusOK},
+	}
+	for _, u := range uploads {
+		var up wire.UploadResponse
+		if rec := u.upload(&up); rec.Code != u.status {
+			t.Fatalf("%s upload: status %d, want %d: %s", u.name, rec.Code, u.status, rec.Body.String())
+		}
+		var info wire.DatasetInfo
+		if rec := do(t, srv, http.MethodGet, "/datasets/"+up.ID, nil, &info); rec.Code != http.StatusOK {
+			t.Fatalf("%s: GET /datasets/%s status %d", u.name, up.ID, rec.Code)
+		}
+		if up.Refs != info.Refs || up.Refs != 0 {
+			t.Fatalf("%s upload answered refs %d, the GET after it %d; want both 0", u.name, up.Refs, info.Refs)
+		}
+	}
+}
+
 // The acceptance proof of the by-ref hot path: upload the datasets once,
 // then POST /value repeatedly with bodies that carry only refs — no payload
 // bytes at all. Every call must return values bit-identical to the inline

@@ -88,8 +88,10 @@
 // truncated, weighted counting, Monte Carlo permutation sampling,
 // seller-level games). Per-worker scratch buffers are reused across test
 // points, so the hot paths are allocation-free. While the pool waits, a
-// large batch's distance scan is split into runs of four-query groups and
-// its reduce into value-index ranges, each over up to WithWorkers
+// large batch's distance scan is split into runs of whole query groups
+// (eight test points on the float64 sweep, four in float32; runs of
+// training rows when a batch has fewer groups than parts) and its reduce
+// into value-index ranges, each over up to WithWorkers
 // goroutines, so at most WithWorkers goroutines compute at once. Every
 // value index still sums the per-test-point results in stream order, and
 // no query's distances depend on the split, so outputs are bit-identical
@@ -108,10 +110,10 @@
 // The distance scan is restructured around the norm-precompute identity
 // ‖a−q‖² = ‖a‖² + ‖q‖² − 2·a·q: per-row training norms are computed once
 // per session and cached, reducing the inner loop to a pure dot product —
-// one GEMV-shaped sweep of the training matrix per group of four test
-// points, running on hand-written SSE2/AVX kernels on amd64 (AVX is
-// detected at startup; both bodies are bit-identical) and a bit-identical
-// pure-Go summation tree elsewhere. Every dot product uses the same fixed
+// one GEMV-shaped sweep of the training matrix per group of eight test
+// points on amd64 with AVX, or four with the SSE2 kernel (AVX is detected
+// at startup; both bodies are bit-identical), and a bit-identical pure-Go
+// summation tree elsewhere. Every dot product uses the same fixed
 // summation tree regardless of platform, batching or worker count, which
 // is what keeps valuations bit-reproducible. After the scan, the
 // truncated method selects its K* nearest with a partial top-K heap

@@ -10,11 +10,15 @@ import (
 	"knnshapley/internal/vec"
 )
 
-// scanGrain is the least scan work, in training rows × query groups ×
+// scanGrain is the least scan work, in training rows × four-query groups ×
 // feature dimensions, that NextBatch gives each goroutine when it splits a
-// batch. On a 2-vCPU Xeon host, dim 64, a two-way split took 1.01–1.05× the
-// serial time at 2^17 units per goroutine, 0.57–0.96× at 2^18 and
-// 0.52–0.54× at 2^19; below 2^17 goroutine start-up made it slower.
+// batch, whatever unit it splits in. On a 2-vCPU Xeon host, dim 64, a
+// two-way split with the SSE2 four-query kernel took 1.01–1.05× the serial
+// time at 2^17 units per goroutine, 0.57–0.96× at 2^18 and 0.52–0.54× at
+// 2^19, and goroutine start-up made it slower below 2^17. With the AVX
+// eight-query sweep a 16-query batch's split took 0.97–1.10× at 2^16,
+// 0.88–1.00× at 2^17, 0.76–0.78× at 2^18 and 0.74× at 2^19 (medians of two
+// rounds of 5–7 runs), so the grain stays.
 const scanGrain = 1 << 18
 
 // Stream is a batched producer of TestPoints: instead of eagerly
@@ -133,11 +137,13 @@ func (s *Stream) Reset() { s.next = 0 }
 // following NextBatch call. A canceled ctx aborts before the batch's
 // distance tile is computed and returns ctx.Err().
 //
-// Above scanGrain of work per goroutine the tile is split into runs of
-// whole four-query groups, the grouping the GEMV kernel uses, which are
-// scanned on up to SetWorkers goroutines (the caller included) and joined
-// before NextBatch returns. Each query's distances do not depend on the
-// split, so the tile is bit-identical for every worker count.
+// Above scanGrain of work per goroutine the tile is split and scanned on up
+// to SetWorkers goroutines (the caller included), joined before NextBatch
+// returns. The parts are runs of whole query groups, the grouping the GEMV
+// kernels use (vec.SweepQueries queries on the float64 sweep, four
+// elsewhere), or runs of training rows when a float64 batch has fewer
+// groups than parts. A distance depends only on its query and row, so the
+// tile is bit-identical for every worker count.
 func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -177,10 +183,19 @@ func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 			s.q32 = vec.ToFloat32(s.q32[:0], q)
 		}
 	}
-	groups := (b + 3) / 4
-	par.For(groups, par.Parts(groups*n*dim, scanGrain, s.workers), func(lo, hi int) {
-		s.scan(q, gemv, 4*lo, min(4*hi, b))
-	})
+	// Parts are counted over four-query groups whatever the split unit.
+	quads := (b + 3) / 4
+	parts := min(par.Parts(quads*n*dim, scanGrain, s.workers), quads)
+	switch groups := (b + vec.SweepQueries - 1) / vec.SweepQueries; {
+	case !gemv || s.pre.precision != Float64:
+		par.For(quads, parts, func(lo, hi int) { s.scan(q, gemv, 4*lo, min(4*hi, b), 0, n) })
+	case groups >= parts:
+		par.For(groups, parts, func(lo, hi int) {
+			s.scan(q, gemv, lo*vec.SweepQueries, min(hi*vec.SweepQueries, b), 0, n)
+		})
+	default:
+		par.For(n, parts, func(lo, hi int) { s.scan(q, gemv, 0, b, lo, hi) })
+	}
 
 	for i := 0; i < b; i++ {
 		j := s.next + i
@@ -198,21 +213,19 @@ func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 	return b, nil
 }
 
-// scan fills the distance rows of batch queries [lo, hi) and, for
-// classification, their correctness flags. q is the batch's query block on
-// the GEMV path. Calls on disjoint ranges write disjoint parts of the tile,
-// so they may run concurrently.
-func (s *Stream) scan(q []float64, gemv bool, lo, hi int) {
+// scan fills the distances from batch queries [lo, hi) to training rows
+// [rlo, rhi) and, for classification, their correctness flags. q is the
+// batch's query block on the GEMV path; only the float64 GEMV path is given
+// less than all the rows. Calls on disjoint ranges write disjoint parts of
+// the tile, so they may run concurrently.
+func (s *Stream) scan(q []float64, gemv bool, lo, hi, rlo, rhi int) {
 	n, dim := s.train.N(), s.train.Dim()
-	dist := s.distBuf[lo*n : hi*n]
 	switch {
-	case gemv:
+	case gemv && s.pre.precision == Float32:
 		// GEMV tile of squared distances via the norm-precompute identity.
-		if s.pre.precision == Float32 {
-			vec.SqL2NormDotBatch32(dist, s.pre.flat32, n, dim, s.pre.norms32, s.q32[lo*dim:hi*dim], hi-lo)
-		} else {
-			vec.SqL2NormDotBatch(dist, s.trainFlat, n, dim, s.pre.norms, q[lo*dim:hi*dim], hi-lo)
-		}
+		vec.SqL2NormDotBatch32(s.distBuf[lo*n:hi*n], s.pre.flat32, n, dim, s.pre.norms32, s.q32[lo*dim:hi*dim], hi-lo)
+	case gemv:
+		vec.SqL2NormDotRows(s.distBuf[lo*n:hi*n], s.trainFlat, n, dim, s.pre.norms, q[lo*dim:hi*dim], hi-lo, rlo, rhi)
 	case s.metric == vec.L2 || s.metric == vec.SquaredL2:
 		// Non-contiguous training rows: same normdot formula row by row, so
 		// the distances still match the tile path bit for bit.
@@ -228,17 +241,18 @@ func (s *Stream) scan(q []float64, gemv bool, lo, hi int) {
 			vec.Distances(s.metric, s.train.X, s.test.X[s.next+i], s.distBuf[i*n:(i+1)*n])
 		}
 	}
-	if s.metric == vec.L2 {
-		// The Euclidean paths produce squared distances; L2 takes the root.
-		for i, v := range dist {
-			dist[i] = math.Sqrt(v)
+	for i := lo; i < hi; i++ {
+		if s.metric == vec.L2 {
+			// The Euclidean paths produce squared distances; L2 takes the root.
+			dist := s.distBuf[i*n+rlo : i*n+rhi]
+			for j, v := range dist {
+				dist[j] = math.Sqrt(v)
+			}
 		}
-	}
-	if !s.kind.IsRegression() {
-		for i := lo; i < hi; i++ {
-			correct := s.correctBuf[i*n : (i+1)*n]
+		if !s.kind.IsRegression() {
+			correct := s.correctBuf[i*n+rlo : i*n+rhi]
 			label := s.test.Labels[s.next+i]
-			for t, y := range s.train.Labels {
+			for t, y := range s.train.Labels[rlo:rhi] {
 				correct[t] = y == label
 			}
 		}

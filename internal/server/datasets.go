@@ -76,6 +76,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	info.Refs-- // the count a GET would see: without this handler's own pin
 	status := http.StatusOK
 	if created {
 		status = http.StatusCreated

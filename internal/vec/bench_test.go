@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -66,21 +67,42 @@ func BenchmarkDistanceScanFlat(b *testing.B) {
 }
 
 // BenchmarkSqL2NormDotBatch measures the GEMV-shaped norm-precompute
-// kernel at the engine's default batch size: 64 queries against the train
-// matrix per call, float64 and float32 storage.
+// kernel at the engine's default batch size, 64 queries against the train
+// matrix per call, and on the tile of perfbench's engine_batch workload
+// (N=1e5, dim 64, 16 queries), scanned on one goroutine (g1) and split
+// into two 8-query halves on two (g2), the split knn.Stream makes there.
+// SetBytes counts one read of the train matrix per query.
 func BenchmarkSqL2NormDotBatch(b *testing.B) {
-	const batch = 64
+	type normDotCase struct {
+		name           string
+		n, dim, nq, gs int
+	}
+	var cases []normDotCase
 	for _, shape := range benchShapes {
-		b.Run(shape.name, func(b *testing.B) {
+		cases = append(cases, normDotCase{shape.name, shape.n, shape.dim, 64, 1})
+	}
+	cases = append(cases, normDotCase{"engine_batch_g1", 100000, 64, 16, 1}, normDotCase{"engine_batch_g2", 100000, 64, 16, 2})
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(2, 2))
-			trainFlat, _ := randomFlat(shape.n, shape.dim, rng)
-			testFlat, _ := randomFlat(batch, shape.dim, rng)
-			norms := SqNorms(nil, trainFlat, shape.n, shape.dim)
-			dst := make([]float64, batch*shape.n)
-			b.SetBytes(int64(batch * shape.n * shape.dim * 8))
+			trainFlat, _ := randomFlat(c.n, c.dim, rng)
+			testFlat, _ := randomFlat(c.nq, c.dim, rng)
+			norms := SqNorms(nil, trainFlat, c.n, c.dim)
+			dst := make([]float64, c.nq*c.n)
+			per := c.nq / c.gs
+			b.SetBytes(int64(c.nq * c.n * c.dim * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				SqL2NormDotBatch(dst, trainFlat, shape.n, shape.dim, norms, testFlat, batch)
+				var wg sync.WaitGroup
+				for g := 1; g < c.gs; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						SqL2NormDotBatch(dst[g*per*c.n:(g+1)*per*c.n], trainFlat, c.n, c.dim, norms, testFlat[g*per*c.dim:(g+1)*per*c.dim], per)
+					}()
+				}
+				SqL2NormDotBatch(dst[:per*c.n], trainFlat, c.n, c.dim, norms, testFlat[:per*c.dim], per)
+				wg.Wait()
 			}
 		})
 	}

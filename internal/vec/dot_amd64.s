@@ -1,4 +1,4 @@
-// SSE2 dot-product kernels behind the norm-precompute distance scan.
+// Dot-product kernels behind the norm-precompute distance scan.
 //
 // float64: each query accumulates into a single 2-lane xmm register —
 // per 4-element chunk the products of elements {i, i+1} and {i+2, i+3}
@@ -9,9 +9,7 @@
 // float32: each query accumulates into TWO 4-lane xmm registers — lanes
 // are offsets mod 8, chunk {i..i+3} adds into the first register and
 // {i+4..i+7} into the second, so the two ADDPS per chunk are independent
-// and the per-chunk critical path is a single ADDPS (the f32 scan is
-// compute-bound where the f64 scan is bandwidth-bound; the shorter chain
-// is what lets it reach the 2x traffic advantage). The scalar tail
+// and the per-chunk critical path is a single ADDPS. The scalar tail
 // accumulates into lane 0, and the final value is
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
 //
@@ -27,9 +25,14 @@
 // per query — the 8-lane tree is exactly one 256-bit register, so the
 // wide kernel computes the same bits with half the instructions).
 // dot_amd64.go picks at startup via cpuHasAVX; TestDot32AVXMatchesSSE
-// pins the two bodies against each other. The float64 kernels are SSE2
-// only — their 2-lane tree is frozen by the float64 golden files, and
-// the f64 scan is memory-bound where extra width would not pay anyway.
+// pins the two bodies against each other. The float64 distance scan has
+// an AVX body too, gemv8x64avx: its 2-lane tree is frozen by the float64
+// golden files, so instead of widening one query's tree it packs the two
+// lanes of two queries into each ymm register and serves eight queries
+// per pass over the training rows, half the arithmetic instructions per
+// distance of four dot4x64 calls (TestSweep8x64MatchesGoTree pins it, the
+// SSE2 path and a Go mirror against the per-query tree). Without AVX the
+// scan runs dot4x64.
 // No FMA anywhere: fused multiply-adds round differently.
 
 #include "textflag.h"
@@ -787,4 +790,136 @@ fold:
 	JNZ  rowloop
 done:
 	MOVQ 8(SP), BP
+	RET
+
+// func gemv8x64avx(dst []float64, n int, flat []float64, dim int, norms []float64, qp []float64, qn *[8]float64, offs *[8]int)
+//
+// One whole eight-query float64 distance pass. Each ymm accumulator
+// holds the two lanes of the SSE2 tree for two queries: Y0 = q0|q2,
+// Y1 = q1|q3, Y2 = q4|q6, Y3 = q5|q7 (lanes 0-1 the first query's, 2-3
+// the second's). qp is the query block packQueries8 lays out: per two
+// elements of the four-element body, the four pairs' [a_i, a_i+1, b_i,
+// b_i+1] (128 bytes, read at (DI)(BX*8) while the row is read at
+// (SI)(BX*1)); then per tail element the four pairs' [a_j, 0, b_j, 0]
+// (walked by R13 from R12). Each body step broadcasts the row's element
+// pair to both halves of Y4 and adds the products into lanes 0-1 in the
+// order dot4x64 adds them; a tail element goes in as [r_j, 0, r_j, 0],
+// so lane 0 gets the scalar tail and lane 1 adds +0, which changes no
+// bit (an accumulator that starts at +0 can never hold −0). The fold
+// interleaves the pairs back into query order and adds lane 0 + lane 1,
+// then v = (‖a‖²+‖q‖²) − 2·dot and the NaN-preserving clamp run four
+// queries at a time (Y9/Y10 the query norms, Y11 zero), all IEEE
+// identical to the scalar expressions of SqL2NormDotBatch. Query j's
+// distance goes to dst[offs[j]+r]; R11 walks the row index r, R9 the row
+// norms, SI the rows (CX bytes each), DX is the body's byte length.
+TEXT ·gemv8x64avx(SB), NOSPLIT, $0-128
+	MOVQ n+24(FP), AX
+	TESTQ AX, AX
+	JZ   done
+	MOVQ dst_base+0(FP), R11
+	MOVQ flat_base+32(FP), SI
+	MOVQ dim+56(FP), CX
+	MOVQ norms_base+64(FP), R9
+	MOVQ qp_base+88(FP), DI
+	MOVQ qn+112(FP), R10
+	VMOVUPD (R10), Y9
+	VMOVUPD 32(R10), Y10
+	MOVQ offs+120(FP), R8
+	VXORPD Y11, Y11, Y11
+	SHLQ $3, CX
+	MOVQ CX, DX
+	ANDQ $-32, DX
+	LEAQ (DI)(DX*8), R12
+rowloop:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ  BX, BX
+	TESTQ DX, DX
+	JZ    tail
+chunk:
+	VBROADCASTF128 (SI)(BX*1), Y4
+	VMULPD  (DI)(BX*8), Y4, Y5
+	VMULPD  32(DI)(BX*8), Y4, Y6
+	VMULPD  64(DI)(BX*8), Y4, Y7
+	VMULPD  96(DI)(BX*8), Y4, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	VBROADCASTF128 16(SI)(BX*1), Y4
+	VMULPD  128(DI)(BX*8), Y4, Y5
+	VMULPD  160(DI)(BX*8), Y4, Y6
+	VMULPD  192(DI)(BX*8), Y4, Y7
+	VMULPD  224(DI)(BX*8), Y4, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $32, BX
+	CMPQ    BX, DX
+	JLT     chunk
+tail:
+	CMPQ BX, CX
+	JGE  fold
+	MOVQ R12, R13
+tailloop:
+	VMOVSD      (SI)(BX*1), X4
+	VINSERTF128 $1, X4, Y4, Y4
+	VMULPD      (R13), Y4, Y5
+	VMULPD      32(R13), Y4, Y6
+	VMULPD      64(R13), Y4, Y7
+	VMULPD      96(R13), Y4, Y8
+	VADDPD      Y5, Y0, Y0
+	VADDPD      Y6, Y1, Y1
+	VADDPD      Y7, Y2, Y2
+	VADDPD      Y8, Y3, Y3
+	ADDQ $128, R13
+	ADDQ $8, BX
+	CMPQ BX, CX
+	JLT  tailloop
+fold:
+	VUNPCKLPD Y1, Y0, Y5
+	VUNPCKHPD Y1, Y0, Y6
+	VADDPD    Y6, Y5, Y0
+	VUNPCKLPD Y3, Y2, Y7
+	VUNPCKHPD Y3, Y2, Y8
+	VADDPD    Y8, Y7, Y2
+	VBROADCASTSD (R9), Y4
+	VADDPD  Y9, Y4, Y5
+	VADDPD  Y10, Y4, Y6
+	VADDPD  Y0, Y0, Y0
+	VADDPD  Y2, Y2, Y2
+	VSUBPD  Y0, Y5, Y5
+	VSUBPD  Y2, Y6, Y6
+	VCMPPD  $1, Y11, Y5, Y7
+	VCMPPD  $1, Y11, Y6, Y8
+	VANDNPD Y5, Y7, Y5
+	VANDNPD Y6, Y8, Y6
+	MOVQ    0(R8), R10
+	VMOVSD  X5, (R11)(R10*8)
+	MOVQ    8(R8), R10
+	VMOVHPD X5, (R11)(R10*8)
+	VEXTRACTF128 $1, Y5, X5
+	MOVQ    16(R8), R10
+	VMOVSD  X5, (R11)(R10*8)
+	MOVQ    24(R8), R10
+	VMOVHPD X5, (R11)(R10*8)
+	MOVQ    32(R8), R10
+	VMOVSD  X6, (R11)(R10*8)
+	MOVQ    40(R8), R10
+	VMOVHPD X6, (R11)(R10*8)
+	VEXTRACTF128 $1, Y6, X6
+	MOVQ    48(R8), R10
+	VMOVSD  X6, (R11)(R10*8)
+	MOVQ    56(R8), R10
+	VMOVHPD X6, (R11)(R10*8)
+	ADDQ $8, R11
+	ADDQ $8, R9
+	ADDQ CX, SI
+	DECQ AX
+	JNZ  rowloop
+	VZEROUPPER
+done:
 	RET

@@ -137,5 +137,178 @@ func TestGemv4x32MatchesGo(t *testing.T) {
 	}
 }
 
+// The eight-query AVX sweep, the SSE2 path (useAVX off) and a Go mirror
+// of the sweep must give every distance the bits of the per-query Go tree:
+// on dims 0-70 (empty, loop-only, and 1-3-element tails), 1-17 queries
+// (short groups are padded), 0, 1 and 37 rows, and rows and queries of −0,
+// denormals and 1e200-scale values, whose norms overflow to +Inf so that
+// some distances are Inf − Inf, a NaN the clamp must keep. On 37 rows each
+// body also fills the tile as two row ranges (SqL2NormDotRows), and the
+// first range must leave the other rows' distances alone.
+func TestSweep8x64MatchesGoTree(t *testing.T) {
+	defer func(avx bool) { useAVX = avx }(useAVX)
+	hasAVX := useAVX
+	rng := rand.New(rand.NewPCG(99, 11))
+	nans := 0
+	for dim := 0; dim <= 70; dim++ {
+		qflat := sweepInputs(rng, 17, dim)
+		for _, n := range []int{0, 1, 37} {
+			flat := sweepInputs(rng, n, dim)
+			norms := make([]float64, n)
+			for r := range norms {
+				norms[r] = dotTreeGo64(flat[r*dim:(r+1)*dim], flat[r*dim:(r+1)*dim])
+			}
+			for nq := 1; nq <= 17; nq++ {
+				q := qflat[:nq*dim]
+				want := make([]float64, nq*n)
+				for qi := 0; qi < nq; qi++ {
+					qv := q[qi*dim : (qi+1)*dim]
+					qn := dotTreeGo64(qv, qv)
+					for r := 0; r < n; r++ {
+						v := norms[r] + qn - 2*dotTreeGo64(flat[r*dim:(r+1)*dim], qv)
+						if v < 0 {
+							v = 0
+						}
+						want[qi*n+r] = v
+						if v != v {
+							nans++
+						}
+					}
+				}
+				check := func(body string, got []float64) {
+					t.Helper()
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s dim=%d n=%d nq=%d: dst[%d] = %v (%#x), want %v (%#x)",
+								body, dim, n, nq, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+						}
+					}
+				}
+				check("go mirror", sweep8x64Go(flat, n, dim, norms, q, nq))
+				for _, avx := range []bool{false, true} {
+					if avx && !hasAVX {
+						continue
+					}
+					useAVX = avx
+					body := map[bool]string{false: "sse2", true: "avx"}[avx]
+					check(body, SqL2NormDotBatch(nil, flat, n, dim, norms, q, nq))
+					if n == 37 {
+						const split = 13
+						sentinel := math.Float64frombits(0x7ff8dead)
+						got := make([]float64, nq*n)
+						for i := range got {
+							got[i] = sentinel
+						}
+						SqL2NormDotRows(got, flat, n, dim, norms, q, nq, split, n)
+						for i, v := range got {
+							if i%n < split && math.Float64bits(v) != math.Float64bits(sentinel) {
+								t.Fatalf("%s rows [%d,%d) dim=%d nq=%d: wrote dst[%d] = %v", body, split, n, dim, nq, i, v)
+							}
+						}
+						SqL2NormDotRows(got, flat, n, dim, norms, q, nq, 0, split)
+						check(body+" rows", got)
+					}
+				}
+			}
+		}
+	}
+	if nans == 0 {
+		t.Fatal("no input produced a NaN distance")
+	}
+}
+
+// sweepInputs returns n random rows of dim values, where row i%4 == 0 is
+// all −0, i%4 == 1 denormals, i%4 == 2 1e200-scale values, and i%4 == 3
+// standard normal values with a −0, a denormal and a 1e200 sprinkled in.
+func sweepInputs(rng *rand.Rand, n, dim int) []float64 {
+	flat := make([]float64, n*dim)
+	for r := 0; r < n; r++ {
+		row := flat[r*dim : (r+1)*dim]
+		for i := range row {
+			switch r % 4 {
+			case 0:
+				row[i] = math.Copysign(0, -1)
+			case 1:
+				row[i] = math.SmallestNonzeroFloat64 * float64(rng.IntN(1<<20)-1<<19)
+			case 2:
+				row[i] = 1e200 * rng.NormFloat64()
+			default:
+				row[i] = rng.NormFloat64()
+			}
+		}
+		if r%4 == 3 && dim > 0 {
+			row[rng.IntN(dim)] = math.Copysign(0, -1)
+			row[rng.IntN(dim)] = 3 * math.SmallestNonzeroFloat64
+			row[rng.IntN(dim)] = 1e200
+		}
+	}
+	return flat
+}
+
+// sweep8x64Go is SqL2NormDotBatch on the AVX sweep with gemv8x64Go in
+// place of the assembly: the same eight-query groups, padding and packed
+// query block, except that it pads a last single query too, which
+// sqL2Sweep8 leaves to the one-query loop.
+func sweep8x64Go(flat []float64, n, dim int, norms, qflat []float64, nq int) []float64 {
+	dst := make([]float64, nq*n)
+	qp := make([]float64, 8*(dim&^3)+16*(dim%4))
+	for lo := 0; lo < nq; lo += 8 {
+		k := min(8, nq-lo)
+		var qs [8][]float64
+		var qn [8]float64
+		var offs [8]int
+		for j := range qs {
+			src := min(j, k-1)
+			qs[j] = qflat[(lo+src)*dim : (lo+src+1)*dim]
+			qn[j] = dotTreeGo64(qs[j], qs[j])
+			offs[j] = src * n
+		}
+		packQueries8(qp, &qs, dim)
+		gemv8x64Go(dst[lo*n:], n, flat, dim, norms, qp, &qn, &offs)
+	}
+	return dst
+}
+
+// gemv8x64Go is gemv8x64avx lane by lane: accumulator p holds the lanes
+// [a0, a1, b0, b1] of the queries sweepPairs[p], a body step adds the
+// products of one element pair, and a tail element adds [r_j·a_j, 0·0,
+// r_j·b_j, 0·0].
+func gemv8x64Go(dst []float64, n int, flat []float64, dim int, norms, qp []float64, qn *[8]float64, offs *[8]int) {
+	body := dim &^ 3
+	for r := 0; r < n; r++ {
+		row := flat[r*dim : (r+1)*dim]
+		var acc [4][4]float64
+		k := 0
+		for i := 0; i < body; i += 2 {
+			for p := range acc {
+				acc[p][0] += row[i] * qp[k]
+				acc[p][1] += row[i+1] * qp[k+1]
+				acc[p][2] += row[i] * qp[k+2]
+				acc[p][3] += row[i+1] * qp[k+3]
+				k += 4
+			}
+		}
+		var zero float64
+		for j := body; j < dim; j++ {
+			for p := range acc {
+				acc[p][0] += row[j] * qp[k]
+				acc[p][1] += zero * qp[k+1]
+				acc[p][2] += row[j] * qp[k+2]
+				acc[p][3] += zero * qp[k+3]
+				k += 4
+			}
+		}
+		for p, pair := range sweepPairs {
+			for h, j := range pair {
+				v := norms[r] + qn[j] - 2*(acc[p][2*h]+acc[p][2*h+1])
+				if v < 0 {
+					v = 0
+				}
+				dst[offs[j]+r] = v
+			}
+		}
+	}
+}
+
 func inf(sign int) float64   { return math.Inf(sign) }
 func isNaN64(v float64) bool { return v != v }

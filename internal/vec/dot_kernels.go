@@ -7,29 +7,32 @@ import "fmt"
 // restructured as ‖a‖² + ‖q‖² − 2·a·q with the per-row norms ‖a‖² cached
 // once per session. The per-row work drops from subtract+multiply+add to a
 // pure dot product — one GEMV-shaped sweep over the training matrix per
-// query group — and the dot is an SSE2 kernel on amd64 (dot_amd64.s) with
-// a bit-identical pure-Go tree elsewhere (dotTreeGo64/dotTreeGo32 below).
+// query group: eight queries on amd64 with AVX (float64), four otherwise.
+// The dots are assembly on amd64 (dot_amd64.s) and a bit-identical pure-Go
+// tree elsewhere (dotTreeGo64/dotTreeGo32 below).
 //
 // Summation-order contract: every dot product — single-query, grouped by
-// four, assembly or fallback, float64 or float32 — accumulates with the
-// same tree, so a distance depends only on (row, query), never on how
-// queries were batched. The engine's bit-identity guarantee across
+// four or eight, assembly or fallback, float64 or float32 — accumulates
+// with the same tree, so a distance depends only on (row, query), never on
+// how queries were batched. The engine's bit-identity guarantee across
 // Workers/BatchSize settings rests on this.
 
-// dotTreeGo64 is the pure-Go mirror of the SSE2 float64 summation tree:
+// dotTreeGo64 is the pure-Go mirror of the float64 summation tree:
 // two lanes, lane 0 accumulating even offsets (and the scalar tail),
-// lane 1 odd offsets, combined as lane0 + lane1.
+// lane 1 odd offsets, combined as lane0 + lane1. The conversions round
+// each product, as the assembly does: without them the compiler fuses the
+// multiply-adds on arm64, loong64, ppc64, riscv64 and s390x.
 func dotTreeGo64(a, b []float64) float64 {
 	var l0, l1 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		l0 += a[i] * b[i]
-		l1 += a[i+1] * b[i+1]
-		l0 += a[i+2] * b[i+2]
-		l1 += a[i+3] * b[i+3]
+		l0 += float64(a[i] * b[i])
+		l1 += float64(a[i+1] * b[i+1])
+		l0 += float64(a[i+2] * b[i+2])
+		l1 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		l0 += a[i] * b[i]
+		l0 += float64(a[i] * b[i])
 	}
 	return l0 + l1
 }
@@ -38,22 +41,23 @@ func dotTreeGo64(a, b []float64) float64 {
 // eight lanes by offset mod 8 (two 4-wide registers per query, so the two
 // adds per chunk are independent and the critical path is one ADDPS per
 // chunk), tail into lane 0, combined as
-// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), each product rounded as in
+// dotTreeGo64.
 func dotTreeGo32(a, b []float32) float32 {
 	var l0, l1, l2, l3, l4, l5, l6, l7 float32
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
-		l0 += a[i] * b[i]
-		l1 += a[i+1] * b[i+1]
-		l2 += a[i+2] * b[i+2]
-		l3 += a[i+3] * b[i+3]
-		l4 += a[i+4] * b[i+4]
-		l5 += a[i+5] * b[i+5]
-		l6 += a[i+6] * b[i+6]
-		l7 += a[i+7] * b[i+7]
+		l0 += float32(a[i] * b[i])
+		l1 += float32(a[i+1] * b[i+1])
+		l2 += float32(a[i+2] * b[i+2])
+		l3 += float32(a[i+3] * b[i+3])
+		l4 += float32(a[i+4] * b[i+4])
+		l5 += float32(a[i+5] * b[i+5])
+		l6 += float32(a[i+6] * b[i+6])
+		l7 += float32(a[i+7] * b[i+7])
 	}
 	for ; i < len(a); i++ {
-		l0 += a[i] * b[i]
+		l0 += float32(a[i] * b[i])
 	}
 	return ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
 }
@@ -118,37 +122,64 @@ func SqL2NormDot(a, q []float64, aNorm, qNorm float64) float64 {
 	return d
 }
 
+// SweepQueries is the number of queries one pass of SqL2NormDotBatch
+// over the training rows serves. A caller that splits a query block
+// between goroutines keeps each part a multiple of it, so that no part
+// pads a pass.
+const SweepQueries = 8
+
 // SqL2NormDotBatch fills dst[qi*n+r] = ‖row r − query qi‖² for the
 // row-major n×dim training matrix flat and the row-major nq×dim query
 // block qflat, using the precomputed training norms. The training matrix
-// streams through memory once per four queries (the GEMV grouping), which
-// is what makes the scan faster than per-query passes; per-query sums use
-// the single-query tree exactly, so results do not depend on nq. dst must
-// have nq*n capacity; the re-sliced buffer is returned.
+// streams through memory once per SweepQueries queries on amd64 with AVX
+// (once per four elsewhere: the GEMV grouping), which is what makes the
+// scan faster than per-query passes; per-query sums use the single-query
+// tree exactly, so results do not depend on nq or the grouping. dst must
+// have nq*n capacity; the re-sliced buffer is returned. The AVX sweep
+// allocates its packed query block, 16·dim values at most, once per call.
 func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64, qflat []float64, nq int) []float64 {
+	if cap(dst) < nq*n {
+		dst = make([]float64, nq*n)
+	}
+	dst = dst[:nq*n]
+	SqL2NormDotRows(dst, flat, n, dim, norms, qflat, nq, 0, n)
+	return dst
+}
+
+// SqL2NormDotRows is SqL2NormDotBatch over the training rows [lo, hi)
+// only: it fills dst[qi*n+r] for lo ≤ r < hi and writes nothing else, so
+// calls on disjoint row ranges may fill one tile concurrently. dst must
+// hold nq*n values.
+func SqL2NormDotRows(dst []float64, flat []float64, n, dim int, norms []float64, qflat []float64, nq, lo, hi int) {
 	checkFlat(len(flat), n, dim)
 	checkFlat(len(qflat), nq, dim)
 	if len(norms) != n {
 		panic(fmt.Sprintf("vec: %d norms for %d rows", len(norms), n))
 	}
-	if cap(dst) < nq*n {
-		dst = make([]float64, nq*n)
+	if len(dst) < nq*n || lo < 0 || lo > hi || hi > n {
+		panic(fmt.Sprintf("vec: rows [%d,%d) of %d for %d queries into %d distances", lo, hi, n, nq, len(dst)))
 	}
-	dst = dst[:nq*n]
+	m := hi - lo
+	if m == 0 || nq == 0 {
+		return
+	}
+	// From here on row r is training row lo+r, and query qi's distances
+	// start at dst[qi*n].
+	dst, flat, norms = dst[lo:], flat[lo*dim:hi*dim], norms[lo:hi]
+	qi := sqL2Sweep8(dst, n, flat, m, dim, norms, qflat, nq)
 	var qn [4]float64
 	var dots [4]float64
-	qi := 0
 	for ; qi+4 <= nq; qi += 4 {
 		q0 := qflat[qi*dim : (qi+1)*dim]
 		q1 := qflat[(qi+1)*dim : (qi+2)*dim]
 		q2 := qflat[(qi+2)*dim : (qi+3)*dim]
 		q3 := qflat[(qi+3)*dim : (qi+4)*dim]
 		qn[0], qn[1], qn[2], qn[3] = SqNorm(q0), SqNorm(q1), SqNorm(q2), SqNorm(q3)
-		d0 := dst[qi*n : (qi+1)*n]
-		d1 := dst[(qi+1)*n : (qi+2)*n]
-		d2 := dst[(qi+2)*n : (qi+3)*n]
-		d3 := dst[(qi+3)*n : (qi+4)*n]
-		for r := 0; r < n; r++ {
+		d0 := dst[qi*n : qi*n+m]
+		d1 := dst[(qi+1)*n : (qi+1)*n+m]
+		d2 := dst[(qi+2)*n : (qi+2)*n+m]
+		d3 := dst[(qi+3)*n : (qi+3)*n+m]
+		for r := 0; r < m; r++ {
 			row := flat[r*dim : (r+1)*dim]
 			dot4x64(row, q0, q1, q2, q3, &dots)
 			nr := norms[r]
@@ -174,12 +205,11 @@ func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64
 	for ; qi < nq; qi++ {
 		q := qflat[qi*dim : (qi+1)*dim]
 		qNorm := SqNorm(q)
-		d := dst[qi*n : (qi+1)*n]
-		for r := 0; r < n; r++ {
+		d := dst[qi*n : qi*n+m]
+		for r := range d {
 			d[r] = SqL2NormDot(flat[r*dim:(r+1)*dim], q, norms[r], qNorm)
 		}
 	}
-	return dst
 }
 
 // SqL2NormDotBatch32 is SqL2NormDotBatch computing in float32: the

@@ -2,9 +2,11 @@
 
 package vec
 
-// Portable fallbacks for the SSE2 kernels of dot_amd64.s. They call the
-// shared tree implementations of dot_kernels.go, so distances computed on
-// non-amd64 platforms are bit-identical to the assembly path.
+// Portable fallbacks for the assembly kernels of dot_amd64.s. They call
+// the shared tree implementations of dot_kernels.go, so distances computed
+// on non-amd64 platforms are bit-identical to the assembly path. The
+// float64 scan runs dot4x64 four queries at a time here, as on amd64
+// without AVX.
 
 func dot1x64(a, b []float64) float64 { return dotTreeGo64(a, b) }
 
@@ -15,6 +17,11 @@ func dot4x64(row, q0, q1, q2, q3 []float64, out *[4]float64) {
 	out[1] = dotTreeGo64(row, q1)
 	out[2] = dotTreeGo64(row, q2)
 	out[3] = dotTreeGo64(row, q3)
+}
+
+// sqL2Sweep8 has no portable body: SqL2NormDotRows runs dot4x64.
+func sqL2Sweep8(dst []float64, stride int, flat []float64, n, dim int, norms, qflat []float64, nq int) int {
+	return 0
 }
 
 func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {

@@ -13,7 +13,8 @@
 # reduce over several goroutines) and ten over the LSH index (its build
 # hashes tables on several goroutines), the benchmark's own self-test (so an
 # internal API change that breaks the benchmark's build fails here), a
-# GOAMD64=v3 cross-build of the assembly, fuzz smoke
+# GOAMD64=v3 cross-build of the assembly, an arm64 cross-vet of
+# internal/vec (its portable kernels, which no amd64 build compiles), fuzz smoke
 # runs over the decode/storage/shard-codec surfaces (the index store's
 # container header included) and the distance sort
 # (the []int ordering and the packed ranking against a stable comparison
@@ -60,6 +61,9 @@ go build ./...
 # microarchitecture level too (VEX availability differs; the runtime AVX
 # dispatch must not depend on GOAMD64).
 GOAMD64=v3 go build ./...
+# No amd64 build compiles the portable kernels (dot_noasm.go): vet them
+# for a non-amd64 target.
+GOARCH=arm64 go vet ./internal/vec
 go test ./...
 go test -race ./internal/vec ./internal/kheap
 go test -race -count=10 ./internal/knn ./internal/core
