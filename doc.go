@@ -88,11 +88,10 @@
 // truncated, weighted counting, Monte Carlo permutation sampling,
 // seller-level games). Per-worker scratch buffers are reused across test
 // points, so the hot paths are allocation-free. While the pool waits, a
-// large batch's distance scan is split into runs of whole query groups
-// (eight test points on the float64 sweep, four in float32; runs of
-// training rows when a batch has fewer groups than parts) and its reduce
-// into value-index ranges, each over up to WithWorkers
-// goroutines, so at most WithWorkers goroutines compute at once. Every
+// large batch's distance scan is split into runs of training rows
+// (float64) or of four-test-point groups (float32) and its reduce into
+// value-index ranges, each over up to WithWorkers goroutines, so at most
+// WithWorkers goroutines compute at once. Every
 // value index still sums the per-test-point results in stream order, and
 // no query's distances depend on the split, so outputs are bit-identical
 // for any worker count or batch size. Small batches (a few test points, or

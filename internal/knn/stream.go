@@ -16,9 +16,9 @@ import (
 // two-way split with the SSE2 four-query kernel took 1.01–1.05× the serial
 // time at 2^17 units per goroutine, 0.57–0.96× at 2^18 and 0.52–0.54× at
 // 2^19, and goroutine start-up made it slower below 2^17. With the AVX
-// eight-query sweep a 16-query batch's split took 0.97–1.10× at 2^16,
-// 0.88–1.00× at 2^17, 0.76–0.78× at 2^18 and 0.74× at 2^19 (medians of two
-// rounds of 5–7 runs), so the grain stays.
+// eight-query sweep, a 16-query batch split into two halves of the
+// training rows took 1.42× the serial time at 2^16, 1.09× at 2^17, 0.79×
+// at 2^18 and 0.61× at 2^19 (medians of 6 runs), so the grain stays.
 const scanGrain = 1 << 18
 
 // Stream is a batched producer of TestPoints: instead of eagerly
@@ -139,11 +139,12 @@ func (s *Stream) Reset() { s.next = 0 }
 //
 // Above scanGrain of work per goroutine the tile is split and scanned on up
 // to SetWorkers goroutines (the caller included), joined before NextBatch
-// returns. The parts are runs of whole query groups, the grouping the GEMV
-// kernels use (vec.SweepQueries queries on the float64 sweep, four
-// elsewhere), or runs of training rows when a float64 batch has fewer
-// groups than parts. A distance depends only on its query and row, so the
-// tile is bit-identical for every worker count.
+// returns. The part count is taken over four-query groups, so a batch
+// splits exactly when, and as many ways as, its four-query groups allow.
+// The float64 GEMV path splits the training rows, every part sweeping all
+// the batch's queries; the other paths split runs of whole four-query
+// groups, the grouping the float32 kernels use. A distance depends only on
+// its query and row, so the tile is bit-identical for every worker count.
 func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -183,18 +184,12 @@ func (s *Stream) NextBatch(ctx context.Context, dst []*TestPoint) (int, error) {
 			s.q32 = vec.ToFloat32(s.q32[:0], q)
 		}
 	}
-	// Parts are counted over four-query groups whatever the split unit.
-	quads := (b + 3) / 4
-	parts := min(par.Parts(quads*n*dim, scanGrain, s.workers), quads)
-	switch groups := (b + vec.SweepQueries - 1) / vec.SweepQueries; {
-	case !gemv || s.pre.precision != Float64:
-		par.For(quads, parts, func(lo, hi int) { s.scan(q, gemv, 4*lo, min(4*hi, b), 0, n) })
-	case groups >= parts:
-		par.For(groups, parts, func(lo, hi int) {
-			s.scan(q, gemv, lo*vec.SweepQueries, min(hi*vec.SweepQueries, b), 0, n)
-		})
-	default:
+	groups := (b + 3) / 4
+	parts := min(par.Parts(groups*n*dim, scanGrain, s.workers), groups)
+	if gemv && s.pre.precision == Float64 {
 		par.For(n, parts, func(lo, hi int) { s.scan(q, gemv, 0, b, lo, hi) })
+	} else {
+		par.For(groups, parts, func(lo, hi int) { s.scan(q, gemv, 4*lo, min(4*hi, b), 0, n) })
 	}
 
 	for i := 0; i < b; i++ {

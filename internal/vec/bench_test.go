@@ -3,8 +3,9 @@ package vec
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"testing"
+
+	"knnshapley/internal/par"
 )
 
 // The storage benchmarks pin the flat row-major win: one query scanned
@@ -70,8 +71,8 @@ func BenchmarkDistanceScanFlat(b *testing.B) {
 // kernel at the engine's default batch size, 64 queries against the train
 // matrix per call, and on the tile of perfbench's engine_batch workload
 // (N=1e5, dim 64, 16 queries), scanned on one goroutine (g1) and split
-// into two 8-query halves on two (g2), the split knn.Stream makes there.
-// SetBytes counts one read of the train matrix per query.
+// into two halves of the training rows on two (g2), the split knn.Stream
+// makes there. SetBytes counts one read of the train matrix per query.
 func BenchmarkSqL2NormDotBatch(b *testing.B) {
 	type normDotCase struct {
 		name           string
@@ -89,20 +90,12 @@ func BenchmarkSqL2NormDotBatch(b *testing.B) {
 			testFlat, _ := randomFlat(c.nq, c.dim, rng)
 			norms := SqNorms(nil, trainFlat, c.n, c.dim)
 			dst := make([]float64, c.nq*c.n)
-			per := c.nq / c.gs
 			b.SetBytes(int64(c.nq * c.n * c.dim * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for g := 1; g < c.gs; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						SqL2NormDotBatch(dst[g*per*c.n:(g+1)*per*c.n], trainFlat, c.n, c.dim, norms, testFlat[g*per*c.dim:(g+1)*per*c.dim], per)
-					}()
-				}
-				SqL2NormDotBatch(dst[:per*c.n], trainFlat, c.n, c.dim, norms, testFlat[:per*c.dim], per)
-				wg.Wait()
+				par.For(c.n, c.gs, func(lo, hi int) {
+					SqL2NormDotRows(dst, trainFlat, c.n, c.dim, norms, testFlat, c.nq, lo, hi)
+				})
 			}
 		})
 	}

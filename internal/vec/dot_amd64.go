@@ -8,8 +8,8 @@ package vec
 //   - dot4x64/dot4x32: len(q0..q3) >= len(row); out[j] = row·qj, each
 //     accumulated with exactly the dot1 tree, so grouping queries four at
 //     a time changes no bits versus one-at-a-time evaluation.
-//   - gemv8x64avx: the whole eight-query float64 distance pass of
-//     sqL2Sweep8, each dot accumulated with exactly the dot1x64 tree.
+//   - gemv8x64avx: one block of rows of sqL2Sweep8's eight-query float64
+//     distance pass, each dot accumulated with exactly the dot1x64 tree.
 //
 // The float32 kernels have an SSE2 body (works on every amd64) and an
 // AVX body (one 8-lane ymm accumulator per query — the same summation
@@ -22,6 +22,12 @@ package vec
 var useAVX = cpuHasAVX()
 
 func cpuHasAVX() bool
+
+// sweepBlock is the most training values one gemv8x64avx call reads
+// (2 MiB; 4096 rows at dim 64). Go cannot preempt an assembly call, so
+// sqL2Sweep8 runs each pass in blocks of rows, and a stop-the-world pause
+// waits out one block rather than a whole pass over the training rows.
+const sweepBlock = 1 << 18
 
 // sqL2Sweep8 is the AVX body of SqL2NormDotRows: it fills dst[qi*stride+r]
 // for the n rows of flat with gemv8x64avx, eight queries per pass over
@@ -40,6 +46,7 @@ func sqL2Sweep8(dst []float64, stride int, flat []float64, n, dim int, norms, qf
 	}
 	body := dim &^ 3
 	qp := make([]float64, 8*body+16*(dim-body))
+	block := max(1, sweepBlock/max(1, dim))
 	var qs [8][]float64
 	var qn [8]float64
 	var offs [8]int
@@ -53,7 +60,10 @@ func sqL2Sweep8(dst []float64, stride int, flat []float64, n, dim int, norms, qf
 			offs[j] = src * stride
 		}
 		packQueries8(qp, &qs, dim)
-		gemv8x64avx(dst[lo*stride:], n, flat, dim, norms, qp, &qn, &offs)
+		for r := 0; r < n; r += block {
+			m := min(block, n-r)
+			gemv8x64avx(dst[lo*stride+r:], m, flat[r*dim:(r+m)*dim], dim, norms[r:r+m], qp, &qn, &offs)
+		}
 	}
 	return min(lo, nq)
 }

@@ -794,10 +794,11 @@ done:
 
 // func gemv8x64avx(dst []float64, n int, flat []float64, dim int, norms []float64, qp []float64, qn *[8]float64, offs *[8]int)
 //
-// One whole eight-query float64 distance pass. Each ymm accumulator
-// holds the two lanes of the SSE2 tree for two queries: Y0 = q0|q2,
-// Y1 = q1|q3, Y2 = q4|q6, Y3 = q5|q7 (lanes 0-1 the first query's, 2-3
-// the second's). qp is the query block packQueries8 lays out: per two
+// An eight-query float64 distance pass over n rows; sqL2Sweep8 calls it
+// once per block of rows, so that the pass can be preempted between
+// blocks. Each ymm accumulator holds the two lanes of the SSE2 tree for
+// two queries: Y0 = q0|q2, Y1 = q1|q3, Y2 = q4|q6, Y3 = q5|q7 (lanes 0-1
+// the first query's, 2-3 the second's). qp is the query block packQueries8 lays out: per two
 // elements of the four-element body, the four pairs' [a_i, a_i+1, b_i,
 // b_i+1] (128 bytes, read at (DI)(BX*8) while the row is read at
 // (SI)(BX*1)); then per tail element the four pairs' [a_j, 0, b_j, 0]

@@ -142,72 +142,88 @@ func TestGemv4x32MatchesGo(t *testing.T) {
 // on dims 0-70 (empty, loop-only, and 1-3-element tails), 1-17 queries
 // (short groups are padded), 0, 1 and 37 rows, and rows and queries of −0,
 // denormals and 1e200-scale values, whose norms overflow to +Inf so that
-// some distances are Inf − Inf, a NaN the clamp must keep. On 37 rows each
-// body also fills the tile as two row ranges (SqL2NormDotRows), and the
-// first range must leave the other rows' distances alone.
+// some distances are Inf − Inf, a NaN the clamp must keep. On 37 rows and
+// more each body also fills the tile as two row ranges (SqL2NormDotRows),
+// and the first range must leave the other rows' distances alone. One
+// more shape, 130 rows at dim 4099, has more rows than one sweepBlock
+// holds (63 at that dim), so the AVX pass runs as three gemv8x64avx calls
+// and the row ranges [43, 130) and [0, 43) take blocks of their own.
 func TestSweep8x64MatchesGoTree(t *testing.T) {
 	defer func(avx bool) { useAVX = avx }(useAVX)
 	hasAVX := useAVX
 	rng := rand.New(rand.NewPCG(99, 11))
-	nans := 0
+	shapes := [][2]int{{130, 4099}}
+	if sweepBlock/4099 >= 130 {
+		t.Fatalf("a sweepBlock of %d values holds all 130 rows of dim 4099", sweepBlock)
+	}
 	for dim := 0; dim <= 70; dim++ {
-		qflat := sweepInputs(rng, 17, dim)
 		for _, n := range []int{0, 1, 37} {
-			flat := sweepInputs(rng, n, dim)
-			norms := make([]float64, n)
-			for r := range norms {
-				norms[r] = dotTreeGo64(flat[r*dim:(r+1)*dim], flat[r*dim:(r+1)*dim])
+			shapes = append(shapes, [2]int{n, dim})
+		}
+	}
+	nans := 0
+	for _, shape := range shapes {
+		n, dim := shape[0], shape[1]
+		qflat := sweepInputs(rng, 17, dim)
+		flat := sweepInputs(rng, n, dim)
+		norms := make([]float64, n)
+		for r := range norms {
+			norms[r] = dotTreeGo64(flat[r*dim:(r+1)*dim], flat[r*dim:(r+1)*dim])
+		}
+		for nq := 1; nq <= 17; nq++ {
+			if n == 130 && nq%5 != 1 {
+				// One query, a padded group, a full and a padded group, and
+				// two full groups are enough for the blocks, and fast.
+				continue
 			}
-			for nq := 1; nq <= 17; nq++ {
-				q := qflat[:nq*dim]
-				want := make([]float64, nq*n)
-				for qi := 0; qi < nq; qi++ {
-					qv := q[qi*dim : (qi+1)*dim]
-					qn := dotTreeGo64(qv, qv)
-					for r := 0; r < n; r++ {
-						v := norms[r] + qn - 2*dotTreeGo64(flat[r*dim:(r+1)*dim], qv)
-						if v < 0 {
-							v = 0
-						}
-						want[qi*n+r] = v
-						if v != v {
-							nans++
-						}
+			q := qflat[:nq*dim]
+			want := make([]float64, nq*n)
+			for qi := 0; qi < nq; qi++ {
+				qv := q[qi*dim : (qi+1)*dim]
+				qn := dotTreeGo64(qv, qv)
+				for r := 0; r < n; r++ {
+					v := norms[r] + qn - 2*dotTreeGo64(flat[r*dim:(r+1)*dim], qv)
+					if v < 0 {
+						v = 0
+					}
+					want[qi*n+r] = v
+					if v != v {
+						nans++
 					}
 				}
-				check := func(body string, got []float64) {
-					t.Helper()
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%s dim=%d n=%d nq=%d: dst[%d] = %v (%#x), want %v (%#x)",
-								body, dim, n, nq, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-						}
+			}
+			check := func(body string, got []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s dim=%d n=%d nq=%d: dst[%d] = %v (%#x), want %v (%#x)",
+							body, dim, n, nq, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
 				}
-				check("go mirror", sweep8x64Go(flat, n, dim, norms, q, nq))
-				for _, avx := range []bool{false, true} {
-					if avx && !hasAVX {
-						continue
+			}
+			check("go mirror", sweep8x64Go(flat, n, dim, norms, q, nq))
+			for _, avx := range []bool{false, true} {
+				if avx && !hasAVX {
+					continue
+				}
+				useAVX = avx
+				body := map[bool]string{false: "sse2", true: "avx"}[avx]
+				check(body, SqL2NormDotBatch(nil, flat, n, dim, norms, q, nq))
+				if n >= 37 {
+					split := n / 3
+					sentinel := math.Float64frombits(0x7ff8dead)
+					got := make([]float64, nq*n)
+					for i := range got {
+						got[i] = sentinel
 					}
-					useAVX = avx
-					body := map[bool]string{false: "sse2", true: "avx"}[avx]
-					check(body, SqL2NormDotBatch(nil, flat, n, dim, norms, q, nq))
-					if n == 37 {
-						const split = 13
-						sentinel := math.Float64frombits(0x7ff8dead)
-						got := make([]float64, nq*n)
-						for i := range got {
-							got[i] = sentinel
+					SqL2NormDotRows(got, flat, n, dim, norms, q, nq, split, n)
+					for i, v := range got {
+						if i%n < split && math.Float64bits(v) != math.Float64bits(sentinel) {
+							t.Fatalf("%s rows [%d,%d) dim=%d nq=%d: wrote dst[%d] = %v", body, split, n, dim, nq, i, v)
 						}
-						SqL2NormDotRows(got, flat, n, dim, norms, q, nq, split, n)
-						for i, v := range got {
-							if i%n < split && math.Float64bits(v) != math.Float64bits(sentinel) {
-								t.Fatalf("%s rows [%d,%d) dim=%d nq=%d: wrote dst[%d] = %v", body, split, n, dim, nq, i, v)
-							}
-						}
-						SqL2NormDotRows(got, flat, n, dim, norms, q, nq, 0, split)
-						check(body+" rows", got)
 					}
+					SqL2NormDotRows(got, flat, n, dim, norms, q, nq, 0, split)
+					check(body+" rows", got)
 				}
 			}
 		}

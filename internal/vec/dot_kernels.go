@@ -122,17 +122,11 @@ func SqL2NormDot(a, q []float64, aNorm, qNorm float64) float64 {
 	return d
 }
 
-// SweepQueries is the number of queries one pass of SqL2NormDotBatch
-// over the training rows serves. A caller that splits a query block
-// between goroutines keeps each part a multiple of it, so that no part
-// pads a pass.
-const SweepQueries = 8
-
 // SqL2NormDotBatch fills dst[qi*n+r] = ‖row r − query qi‖² for the
 // row-major n×dim training matrix flat and the row-major nq×dim query
 // block qflat, using the precomputed training norms. The training matrix
-// streams through memory once per SweepQueries queries on amd64 with AVX
-// (once per four elsewhere: the GEMV grouping), which is what makes the
+// streams through memory once per eight queries on amd64 with AVX (once
+// per four elsewhere: the GEMV grouping), which is what makes the
 // scan faster than per-query passes; per-query sums use the single-query
 // tree exactly, so results do not depend on nq or the grouping. dst must
 // have nq*n capacity; the re-sliced buffer is returned. The AVX sweep
