@@ -9,6 +9,7 @@ package kdtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"knnshapley/internal/kheap"
@@ -124,7 +125,18 @@ func (t *Tree) Query(q []float64, k int) (ids []int, dists []float64) {
 
 func (t *Tree) search(node int32, q []float64, h *kheap.Heap) {
 	if node < 0 {
-		for _, i := range t.leaves[^node] {
+		// Four points per vec.SqL2x4 call, the rest one by one; the pushes
+		// keep the leaf's order.
+		leaf := t.leaves[^node]
+		var d [4]float64
+		for len(leaf) >= 4 {
+			vec.SqL2x4(&d, t.data[leaf[0]], t.data[leaf[1]], t.data[leaf[2]], t.data[leaf[3]], q)
+			for j, v := range d {
+				h.Push(leaf[j], math.Sqrt(v))
+			}
+			leaf = leaf[4:]
+		}
+		for _, i := range leaf {
 			h.Push(i, vec.L2Dist(t.data[i], q))
 		}
 		return

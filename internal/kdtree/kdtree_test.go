@@ -1,7 +1,9 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"knnshapley/internal/dataset"
@@ -57,6 +59,52 @@ func TestQueryMatchesBruteForce(t *testing.T) {
 			}
 			if i > 0 && dists[i] < dists[i-1] {
 				t.Fatalf("distances out of order: %v", dists)
+			}
+		}
+	}
+}
+
+// TestQueryMatchesBruteForce at dims 4-70, where leaves are scanned four
+// points per vec.SqL2x4 call: leaf sizes 1-20 leave every remainder mod 4
+// to the one-point loop. The ids must match brute force, tie-break
+// included, and every distance must have the bits of vec.L2Dist.
+func TestQueryMatchesBruteForceHighDim(t *testing.T) {
+	rng := rand.New(rand.NewPCG(42, 42))
+	for dim := 4; dim <= 70; dim++ {
+		n := 1 + rng.IntN(300)
+		leaf := 1 + dim%20
+		X := make([][]float64, n)
+		for i := range X {
+			row := make([]float64, dim)
+			for d := range row {
+				// Coarse grid to exercise distance ties; half the rows get
+				// a fraction so that the sums round.
+				row[d] = float64(rng.IntN(6))
+				if i%2 == 1 {
+					row[d] += rng.Float64()
+				}
+			}
+			X[i] = row
+		}
+		tree, err := Build(X, leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			q := make([]float64, dim)
+			for d := range q {
+				q[d] = float64(rng.IntN(6)) + rng.Float64()*float64(trial)
+			}
+			k := 1 + rng.IntN(8)
+			ids, dists := tree.Query(q, k)
+			want := knn.Neighbors(X, q, k, vec.L2)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("dim=%d n=%d leaf=%d k=%d: ids=%v want %v", dim, n, leaf, k, ids, want)
+			}
+			for i, id := range ids {
+				if want := vec.L2Dist(X[id], q); math.Float64bits(dists[i]) != math.Float64bits(want) {
+					t.Fatalf("dim=%d n=%d leaf=%d: distance to %d = %v, L2Dist %v", dim, n, leaf, id, dists[i], want)
+				}
 			}
 		}
 	}

@@ -304,6 +304,12 @@ func (idx *Index) QueryTables(q []float64, k, l int) Result {
 	}
 	h := kheap.New(k)
 	candidates := 0
+	// New candidates wait in pend until four have arrived, then get their
+	// distances from one vec.SqL2x4 call; the heap sees them in the order
+	// they were found.
+	var pend [4]uint32
+	var d [4]float64
+	np := 0
 	for t := 0; t < l; t++ {
 		tb := &idx.tables[t]
 		vec.DotRows(sc.dots, tb.proj, q)
@@ -313,8 +319,20 @@ func (idx *Index) QueryTables(q []float64, k, l int) Result {
 			}
 			sc.visited[i] = sc.stamp
 			candidates++
-			h.Push(int(i), vec.L2Dist(idx.data[i], q))
+			pend[np] = i
+			np++
+			if np < 4 {
+				continue
+			}
+			vec.SqL2x4(&d, idx.data[pend[0]], idx.data[pend[1]], idx.data[pend[2]], idx.data[pend[3]], q)
+			for j, v := range d {
+				h.Push(int(pend[j]), math.Sqrt(v))
+			}
+			np = 0
 		}
+	}
+	for _, i := range pend[:np] {
+		h.Push(int(i), vec.L2Dist(idx.data[i], q))
 	}
 	items := h.Sorted()
 	res := Result{

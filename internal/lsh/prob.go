@@ -9,10 +9,12 @@
 // Each table keeps its buckets as flat CSR arrays (sorted signature keys,
 // uint32 offsets, one uint32 id array holding every point once), found at
 // query time through a small open-addressed directory over the keys.
-// Build hashes rows in pairs with vec.DotRows2, one table per worker
-// goroutine, and radix-sorts each table by (key, id); the codec
-// (serialize.go) persists those arrays as they are, so a reload is a read,
-// a CRC and an O(N) check per table.
+// Build hashes rows in pairs with vec.DotRows2 (on amd64 with AVX, four
+// projections of both rows per pass, bit-identical to vec.Dot), one table
+// per worker goroutine, and radix-sorts each table by (key, id); a query
+// projects with vec.DotRows the same way and ranks its candidates four at
+// a time with vec.SqL2x4. The codec (serialize.go) persists those arrays
+// as they are, so a reload is a read, a CRC and an O(N) check per table.
 package lsh
 
 import (

@@ -175,3 +175,63 @@ func BenchmarkArgsortDist(b *testing.B) {
 		})
 	}
 }
+
+// annRows, annM and annDim are one LSH table of perfbench's ann_index
+// workload: 5,000 training rows of dim 64 hashed through M=19
+// projections.
+const annRows, annM, annDim = 5000, 19, 64
+
+// BenchmarkDotRows projects every row of an ann_index table one at a
+// time, as a query does once per table. Run with:
+//
+//	go test ./internal/vec -run '^$' -bench 'DotRows|SqL2x4' -benchtime 200x
+func BenchmarkDotRows(b *testing.B) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	mat, _ := randomFlat(annM, annDim, rng)
+	rows, _ := randomFlat(annRows, annDim, rng)
+	dst := make([]float64, annM)
+	for b.Loop() {
+		for r := 0; r < annRows; r++ {
+			DotRows(dst, mat, rows[r*annDim:(r+1)*annDim])
+		}
+	}
+}
+
+// BenchmarkDotRows2 projects every row of an ann_index table in pairs,
+// as the LSH build does.
+func BenchmarkDotRows2(b *testing.B) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	mat, _ := randomFlat(annM, annDim, rng)
+	rows, _ := randomFlat(annRows, annDim, rng)
+	dst0 := make([]float64, annM)
+	dst1 := make([]float64, annM)
+	for b.Loop() {
+		for r := 0; r+2 <= annRows; r += 2 {
+			DotRows2(dst0, dst1, mat, rows[r*annDim:(r+1)*annDim], rows[(r+1)*annDim:(r+2)*annDim])
+		}
+	}
+}
+
+// BenchmarkSqL2x4 takes the distances from one query to 5,000 rows of dim
+// 64, one row per SqL2 call (SqL2) or four per SqL2x4 call (SqL2x4), as
+// the k-d leaf scan and the LSH candidate ranking do.
+func BenchmarkSqL2x4(b *testing.B) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	data := scatteredRows(annRows, annDim, rng)
+	q := data[0]
+	b.Run("SqL2", func(b *testing.B) {
+		for b.Loop() {
+			for _, a := range data {
+				SqL2(a, q)
+			}
+		}
+	})
+	b.Run("SqL2x4", func(b *testing.B) {
+		var out [4]float64
+		for b.Loop() {
+			for r := 0; r+4 <= annRows; r += 4 {
+				SqL2x4(&out, data[r], data[r+1], data[r+2], data[r+3], q)
+			}
+		}
+	})
+}

@@ -10,12 +10,21 @@ package vec
 //     a time changes no bits versus one-at-a-time evaluation.
 //   - gemv8x64avx: one block of rows of sqL2Sweep8's eight-query float64
 //     distance pass, each dot accumulated with exactly the dot1x64 tree.
+//   - gemv4x32sse/gemv4x32avx: n rows of one four-query float32 distance
+//     group, query j's distances stride values after query 0's.
+//   - dotRows4x64avx/dotRows4x2x64avx: len(dst)/4 groups of four rows of
+//     mat against x (and x1), len(x) >= 4 values per row; each product
+//     has the bits of vec.Dot (four lanes by offset mod 4, the tail in
+//     lane 0, the fold ((s0+s1)+s2)+s3).
+//   - sqL2x4avx: out[j] = vec.SqL2(aj, q) bit for bit, len(aj) = len(q)
+//     >= 4.
 //
 // The float32 kernels have an SSE2 body (works on every amd64) and an
 // AVX body (one 8-lane ymm accumulator per query — the same summation
 // tree, twice the width); the float64 scan has the AVX eight-query sweep
-// and the SSE2 dot4x64. useAVX picks once at startup; the bodies are
-// bit-identical, so the choice is invisible to callers.
+// and the SSE2 dot4x64; the four-lane family has an AVX body only, and
+// the Go loops of vec.go otherwise. useAVX picks once at startup; the
+// bodies are bit-identical, so the choice is invisible to callers.
 
 // useAVX reports whether the 256-bit kernels are usable on this machine
 // (CPU advertises AVX and the OS saves ymm state).
@@ -23,10 +32,11 @@ var useAVX = cpuHasAVX()
 
 func cpuHasAVX() bool
 
-// sweepBlock is the most training values one gemv8x64avx call reads
-// (2 MiB; 4096 rows at dim 64). Go cannot preempt an assembly call, so
-// sqL2Sweep8 runs each pass in blocks of rows, and a stop-the-world pause
-// waits out one block rather than a whole pass over the training rows.
+// sweepBlock is the most training values one gemv8x64avx or gemv4x32
+// call reads (4096 rows at dim 64: 2 MiB of float64, 1 MiB of float32).
+// Go cannot preempt an assembly call, so sqL2Sweep8 and sqL2Gemv4x32 run
+// each pass in blocks of rows, and a stop-the-world pause waits out one
+// block rather than a whole pass over the training rows.
 const sweepBlock = 1 << 18
 
 // sqL2Sweep8 is the AVX body of SqL2NormDotRows: it fills dst[qi*stride+r]
@@ -111,15 +121,64 @@ func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
 }
 
 // sqL2Gemv4x32 runs one four-query distance group — every row's dots,
-// norms arithmetic, clamp, and float64 widening — as a single assembly
-// sweep, eliminating the per-row call and slicing overhead of the
-// portable loop. Bit-identical to sqL2Gemv4x32Go.
+// norms arithmetic, clamp, and float64 widening — as assembly sweeps,
+// eliminating the per-row call and slicing overhead of the portable
+// loop. Like sqL2Sweep8 it makes one call per block of at most
+// sweepBlock training values, so that the goroutine can be preempted
+// between blocks. Bit-identical to sqL2Gemv4x32Go.
 func sqL2Gemv4x32(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
-	if useAVX {
-		gemv4x32avx(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
-		return
+	block := max(1, sweepBlock/max(1, dim))
+	for r := 0; r < n; r += block {
+		m := min(block, n-r)
+		d, f, nr := dst4[r:], flat[r*dim:(r+m)*dim], norms[r:r+m]
+		if useAVX {
+			gemv4x32avx(d, n, m, f, dim, nr, q0, q1, q2, q3, qn)
+		} else {
+			gemv4x32sse(d, n, m, f, dim, nr, q0, q1, q2, q3, qn)
+		}
 	}
-	gemv4x32sse(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
+}
+
+// dotRows4 is the AVX body of DotRows: dotRows4x64avx fills dst four
+// rows per group, and dotRows4 reports whether it ran. A row count that
+// is not a multiple of four ends with a group that overlaps the one
+// before it; a row computed twice gets the same bits both times. Without
+// AVX, or below four rows or four values per row, it does nothing.
+func dotRows4(dst, mat, x []float64) bool {
+	m, dim := len(dst), len(x)
+	if !useAVX || m < 4 || dim < 4 {
+		return false
+	}
+	body := m &^ 3
+	dotRows4x64avx(dst[:body], mat[:body*dim], x)
+	if body < m {
+		dotRows4x64avx(dst[m-4:], mat[(m-4)*dim:], x)
+	}
+	return true
+}
+
+// dotRows4x2 is dotRows4 for DotRows2.
+func dotRows4x2(dst0, dst1, mat, x0, x1 []float64) bool {
+	m, dim := len(dst0), len(x0)
+	if !useAVX || m < 4 || dim < 4 {
+		return false
+	}
+	body := m &^ 3
+	dotRows4x2x64avx(dst0[:body], dst1[:body], mat[:body*dim], x0, x1)
+	if body < m {
+		dotRows4x2x64avx(dst0[m-4:], dst1[m-4:], mat[(m-4)*dim:], x0, x1)
+	}
+	return true
+}
+
+// sqL2x4 is the AVX body of SqL2x4 and reports whether it ran: without
+// AVX, or below four values per row, it does nothing.
+func sqL2x4(out *[4]float64, a0, a1, a2, a3, q []float64) bool {
+	if !useAVX || len(q) < 4 {
+		return false
+	}
+	sqL2x4avx(a0, a1, a2, a3, q, out)
+	return true
 }
 
 //go:noescape
@@ -144,7 +203,16 @@ func dot4x32sse(row, q0, q1, q2, q3 []float32, out *[4]float32)
 func dot4x32avx(row, q0, q1, q2, q3 []float32, out *[4]float32)
 
 //go:noescape
-func gemv4x32sse(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+func gemv4x32sse(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 
 //go:noescape
-func gemv4x32avx(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+func gemv4x32avx(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+
+//go:noescape
+func dotRows4x64avx(dst, mat, x []float64)
+
+//go:noescape
+func dotRows4x2x64avx(dst0, dst1, mat, x0, x1 []float64)
+
+//go:noescape
+func sqL2x4avx(a0, a1, a2, a3, q []float64, out *[4]float64)

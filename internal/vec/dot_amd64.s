@@ -1,4 +1,5 @@
-// Dot-product kernels behind the norm-precompute distance scan.
+// Dot-product kernels behind the norm-precompute distance scan and the
+// ANN paths (LSH projections, k-d and LSH candidate distances).
 //
 // float64: each query accumulates into a single 2-lane xmm register —
 // per 4-element chunk the products of elements {i, i+1} and {i+2, i+3}
@@ -33,6 +34,16 @@
 // distance of four dot4x64 calls (TestSweep8x64MatchesGoTree pins it, the
 // SSE2 path and a Go mirror against the per-query tree). Without AVX the
 // scan runs dot4x64.
+//
+// The four-lane family at the end of this file serves the ANN paths with
+// the tree of vec.Dot and vec.SqL2, not the scan's: one ymm accumulator
+// holds the four lanes (offsets mod 4) of one row's sum, the tail goes
+// into lane 0, and the fold is ((s0+s1)+s2)+s3. Four rows per pass give
+// four independent accumulators (eight with two vectors).
+// dotRows4x64avx is the AVX body of vec.DotRows (the LSH query's
+// projections), dotRows4x2x64avx of vec.DotRows2 (the LSH build's) and
+// sqL2x4avx of vec.SqL2x4 (k-d leaf scans and LSH candidates); they have
+// no SSE2 body, and TestFourLaneMatchesDot pins them against Dot and SqL2.
 // No FMA anywhere: fused multiply-adds round differently.
 
 #include "textflag.h"
@@ -511,9 +522,9 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemv4x32sse(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+// func gemv4x32sse(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 //
-// One whole four-query distance group in a single call: for every row r,
+// n rows of a four-query distance group in a single call: for every row r,
 // accumulate the four dots with the 8-lane tree (accumulator pairs
 // X0:X1, X2:X3, X4:X5, X6:X7), fold them TRANSPOSED into one packed
 // register (each lane ends up exactly (x0+x2)+(x1+x3) of that query's
@@ -521,27 +532,29 @@ no:
 // finish v = nr + qn - 2·dot, the <0 clamp, and the float64 widening as
 // packed lane-wise ops (IEEE identical to the scalar expressions of
 // sqL2Gemv4x32Go). Row data is indexed by BX so the query base pointers
-// never move; distance rows d0..d3 are the n-strided columns of dst4
-// (R11 walks d0/d1, R13 = R11 + 2n·8 walks d2/d3, R12 = n·8).
+// never move; distance rows d0..d3 start stride values apart in dst4
+// (R11 walks d0/d1, R13 = R11 + 2·stride·8 walks d2/d3, R12 =
+// stride·8), so that sqL2Gemv4x32 can fill a long tile one block of
+// rows per call.
 // X12 holds the packed query norms, X13 a packed zero for the clamp;
 // BP (saved) walks the row norms.
-TEXT ·gemv4x32sse(SB), NOSPLIT, $16-192
+TEXT ·gemv4x32sse(SB), NOSPLIT, $16-200
 	MOVQ BP, 8(SP)
 	MOVQ dst4_base+0(FP), R11
-	MOVQ n+24(FP), AX
+	MOVQ n+32(FP), AX
 	TESTQ AX, AX
 	JZ   done
-	MOVQ AX, R12
+	MOVQ stride+24(FP), R12
 	SHLQ $3, R12
 	LEAQ (R11)(R12*2), R13
-	MOVQ flat_base+32(FP), SI
-	MOVQ dim+56(FP), CX
-	MOVQ norms_base+64(FP), BP
-	MOVQ q0_base+88(FP), DI
-	MOVQ q1_base+112(FP), R8
-	MOVQ q2_base+136(FP), R9
-	MOVQ q3_base+160(FP), R10
-	MOVQ qn+184(FP), DX
+	MOVQ flat_base+40(FP), SI
+	MOVQ dim+64(FP), CX
+	MOVQ norms_base+72(FP), BP
+	MOVQ q0_base+96(FP), DI
+	MOVQ q1_base+120(FP), R8
+	MOVQ q2_base+144(FP), R9
+	MOVQ q3_base+168(FP), R10
+	MOVQ qn+192(FP), DX
 	MOVUPS (DX), X12
 	XORPS X13, X13
 	MOVQ CX, BX
@@ -661,30 +674,30 @@ done:
 	MOVQ 8(SP), BP
 	RET
 
-// func gemv4x32avx(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+// func gemv4x32avx(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 //
 // The AVX body of the group sweep: one ymm accumulator per query
 // (Y0-Y3, products in Y4-Y7, row chunk in Y8), lanes 4-7 extracted to
 // X8-X11 before the scalar tail, then the identical transposed fold and
 // packed distance epilogue of gemv4x32sse. Register map otherwise as in
 // gemv4x32sse.
-TEXT ·gemv4x32avx(SB), NOSPLIT, $16-192
+TEXT ·gemv4x32avx(SB), NOSPLIT, $16-200
 	MOVQ BP, 8(SP)
 	MOVQ dst4_base+0(FP), R11
-	MOVQ n+24(FP), AX
+	MOVQ n+32(FP), AX
 	TESTQ AX, AX
 	JZ   done
-	MOVQ AX, R12
+	MOVQ stride+24(FP), R12
 	SHLQ $3, R12
 	LEAQ (R11)(R12*2), R13
-	MOVQ flat_base+32(FP), SI
-	MOVQ dim+56(FP), CX
-	MOVQ norms_base+64(FP), BP
-	MOVQ q0_base+88(FP), DI
-	MOVQ q1_base+112(FP), R8
-	MOVQ q2_base+136(FP), R9
-	MOVQ q3_base+160(FP), R10
-	MOVQ qn+184(FP), DX
+	MOVQ flat_base+40(FP), SI
+	MOVQ dim+64(FP), CX
+	MOVQ norms_base+72(FP), BP
+	MOVQ q0_base+96(FP), DI
+	MOVQ q1_base+120(FP), R8
+	MOVQ q2_base+144(FP), R9
+	MOVQ q3_base+168(FP), R10
+	MOVQ qn+192(FP), DX
 	MOVUPS (DX), X12
 	XORPS X13, X13
 	MOVQ CX, BX
@@ -923,4 +936,279 @@ fold:
 	JNZ  rowloop
 	VZEROUPPER
 done:
+	RET
+
+// The four-lane family: the AVX bodies of DotRows, DotRows2 and SqL2x4.
+// One ymm accumulator holds the lanes [s0, s1, s2, s3] of one sum, so a
+// four-element chunk is one VMULPD and one VADDPD (SqL2x4: VSUBPD, then
+// the square). A tail element is loaded with VMOVSD, which zeroes the
+// other three lanes, so it adds its product to s0 and +0 to s1-s3; that
+// changes no bit, since an accumulator that starts at +0 never holds −0.
+// FOLD4 then gives ((s0+s1)+s2)+s3 for four accumulators at once. These
+// are the sums of Dot and SqL2 in vec.go, element for element.
+
+// FOLD4 transposes the accumulators a, b, c, d through t0-t3 into the
+// vectors of their s0, s1, s2 and s3 lanes, and adds those as
+// ((s0+s1)+s2)+s3, which leaves a's sum in lane 0 of a, b's in lane 1,
+// c's in lane 2 and d's in lane 3. It clobbers b, c, d and t0-t3.
+#define FOLD4(a, b, c, d, t0, t1, t2, t3) \
+	VUNPCKLPD  b, a, t0; \
+	VUNPCKHPD  b, a, t1; \
+	VUNPCKLPD  d, c, t2; \
+	VUNPCKHPD  d, c, t3; \
+	VPERM2F128 $0x20, t2, t0, a; \
+	VPERM2F128 $0x20, t3, t1, b; \
+	VPERM2F128 $0x31, t2, t0, c; \
+	VPERM2F128 $0x31, t3, t1, d; \
+	VADDPD     b, a, a; \
+	VADDPD     c, a, a; \
+	VADDPD     d, a, a
+
+// func dotRows4x64avx(dst, mat, x []float64)
+//
+// dst[j] = (row j of mat)·x for len(dst)/4 groups of four rows, with
+// len(x) values per row. SI walks the group's first row and R9-R11 point
+// at the other three (CX bytes apart, CX = len(x)·8), DI is x, BX the
+// byte offset into the rows, R12 the body's byte length (len(x)&^3 values),
+// DX the output; the row accumulators are Y0-Y3.
+TEXT ·dotRows4x64avx(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DX
+	MOVQ dst_len+8(FP), AX
+	SHRQ $2, AX
+	JZ   done
+	MOVQ mat_base+24(FP), SI
+	MOVQ x_base+48(FP), DI
+	MOVQ x_len+56(FP), CX
+	SHLQ $3, CX
+	MOVQ CX, R12
+	ANDQ $-32, R12
+group:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ   (SI)(CX*1), R9
+	LEAQ   (SI)(CX*2), R10
+	LEAQ   (R9)(CX*2), R11
+	XORQ   BX, BX
+	TESTQ  R12, R12
+	JZ     tail
+chunk:
+	VMOVUPD (DI)(BX*1), Y4
+	VMULPD  (SI)(BX*1), Y4, Y5
+	VMULPD  (R9)(BX*1), Y4, Y6
+	VMULPD  (R10)(BX*1), Y4, Y7
+	VMULPD  (R11)(BX*1), Y4, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $32, BX
+	CMPQ    BX, R12
+	JLT     chunk
+tail:
+	CMPQ BX, CX
+	JGE  fold
+tailloop:
+	VMOVSD (DI)(BX*1), X4
+	VMOVSD (SI)(BX*1), X5
+	VMOVSD (R9)(BX*1), X6
+	VMOVSD (R10)(BX*1), X7
+	VMOVSD (R11)(BX*1), X8
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VMULPD Y4, Y7, Y7
+	VMULPD Y4, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ   $8, BX
+	CMPQ   BX, CX
+	JLT    tailloop
+fold:
+	FOLD4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	LEAQ    (R11)(CX*1), SI
+	DECQ    AX
+	JNZ     group
+	VZEROUPPER
+done:
+	RET
+
+// func dotRows4x2x64avx(dst0, dst1, mat, x0, x1 []float64)
+//
+// dotRows4x64avx for two vectors: every row chunk is loaded once for
+// both, x0's accumulators are Y0-Y3 and x1's Y4-Y7. DI is x0, R8 x1,
+// DX dst0, R13 dst1; the rest as in dotRows4x64avx.
+TEXT ·dotRows4x2x64avx(SB), NOSPLIT, $0-120
+	MOVQ dst0_base+0(FP), DX
+	MOVQ dst0_len+8(FP), AX
+	SHRQ $2, AX
+	JZ   done
+	MOVQ dst1_base+24(FP), R13
+	MOVQ mat_base+48(FP), SI
+	MOVQ x0_base+72(FP), DI
+	MOVQ x0_len+80(FP), CX
+	MOVQ x1_base+96(FP), R8
+	SHLQ $3, CX
+	MOVQ CX, R12
+	ANDQ $-32, R12
+group:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ   (SI)(CX*1), R9
+	LEAQ   (SI)(CX*2), R10
+	LEAQ   (R9)(CX*2), R11
+	XORQ   BX, BX
+	TESTQ  R12, R12
+	JZ     tail
+chunk:
+	VMOVUPD (DI)(BX*1), Y8
+	VMOVUPD (R8)(BX*1), Y9
+	VMOVUPD (SI)(BX*1), Y10
+	VMULPD  Y8, Y10, Y11
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y11, Y0, Y0
+	VADDPD  Y12, Y4, Y4
+	VMOVUPD (R9)(BX*1), Y10
+	VMULPD  Y8, Y10, Y11
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y11, Y1, Y1
+	VADDPD  Y12, Y5, Y5
+	VMOVUPD (R10)(BX*1), Y10
+	VMULPD  Y8, Y10, Y11
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y11, Y2, Y2
+	VADDPD  Y12, Y6, Y6
+	VMOVUPD (R11)(BX*1), Y10
+	VMULPD  Y8, Y10, Y11
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y11, Y3, Y3
+	VADDPD  Y12, Y7, Y7
+	ADDQ    $32, BX
+	CMPQ    BX, R12
+	JLT     chunk
+tail:
+	CMPQ BX, CX
+	JGE  fold
+tailloop:
+	VMOVSD (DI)(BX*1), X8
+	VMOVSD (R8)(BX*1), X9
+	VMOVSD (SI)(BX*1), X10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y0, Y0
+	VADDPD Y12, Y4, Y4
+	VMOVSD (R9)(BX*1), X10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y1, Y1
+	VADDPD Y12, Y5, Y5
+	VMOVSD (R10)(BX*1), X10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y2, Y2
+	VADDPD Y12, Y6, Y6
+	VMOVSD (R11)(BX*1), X10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y3, Y3
+	VADDPD Y12, Y7, Y7
+	ADDQ   $8, BX
+	CMPQ   BX, CX
+	JLT    tailloop
+fold:
+	FOLD4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	FOLD4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y4, (R13)
+	ADDQ    $32, DX
+	ADDQ    $32, R13
+	LEAQ    (R11)(CX*1), SI
+	DECQ    AX
+	JNZ     group
+	VZEROUPPER
+done:
+	RET
+
+// func sqL2x4avx(a0, a1, a2, a3, q []float64, out *[4]float64)
+//
+// out[j] = Σ (aj[i] − q[i])² with SqL2's four-lane tree, over len(q)
+// values. SI, R8, R9, R10 walk a0-a3, DI is q, BX the byte offset, CX
+// len(q)·8 and DX the body's byte length; the accumulators are Y0-Y3.
+TEXT ·sqL2x4avx(SB), NOSPLIT, $0-128
+	MOVQ a0_base+0(FP), SI
+	MOVQ a1_base+24(FP), R8
+	MOVQ a2_base+48(FP), R9
+	MOVQ a3_base+72(FP), R10
+	MOVQ q_base+96(FP), DI
+	MOVQ q_len+104(FP), CX
+	SHLQ $3, CX
+	MOVQ CX, DX
+	ANDQ $-32, DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   BX, BX
+	TESTQ  DX, DX
+	JZ     tail
+chunk:
+	VMOVUPD (DI)(BX*1), Y4
+	VMOVUPD (SI)(BX*1), Y5
+	VMOVUPD (R8)(BX*1), Y6
+	VMOVUPD (R9)(BX*1), Y7
+	VMOVUPD (R10)(BX*1), Y8
+	VSUBPD  Y4, Y5, Y5
+	VSUBPD  Y4, Y6, Y6
+	VSUBPD  Y4, Y7, Y7
+	VSUBPD  Y4, Y8, Y8
+	VMULPD  Y5, Y5, Y5
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VMULPD  Y8, Y8, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $32, BX
+	CMPQ    BX, DX
+	JLT     chunk
+tail:
+	CMPQ BX, CX
+	JGE  fold
+tailloop:
+	VMOVSD (DI)(BX*1), X4
+	VMOVSD (SI)(BX*1), X5
+	VMOVSD (R8)(BX*1), X6
+	VMOVSD (R9)(BX*1), X7
+	VMOVSD (R10)(BX*1), X8
+	VSUBPD Y4, Y5, Y5
+	VSUBPD Y4, Y6, Y6
+	VSUBPD Y4, Y7, Y7
+	VSUBPD Y4, Y8, Y8
+	VMULPD Y5, Y5, Y5
+	VMULPD Y6, Y6, Y6
+	VMULPD Y7, Y7, Y7
+	VMULPD Y8, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ   $8, BX
+	CMPQ   BX, CX
+	JLT    tailloop
+fold:
+	FOLD4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	MOVQ    out+120(FP), AX
+	VMOVUPD Y0, (AX)
+	VZEROUPPER
 	RET

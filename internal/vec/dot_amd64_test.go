@@ -90,20 +90,23 @@ func BenchmarkDot4x32Bodies(b *testing.B) {
 // for bit on every shape — including scalar tails (dim % 8), dims below
 // one chunk, single rows, negative-identity clamps, and non-finite
 // inputs (Inf rows make v = Inf - Inf = NaN, which the clamp must
-// preserve, not zero).
+// preserve, not zero). Each body fills the whole tile through
+// sqL2Gemv4x32, one call per sweepBlock of training values (130 rows at
+// dim 4099 take three), and then one block of rows on its own, which
+// must leave the other rows' distances alone.
 func TestGemv4x32MatchesGo(t *testing.T) {
-	rng := rand.New(rand.NewPCG(98, 10))
-	kernels := []struct {
-		name string
-		f    func(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
-	}{{"sse", gemv4x32sse}}
-	if useAVX {
-		kernels = append(kernels, struct {
-			name string
-			f    func(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
-		}{"avx", gemv4x32avx})
+	defer func(avx bool) { useAVX = avx }(useAVX)
+	kernels := map[string]func(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32){
+		"sse": gemv4x32sse,
 	}
-	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 8}, {13, 9}, {64, 17}, {31, 64}, {200, 23}} {
+	if useAVX {
+		kernels["avx"] = gemv4x32avx
+	}
+	if blocks := (130 + sweepBlock/4099 - 1) / (sweepBlock / 4099); blocks < 3 {
+		t.Fatalf("130 rows of dim 4099 fill %d sweepBlocks, want at least 3", blocks)
+	}
+	rng := rand.New(rand.NewPCG(98, 10))
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 8}, {13, 9}, {64, 17}, {31, 64}, {200, 23}, {130, 4099}} {
 		n, dim := shape[0], shape[1]
 		flat := make([]float32, n*dim)
 		for i := range flat {
@@ -125,12 +128,28 @@ func TestGemv4x32MatchesGo(t *testing.T) {
 		qn := [4]float32{SqNorm32(qs[0]), SqNorm32(qs[1]), SqNorm32(qs[2]), SqNorm32(qs[3])}
 		want := make([]float64, 4*n)
 		sqL2Gemv4x32Go(want, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
-		for _, k := range kernels {
+		for name, gemv := range kernels {
+			useAVX = name == "avx"
 			got := make([]float64, 4*n)
-			k.f(got, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
+			sqL2Gemv4x32(got, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
 			for i := range want {
 				if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
-					t.Fatalf("%s n=%d dim=%d: dst4[%d] = %v, want %v", k.name, n, dim, i, got[i], want[i])
+					t.Fatalf("%s n=%d dim=%d: dst4[%d] = %v, want %v", name, n, dim, i, got[i], want[i])
+				}
+			}
+			// Distances are never negative, so -1 marks an unwritten one.
+			lo, hi := n/3, n-n/3
+			for i := range got {
+				got[i] = -1
+			}
+			gemv(got[lo:], n, hi-lo, flat[lo*dim:hi*dim], dim, norms[lo:hi], qs[0], qs[1], qs[2], qs[3], &qn)
+			for i := range want {
+				if r := i % n; r < lo || r >= hi {
+					if got[i] != -1 {
+						t.Fatalf("%s n=%d dim=%d rows [%d,%d): wrote dst4[%d] = %v", name, n, dim, lo, hi, i, got[i])
+					}
+				} else if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
+					t.Fatalf("%s n=%d dim=%d rows [%d,%d): dst4[%d] = %v, want %v", name, n, dim, lo, hi, i, got[i], want[i])
 				}
 			}
 		}
@@ -324,6 +343,128 @@ func gemv8x64Go(dst []float64, n int, flat []float64, dim int, norms, qp []float
 			}
 		}
 	}
+}
+
+// The four-lane AVX bodies of DotRows, DotRows2 and SqL2x4, their Go
+// loops (useAVX off) and per-row Dot and SqL2 must agree bit for bit, a
+// NaN matching any NaN: on dims 0-70 (below one chunk, loop only, and
+// 1-3-element tails), 1-23 projection rows (every row count mod 4, so
+// the overlapping last group, and below four rows), and every run of four
+// consecutive rows for SqL2x4. The rows mix −0, denormals, 1e200-scale
+// values, ±Inf and NaN (fourLaneInputs). x0 is standard normal with a −0
+// and a denormal, so that its sums show any change of summation order;
+// x1 is 1e200-scale, so that its products with the 1e200 rows overflow
+// and sums of +Inf and −Inf give NaN. The test fails if no result is NaN
+// or too few are finite.
+func TestFourLaneMatchesDot(t *testing.T) {
+	defer func(avx bool) { useAVX = avx }(useAVX)
+	bodies := []bool{false}
+	if useAVX {
+		bodies = append(bodies, true)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	}
+	const maxRows = 23
+	rng := rand.New(rand.NewPCG(100, 12))
+	nans, finite := 0, 0
+	for dim := 0; dim <= 70; dim++ {
+		mat := fourLaneInputs(rng, maxRows, dim)
+		x0 := make([]float64, dim)
+		x1 := make([]float64, dim)
+		for i := range x0 {
+			x0[i] = rng.NormFloat64()
+			x1[i] = 1e200 * rng.NormFloat64()
+		}
+		if dim > 0 {
+			x0[rng.IntN(dim)] = math.Copysign(0, -1)
+			x0[rng.IntN(dim)] = 5 * math.SmallestNonzeroFloat64
+			x1[rng.IntN(dim)] = math.Copysign(0, -1)
+		}
+		row := func(j int) []float64 { return mat[j*dim : (j+1)*dim] }
+		want0 := make([]float64, maxRows)
+		want1 := make([]float64, maxRows)
+		for j := range want0 {
+			want0[j], want1[j] = Dot(row(j), x0), Dot(row(j), x1)
+			for _, v := range []float64{want0[j], want1[j], SqL2(row(j), x0)} {
+				if v != v {
+					nans++
+				} else if !math.IsInf(v, 0) {
+					finite++
+				}
+			}
+		}
+		for _, avx := range bodies {
+			useAVX = avx
+			for m := 1; m <= maxRows; m++ {
+				one := make([]float64, m)
+				two0 := make([]float64, m)
+				two1 := make([]float64, m)
+				DotRows(one, mat[:m*dim], x0)
+				DotRows2(two0, two1, mat[:m*dim], x0, x1)
+				for j := 0; j < m; j++ {
+					if !same(one[j], want0[j]) {
+						t.Fatalf("avx=%v dim=%d m=%d: DotRows row %d = %v (%#x), Dot %v (%#x)",
+							avx, dim, m, j, one[j], math.Float64bits(one[j]), want0[j], math.Float64bits(want0[j]))
+					}
+					if !same(two0[j], want0[j]) || !same(two1[j], want1[j]) {
+						t.Fatalf("avx=%v dim=%d m=%d: DotRows2 row %d = (%v, %v), Dot (%v, %v)",
+							avx, dim, m, j, two0[j], two1[j], want0[j], want1[j])
+					}
+				}
+			}
+			for g := 0; g+4 <= maxRows; g++ {
+				for _, q := range [][]float64{x0, x1} {
+					var out [4]float64
+					SqL2x4(&out, row(g), row(g+1), row(g+2), row(g+3), q)
+					for j, v := range out {
+						if want := SqL2(row(g+j), q); !same(v, want) {
+							t.Fatalf("avx=%v dim=%d rows %d-%d: SqL2x4[%d] = %v (%#x), SqL2 %v (%#x)",
+								avx, dim, g, g+3, j, v, math.Float64bits(v), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+	if nans == 0 || finite < 1000 {
+		t.Fatalf("inputs gave %d NaN and %d finite sums, want some NaN and at least 1000 finite", nans, finite)
+	}
+}
+
+// fourLaneInputs returns n rows of dim values in six kinds by row mod 6:
+// all −0; denormals; 1e200-scale values; standard normal values with a
+// −0, a denormal and a 1e200 sprinkled in; standard normal values; and
+// standard normal values with a +Inf, a −Inf or a NaN.
+func fourLaneInputs(rng *rand.Rand, n, dim int) []float64 {
+	flat := make([]float64, n*dim)
+	for r := 0; r < n; r++ {
+		row := flat[r*dim : (r+1)*dim]
+		for i := range row {
+			switch r % 6 {
+			case 0:
+				row[i] = math.Copysign(0, -1)
+			case 1:
+				row[i] = math.SmallestNonzeroFloat64 * float64(rng.IntN(1<<20)-1<<19)
+			case 2:
+				row[i] = 1e200 * rng.NormFloat64()
+			default:
+				row[i] = rng.NormFloat64()
+			}
+		}
+		if dim == 0 {
+			continue
+		}
+		switch r % 6 {
+		case 3:
+			row[rng.IntN(dim)] = math.Copysign(0, -1)
+			row[rng.IntN(dim)] = 3 * math.SmallestNonzeroFloat64
+			row[rng.IntN(dim)] = 1e200
+		case 5:
+			row[rng.IntN(dim)] = [3]float64{math.Inf(1), math.Inf(-1), math.NaN()}[r/6%3]
+		}
+	}
+	return flat
 }
 
 func inf(sign int) float64   { return math.Inf(sign) }

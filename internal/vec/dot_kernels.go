@@ -248,8 +248,8 @@ func SqL2NormDotBatch32(dst []float64, flat []float32, n, dim int, norms []float
 // sqL2Gemv4x32Go is the portable body of one four-query float32 GEMV
 // group: dst4 is the 4n-length window holding the four queries' distance
 // rows back to back. On amd64 sqL2Gemv4x32 (dot_amd64.go) replaces the
-// whole loop with a single assembly sweep — same tree, same distance
-// expression, same clamp, so the outputs are bit-identical
+// whole loop with assembly sweeps, one per block of rows — same tree,
+// same distance expression, same clamp, so the outputs are bit-identical
 // (TestGemv4x32MatchesGo pins this).
 func sqL2Gemv4x32Go(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
 	d0, d1, d2, d3 := dst4[0:n], dst4[n:2*n], dst4[2*n:3*n], dst4[3*n:4*n]

@@ -34,3 +34,11 @@ func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
 func sqL2Gemv4x32(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
 	sqL2Gemv4x32Go(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
 }
+
+// The four-lane family has no portable body: DotRows, DotRows2 and
+// SqL2x4 run their Go loops.
+func dotRows4(dst, mat, x []float64) bool { return false }
+
+func dotRows4x2(dst0, dst1, mat, x0, x1 []float64) bool { return false }
+
+func sqL2x4(out *[4]float64, a0, a1, a2, a3, q []float64) bool { return false }

@@ -74,7 +74,9 @@ func checkLen(a, b []float64) {
 	}
 }
 
-// SqL2 returns the squared Euclidean distance between a and b.
+// SqL2 returns the squared Euclidean distance between a and b. It sums
+// in four lanes by offset mod 4, the tail in lane 0, and combines the
+// lanes as ((l0+l1)+l2)+l3, each square rounded before it is added.
 func SqL2(a, b []float64) float64 {
 	checkLen(a, b)
 	var s0, s1, s2, s3 float64
@@ -84,16 +86,31 @@ func SqL2(a, b []float64) float64 {
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1 + s2 + s3
+}
+
+// SqL2x4 fills out[j] = SqL2(aj, q) for four rows at once, bit for bit:
+// the k-d leaf scan and the LSH candidate ranking call it in groups of
+// four. On amd64 with AVX and at least four values per row, one pass
+// keeps the four rows' lanes in four ymm registers (sqL2x4avx).
+func SqL2x4(out *[4]float64, a0, a1, a2, a3, q []float64) {
+	checkLen(a0, q)
+	checkLen(a1, q)
+	checkLen(a2, q)
+	checkLen(a3, q)
+	if sqL2x4(out, a0, a1, a2, a3, q) {
+		return
+	}
+	out[0], out[1], out[2], out[3] = SqL2(a0, q), SqL2(a1, q), SqL2(a2, q), SqL2(a3, q)
 }
 
 // L2Dist returns the Euclidean distance between a and b.
@@ -115,9 +132,9 @@ func CosineDist(a, b []float64) float64 {
 	checkLen(a, b)
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		return 1
@@ -131,13 +148,13 @@ func Dot(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -147,22 +164,27 @@ func Dot(a, b []float64) float64 {
 // hash, one vector against every projection of a table. Each product uses
 // Dot's summation order exactly (four lanes by offset mod 4, the tail in
 // lane 0, lanes combined as ((l0+l1)+l2)+l3), so the results are
-// bit-identical to len(dst) separate Dot calls.
+// bit-identical to len(dst) separate Dot calls. On amd64 with AVX, at
+// least four rows of at least four values run four rows per pass with
+// one ymm register of lanes per row (dotRows4x64avx).
 func DotRows(dst, mat, x []float64) {
 	dim := len(x)
 	checkFlat(len(mat), len(dst), dim)
+	if dotRows4(dst, mat, x) {
+		return
+	}
 	for j := range dst {
 		w := mat[j*dim : (j+1)*dim]
 		var s0, s1, s2, s3 float64
 		i := 0
 		for ; i+4 <= len(w); i += 4 {
-			s0 += w[i] * x[i]
-			s1 += w[i+1] * x[i+1]
-			s2 += w[i+2] * x[i+2]
-			s3 += w[i+3] * x[i+3]
+			s0 += float64(w[i] * x[i])
+			s1 += float64(w[i+1] * x[i+1])
+			s2 += float64(w[i+2] * x[i+2])
+			s3 += float64(w[i+3] * x[i+3])
 		}
 		for ; i < len(w); i++ {
-			s0 += w[i] * x[i]
+			s0 += float64(w[i] * x[i])
 		}
 		dst[j] = s0 + s1 + s2 + s3
 	}
@@ -172,11 +194,16 @@ func DotRows(dst, mat, x []float64) {
 // dst1 x1's. Every matrix element is loaded once for both vectors and the
 // eight lane accumulators are independent, which roughly halves the cost
 // per vector; the summation order per product is DotRows' (and Dot's).
+// The LSH build hashes its rows in pairs through it; on amd64 with AVX it
+// runs four rows per pass, as DotRows does (dotRows4x2x64avx).
 func DotRows2(dst0, dst1, mat, x0, x1 []float64) {
 	checkLen(x0, x1)
 	checkLen(dst0, dst1)
 	dim := len(x0)
 	checkFlat(len(mat), len(dst0), dim)
+	if dotRows4x2(dst0, dst1, mat, x0, x1) {
+		return
+	}
 	for j := range dst0 {
 		w := mat[j*dim : (j+1)*dim]
 		a, b := x0[:len(w)], x1[:len(w)]
@@ -184,18 +211,18 @@ func DotRows2(dst0, dst1, mat, x0, x1 []float64) {
 		i := 0
 		for ; i+4 <= len(w); i += 4 {
 			w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
-			a0 += w0 * a[i]
-			b0 += w0 * b[i]
-			a1 += w1 * a[i+1]
-			b1 += w1 * b[i+1]
-			a2 += w2 * a[i+2]
-			b2 += w2 * b[i+2]
-			a3 += w3 * a[i+3]
-			b3 += w3 * b[i+3]
+			a0 += float64(w0 * a[i])
+			b0 += float64(w0 * b[i])
+			a1 += float64(w1 * a[i+1])
+			b1 += float64(w1 * b[i+1])
+			a2 += float64(w2 * a[i+2])
+			b2 += float64(w2 * b[i+2])
+			a3 += float64(w3 * a[i+3])
+			b3 += float64(w3 * b[i+3])
 		}
 		for ; i < len(w); i++ {
-			a0 += w[i] * a[i]
-			b0 += w[i] * b[i]
+			a0 += float64(w[i] * a[i])
+			b0 += float64(w[i] * b[i])
 		}
 		dst0[j] = a0 + a1 + a2 + a3
 		dst1[j] = b0 + b1 + b2 + b3
@@ -217,7 +244,7 @@ func Scale(a []float64, c float64) []float64 {
 func AXPY(dst []float64, c float64, x []float64) {
 	checkLen(dst, x)
 	for i := range dst {
-		dst[i] += c * x[i]
+		dst[i] += float64(c * x[i])
 	}
 }
 

@@ -14,7 +14,9 @@
 # hashes tables on several goroutines), the benchmark's own self-test (so an
 # internal API change that breaks the benchmark's build fails here), a
 # GOAMD64=v3 cross-build of the assembly, an arm64 cross-vet of
-# internal/vec (its portable kernels, which no amd64 build compiles), fuzz smoke
+# internal/vec (its portable kernels, which no amd64 build compiles) and a
+# check of its arm64 code for fused multiply-adds (there must be none: a
+# fused op rounds differently from the amd64 kernels), fuzz smoke
 # runs over the decode/storage/shard-codec surfaces (the index store's
 # container header included) and the distance sort
 # (the []int ordering and the packed ranking against a stable comparison
@@ -64,6 +66,19 @@ GOAMD64=v3 go build ./...
 # No amd64 build compiles the portable kernels (dot_noasm.go): vet them
 # for a non-amd64 target.
 GOARCH=arm64 go vet ./internal/vec
+# Every portable helper rounds each product on its own (float64(a*b)), so
+# the arm64 compiler must emit no FMADD/FMSUB/FNMADD/FNMSUB (S or D) for
+# internal/vec. The listing must name vec.Dot, so that an empty one fails.
+arm64asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/vec 2>&1)
+if ! grep -q 'vec\.Dot STEXT' <<<"$arm64asm"; then
+    echo "arm64 listing of internal/vec lacks vec.Dot:" >&2
+    head -n 20 <<<"$arm64asm" >&2
+    exit 1
+fi
+if grep -E '\bFN?M(ADD|SUB)[SD]\b' <<<"$arm64asm" >&2; then
+    echo "internal/vec compiles to fused multiply-adds on arm64 (above)" >&2
+    exit 1
+fi
 go test ./...
 go test -race ./internal/vec ./internal/kheap
 go test -race -count=10 ./internal/knn ./internal/core
