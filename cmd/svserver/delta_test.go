@@ -3,14 +3,18 @@ package main
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
 	"knnshapley"
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/journal"
+	"knnshapley/internal/registry"
 	"knnshapley/internal/server"
 	"knnshapley/internal/wire"
 )
@@ -218,6 +222,81 @@ func TestValueOverRankBudgetRunsEngine(t *testing.T) {
 	}
 	if statz.Incremental.FromScratch != 0 || statz.RankCache.Puts != 0 {
 		t.Fatalf("over-budget valuations built rankings: %+v", statz)
+	}
+}
+
+// TestLiveHeapBoundedByBudgets answers 3,000 synchronous exact valuations,
+// by ref against a 2,000×8 training set, each with a fresh 2-point inline
+// test set, on a server with small budgets. Every valuation builds a
+// 48 KB ranking that is never reused and a 16 KB report, and registers a
+// test set. After a GC the live heap must have grown by less than the sum
+// of the budgets plus a slack of 8 MiB for what no budget bounds yet: the
+// 3,000 retained job records (status, envelope, cache key), the registry's
+// per-dataset index and the session LRU.
+func TestLiveHeapBoundedByBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3,000 valuations")
+	}
+	const (
+		rankBudget = 4 << 20
+		memBudget  = 1 << 20
+		cacheSize  = 16
+		trainN     = 2000
+		valuations = 3000
+		slack      = 8 << 20
+	)
+	srv := startServer(t, server.Config{
+		MaxBody:         1 << 20,
+		Jobs:            jobs.Config{Workers: 2, QueueDepth: 16, CacheSize: cacheSize},
+		Registry:        registry.Config{MemBudget: memBudget},
+		RankCacheBudget: rankBudget,
+	})
+	train := knnshapley.SynthMNIST(trainN, 1)
+	flat := make([]float64, 0, trainN*8)
+	for _, row := range train.X {
+		flat = append(flat, row[:8]...)
+	}
+	x := make([][]float64, trainN)
+	for i := range x {
+		x[i] = flat[8*i : 8*i+8]
+	}
+	var up wire.UploadResponse
+	mustDo(t, srv, http.MethodPost, "/datasets", &payload{X: x, Labels: train.Labels}, &up)
+	rng := rand.New(rand.NewPCG(7, 7))
+	body := func() valueRequest {
+		test := &payload{X: make([][]float64, 2), Labels: []int{rng.IntN(10), rng.IntN(10)}}
+		for i := range test.X {
+			test.X[i] = make([]float64, 8)
+			for j := range test.X[i] {
+				test.X[i][j] = rng.Float64()
+			}
+		}
+		return valueRequest{Algorithm: "exact", K: 5, TrainRef: up.ID, Test: test}
+	}
+	mustDo(t, srv, http.MethodPost, "/value", body(), nil) // the session and its train set
+
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	read := func() (uint64, uint64) {
+		runtime.GC()
+		metrics.Read(samples)
+		return samples[0].Value.Uint64(), samples[1].Value.Uint64()
+	}
+	live0, gc0 := read()
+	start := time.Now()
+	for range valuations {
+		if rec, _ := postValue(t, srv, body()); rec.Code != http.StatusOK {
+			t.Fatalf("value: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	elapsed := time.Since(start)
+	live1, gc1 := read()
+	growth := int64(live1) - int64(live0)
+	bound := int64(rankBudget + memBudget + cacheSize*trainN*8 + slack)
+	t.Logf("%d valuations in %v, %d GC cycles: live heap %d → %d bytes (%+.1f MB, bound %.1f MB)",
+		valuations, elapsed.Round(time.Millisecond), gc1-gc0-1, live0, live1, float64(growth)/1e6, float64(bound)/1e6)
+	if growth >= bound {
+		t.Fatalf("live heap grew %d bytes over %d valuations, want under %d (budgets %d + slack %d)",
+			growth, valuations, bound, bound-slack, slack)
 	}
 }
 

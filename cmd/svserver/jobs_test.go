@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,5 +283,69 @@ func TestPlannerCountersPerServer(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("second server: %d %s picks, want 0", n, m)
 		}
+	}
+}
+
+// TestSyncValueDropsResult: POST /value answers with the values and keeps
+// only the job's status, so the job's result is 410 Gone; a repeat of the
+// request is still a result-cache hit, bit for bit, and an async POST /jobs
+// result stays retrievable within the TTL.
+func TestSyncValueDropsResult(t *testing.T) {
+	srv := newTestServer(t, 1<<20, 0)
+	req := testRequest()
+	rec, first := postValue(t, srv, req)
+	if rec.Code != http.StatusOK || first.Cached {
+		t.Fatalf("first /value: %d cached=%v %s", rec.Code, first.Cached, rec.Body.String())
+	}
+	const syncID = "j000001" // the server's first job: inline payloads register without one
+	var st jobStatusResponse
+	if rec := do(t, srv, http.MethodGet, "/jobs/"+syncID, nil, &st); rec.Code != http.StatusOK || st.Status != "done" {
+		t.Fatalf("synchronous job status: %d %+v", rec.Code, st)
+	}
+	var gone errorResponse
+	rec = do(t, srv, http.MethodGet, "/jobs/"+syncID+"/result", nil, nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &gone); err != nil || rec.Code != http.StatusGone ||
+		!strings.Contains(gone.Error, "synchronous response") {
+		t.Fatalf("synchronous job result: %d %s, want 410 naming the synchronous response", rec.Code, rec.Body.String())
+	}
+
+	rec, again := postValue(t, srv, req)
+	if rec.Code != http.StatusOK || !again.Cached {
+		t.Fatalf("repeated /value: %d cached=%v, want a result-cache hit", rec.Code, again.Cached)
+	}
+	requireBits(t, "repeated /value", again.Values, first.Values)
+	if rec := do(t, srv, http.MethodGet, "/jobs/j000002/result", nil, nil); rec.Code != http.StatusGone {
+		t.Fatalf("cache-hit synchronous job result: %d, want 410", rec.Code)
+	}
+
+	// Async: a cache hit and a fresh run both keep their reports.
+	fresh := testRequest()
+	fresh.K = 3
+	var ids []string
+	for _, r := range []valueRequest{req, fresh} {
+		var st jobStatusResponse
+		if rec := do(t, srv, http.MethodPost, "/jobs", r, &st); rec.Code != http.StatusAccepted {
+			t.Fatalf("POST /jobs: %d %s", rec.Code, rec.Body.String())
+		}
+		pollUntil(t, srv, st.ID, func(s jobStatusResponse) bool { return s.Status == "done" })
+		ids = append(ids, st.ID)
+	}
+	for range 2 {
+		var resp valueResponse
+		if rec := do(t, srv, http.MethodGet, "/jobs/"+ids[0]+"/result", nil, &resp); rec.Code != http.StatusOK || !resp.Cached {
+			t.Fatalf("async cache-hit result: %d cached=%v", rec.Code, resp.Cached)
+		}
+		requireBits(t, "async cache hit", resp.Values, first.Values)
+		if rec := do(t, srv, http.MethodGet, "/jobs/"+ids[1]+"/result", nil, &resp); rec.Code != http.StatusOK || len(resp.Values) != 6 {
+			t.Fatalf("async result: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	var statz struct {
+		HeldReports     int   `json:"heldReports"`
+		HeldReportBytes int64 `json:"heldReportBytes"`
+	}
+	do(t, srv, http.MethodGet, "/statz", nil, &statz)
+	if statz.HeldReports != 2 || statz.HeldReportBytes != 2*6*8 {
+		t.Fatalf("held reports %+v, want the two async jobs' 6 values each", statz)
 	}
 }

@@ -37,6 +37,9 @@ var singleNodeSeries = []seriesKey{
 	{"svserver_jobs_replayed_total", "", "replayed"},
 	{"svserver_jobs_restored_total", "", "restored"},
 	{"svserver_report_cache_entries", "", "reportEntries"},
+	{"svserver_report_cache_bytes", "", "reportBytes"},
+	{"svserver_jobs_held_reports", "", "heldReports"},
+	{"svserver_jobs_held_report_bytes", "", "heldReportBytes"},
 	{"svserver_valuer_cache_entries", "", "valuerEntries"},
 	{"svserver_registry_datasets", "", "registry.datasets"},
 	{"svserver_registry_resident", "", "registry.resident"},
@@ -73,6 +76,9 @@ var singleNodeSeries = []seriesKey{
 	{"svserver_rank_cache_hits_total", "", "rankCache.hits"},
 	{"svserver_rank_cache_misses_total", "", "rankCache.misses"},
 	{"svserver_rank_cache_evictions_total", "", "rankCache.evictions"},
+	{"svserver_rank_cache_promotions_total", "", "rankCache.promotions"},
+	{"svserver_rank_cache_probation_entries", "", "rankCache.probationEntries"},
+	{"svserver_rank_cache_probation_bytes", "", "rankCache.probationBytes"},
 	{"svserver_shard_jobs_total", "", "cluster.shardJobs"},
 }
 

@@ -204,8 +204,8 @@
 // Incremental + RankCache): the first exact or truncated valuation caches
 // each test point's full sorted neighbor ranking and its distances, keyed
 // on (train ID, test ID, K, metric, precision). A later valuation of a
-// descendant walks the lineage chain to the nearest cached ancestor and
-// patches it — appended rows are distance-scanned (ΔN·d work), merged into
+// child whose lineage parent's ranking is cached patches that ranking —
+// appended rows are distance-scanned (ΔN·d work), merged into
 // the sorted lists under the engine's exact comparison key as a sparse
 // overlay; removals filter the lists — and the KNN-Shapley recurrence is
 // replayed with the engine's own walker over the spliced ranking, O(N)
@@ -214,8 +214,13 @@
 // values are bit-identical to valuing the child from scratch (pinned across
 // append/remove/mixed edits and both methods); svbench's delta_append_dn10
 // record measures re-valuing after a 10-row append at N=1e5 at ~50× faster
-// than the from-scratch scan. See examples/streaming for the arrival-stream
-// shape of a data market driven through the delta API.
+// than the from-scratch scan. The RankCache is a segmented LRU under its
+// byte budget: a new ranking enters a probation segment of an eighth of the
+// budget, and its first reuse (a replay, or a patch off it as a lineage
+// parent) moves it to the protected segment. One-off valuations therefore
+// cycle through probation alone, while each link of a delta chain is
+// promoted when its child patches off it. See examples/streaming for the
+// arrival-stream shape of a data market driven through the delta API.
 //
 // # Index persistence and the algo=auto planner
 //

@@ -2,16 +2,19 @@
 // on-wire format except the job journal's record framing and the LSH index's
 // tuned-metadata block: the dataset files (KNNS), the shard reports (KSRP),
 // the LSH and k-d index codecs (internal/lsh, internal/kdtree) and the
-// registry's index container. Writer and Reader buffer the stream and keep
-// a running CRC-32 (IEEE); a format with a CRC trailer ends with Finish and
-// Verify, one without ends with Flush.
+// registry's index container. Writer and Reader buffer the stream. Those
+// of NewWriter and NewReader keep a running CRC-32 (IEEE) for a format
+// with a CRC trailer, which ends with Finish and Verify; those of
+// NewPlainWriter and NewPlainReader keep none, for a format without one
+// (KNNS, KSRP), which ends with Flush.
 //
 // Both Writer and Reader are sticky-error: after the first failure every
 // later call is a no-op, so codecs can emit a field sequence without
 // checking each write and collect the first error once at the end.
 //
 // The array forms (U64s, U32s, F64s) move whole arrays in chunks of
-// chunkLen bytes, with one CRC update per chunk instead of one per value.
+// chunkLen bytes, with one CRC update (if any) per chunk instead of one per
+// value.
 // U32sN and F64sN read an array whose length came from the stream itself,
 // allocating as its bytes arrive, so a hostile length fails on a short body
 // instead of forcing a giant allocation up front.
@@ -20,6 +23,7 @@ package binio
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,17 +34,27 @@ import (
 // chunkLen is the encode/decode chunk of the array forms, in bytes.
 const chunkLen = 1 << 13
 
-// Writer buffers, counts and CRC-sums everything written through it.
+// errNoSum is the error of Finish and Verify on a stream that keeps no sum.
+var errNoSum = errors.New("binio: no CRC kept for a trailer")
+
+// Writer buffers and counts everything written through it, and CRC-sums it
+// when made by NewWriter.
 type Writer struct {
 	bw    *bufio.Writer
 	n     int64
+	sum   bool
 	crc   uint32
 	err   error
 	chunk [chunkLen]byte
 }
 
-// NewWriter wraps w in a buffered, CRC-summing writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
+// NewWriter wraps w in a buffered, CRC-summing writer, for a format that
+// ends with Finish.
+func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w), sum: true} }
+
+// NewPlainWriter wraps w in a buffered writer that keeps no sum, for a
+// format that ends with Flush.
+func NewPlainWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
 
 func (w *Writer) put(p []byte) {
 	if w.err != nil {
@@ -48,7 +62,9 @@ func (w *Writer) put(p []byte) {
 	}
 	n, err := w.bw.Write(p)
 	w.n += int64(n)
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, p[:n])
+	if w.sum {
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, p[:n])
+	}
 	w.err = err
 }
 
@@ -121,8 +137,12 @@ func (w *Writer) N() int64 { return w.n }
 func (w *Writer) Err() error { return w.err }
 
 // Finish appends the running CRC-32 trailer (itself excluded from the sum),
-// flushes, and returns the first error of the whole write sequence.
+// flushes, and returns the first error of the whole write sequence. A
+// plain writer has no sum to append and fails.
 func (w *Writer) Finish() error {
+	if !w.sum && w.err == nil {
+		w.err = errNoSum
+	}
 	w.U32(w.crc)
 	return w.Flush()
 }
@@ -136,23 +156,41 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// Reader is the buffered, CRC-summing counterpart of Writer.
+// Reader is the buffered counterpart of Writer, CRC-summing when made by
+// NewReader.
 type Reader struct {
 	br  *bufio.Reader
+	sum bool
 	crc uint32
 	err error
 	b   []byte // grown to the largest read, at most one chunk
 }
 
-// NewReader wraps r in a buffered, CRC-summing reader. The buffer is 64 KiB,
-// or the bytes left in an *io.LimitedReader when fewer, so decoding a short
-// header (dataset.ReadBinaryHeader) allocates about what it reads.
+// NewReader wraps r in a buffered, CRC-summing reader, for a format that
+// ends with Verify. The buffer is 64 KiB, or the bytes left in an
+// *io.LimitedReader when fewer, so decoding a short header
+// (dataset.ReadBinaryHeader) allocates about what it reads.
 func NewReader(r io.Reader) *Reader {
+	br := NewPlainReader(r)
+	br.sum = true
+	return br
+}
+
+// NewPlainReader is NewReader without the sum, for a format without a
+// trailer.
+func NewPlainReader(r io.Reader) *Reader {
 	size := 1 << 16
 	if lr, ok := r.(*io.LimitedReader); ok && lr.N < int64(size) {
 		size = int(lr.N)
 	}
 	return &Reader{br: bufio.NewReaderSize(r, size)}
+}
+
+// update adds p to the running sum, if the reader keeps one.
+func (r *Reader) update(p []byte) {
+	if r.sum {
+		r.crc = crc32.Update(r.crc, crc32.IEEETable, p)
+	}
 }
 
 func (r *Reader) take(n int) []byte {
@@ -166,7 +204,7 @@ func (r *Reader) take(n int) []byte {
 		r.err = err
 		return nil
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.b[:n])
+	r.update(r.b[:n])
 	return r.b[:n]
 }
 
@@ -288,7 +326,7 @@ func (r *Reader) String(max int) string {
 		r.err = err
 		return ""
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, p)
+	r.update(p)
 	return string(p)
 }
 
@@ -297,8 +335,11 @@ func (r *Reader) Err() error { return r.err }
 
 // Verify reads the 4-byte CRC trailer (excluded from the running sum) and
 // compares it against everything read so far, returning the first error of
-// the whole read sequence.
+// the whole read sequence. A plain reader has no sum to compare and fails.
 func (r *Reader) Verify() error {
+	if r.err == nil && !r.sum {
+		r.err = errNoSum
+	}
 	if r.err != nil {
 		return r.err
 	}

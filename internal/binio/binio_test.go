@@ -47,17 +47,17 @@ func (s sample) write(w *Writer) {
 	w.F64s(s.f64s)
 }
 
-// encode writes s and ends it with Finish (CRC trailer) or Flush (none).
+// encode writes s and ends it with Finish (CRC trailer, summing writer)
+// or Flush (none, plain writer).
 func (s sample) encode(t *testing.T, trailer bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	s.write(w)
-	end := w.Flush
+	w, end := NewPlainWriter(&buf), (*Writer).Flush
 	if trailer {
-		end = w.Finish
+		w, end = NewWriter(&buf), (*Writer).Finish
 	}
-	if err := end(); err != nil {
+	s.write(w)
+	if err := end(w); err != nil {
 		t.Fatal(err)
 	}
 	if w.N() != int64(buf.Len()) {
@@ -107,7 +107,7 @@ func TestRoundTripAcrossChunks(t *testing.T) {
 	requireSample(t, s, u64s, u32s, f64s)
 
 	// The growing reads decode the same arrays from the trailer-less form.
-	r = NewReader(bytes.NewReader(plain))
+	r = NewPlainReader(bytes.NewReader(plain))
 	readScalars(t, r)
 	r.U64s(u64s)
 	u32s, f64s = r.U32sN(len(s.u32s)), r.F64sN(len(s.f64s))
@@ -120,6 +120,13 @@ func TestRoundTripAcrossChunks(t *testing.T) {
 	}
 	if _, err := r.br.ReadByte(); err != io.EOF {
 		t.Fatalf("bytes left after the last field: %v", err)
+	}
+	// A plain stream has no sum for a trailer.
+	if err := r.Verify(); !errors.Is(err, errNoSum) {
+		t.Fatalf("Verify on a plain reader: %v", err)
+	}
+	if err := NewPlainWriter(io.Discard).Finish(); !errors.Is(err, errNoSum) {
+		t.Fatalf("Finish on a plain writer: %v", err)
 	}
 }
 

@@ -70,7 +70,7 @@ func (sr *ShardReport) WriteTo(w io.Writer) (int64, error) {
 			return 0, fmt.Errorf("cluster: test point %d: %d indices, %d distances", t, len(idx), len(sr.Dist[t]))
 		}
 	}
-	bw := binio.NewWriter(w)
+	bw := binio.NewPlainWriter(w)
 	bw.U32s([]uint32{shardMagic, shardVersion, uint32(sr.GlobalN), 0, uint32(len(sr.Idx))})
 	for t, idx := range sr.Idx {
 		bw.U32(uint32(len(idx)))
@@ -86,7 +86,7 @@ func (sr *ShardReport) WriteTo(w io.Writer) (int64, error) {
 // fails on a short body without a giant allocation (the property
 // FuzzShardReportCodec pins).
 func ReadShardReport(r io.Reader) (*ShardReport, error) {
-	br := binio.NewReader(r)
+	br := binio.NewPlainReader(r)
 	var hdr [5]uint32
 	if br.U32s(hdr[:]); br.Err() != nil {
 		return nil, fmt.Errorf("cluster: report header: %w", br.Err())

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"knnshapley"
@@ -404,13 +406,20 @@ func TestRankCacheLRUAndStats(t *testing.T) {
 	mk := func(n int) *RankEntry {
 		return &RankEntry{n: n, ntest: 1, bytes: int64(n)}
 	}
+	// A budget of 100 gives probation 12 bytes, or its newest entry. Each of
+	// a and b is read once right after its Put, which promotes it; LRU order
+	// then rules the protected segment.
 	c := NewRankCache(100)
-	c.Put("a", mk(40))
-	c.Put("b", mk(40))
+	for _, key := range []RankKey{"a", "b"} {
+		c.Put(key, mk(40))
+		if c.Get(key) == nil {
+			t.Fatalf("%s missing right after its Put", key)
+		}
+	}
 	if c.Get("a") == nil { // refresh a
 		t.Fatal("a missing")
 	}
-	c.Put("c", mk(40)) // evicts b (LRU)
+	c.Put("c", mk(40)) // over budget: evicts b, the protected LRU
 	if c.Get("b") != nil {
 		t.Fatal("b survived eviction")
 	}
@@ -422,8 +431,8 @@ func TestRankCacheLRUAndStats(t *testing.T) {
 	if st.Entries != 2 || st.Bytes != 50 || st.Evictions != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("hit/miss %+v", st)
+	if st.Hits != 5 || st.Misses != 1 || st.Promotions != 3 || st.ProbationEntries != 0 || st.ProbationBytes != 0 {
+		t.Fatalf("hit/miss/promotion %+v", st)
 	}
 	// Oversized entries are not retained but do not error.
 	c.Put("huge", mk(1000))
@@ -444,5 +453,148 @@ func TestRankCacheLRUAndStats(t *testing.T) {
 	}
 	if got := NewRankKey("t1", "t2", 5, "", ""); got != NewRankKey("t1", "t2", 5, "l2", "float64") {
 		t.Fatalf("default normalization broken: %q", got)
+	}
+}
+
+// TestRankCacheOneShotPutsStayInProbation: entries that are never read
+// again hold at most the probation share of the budget, or the one newest
+// entry when that alone is larger, whatever their number and sizes.
+func TestRankCacheOneShotPutsStayInProbation(t *testing.T) {
+	const budget = 800
+	c := NewRankCache(budget)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 500; i++ {
+		n := 1 + rng.IntN(60)
+		if i%50 == 49 {
+			n = budget/probationShare + 1 + rng.IntN(budget/2) // over the share on its own
+		}
+		c.Put(RankKey(fmt.Sprint("one-shot ", i)), &RankEntry{n: n, ntest: 1, bytes: int64(n)})
+		st := c.Stats()
+		if limit := max(int64(budget/probationShare), int64(n)); st.Bytes > limit {
+			t.Fatalf("after put %d (%d bytes): %d bytes held, want at most %d: %+v", i, n, st.Bytes, limit, st)
+		}
+		if st.Entries != st.ProbationEntries || st.Bytes != st.ProbationBytes || st.Promotions != 0 {
+			t.Fatalf("after put %d: one-shot entries outside probation: %+v", i, st)
+		}
+	}
+}
+
+// TestRankCacheReusedEntrySurvivesFlood: an entry read once after its Put
+// is protected, so a flood of one-shot entries far past the budget evicts
+// only its own kind; an entry never reused goes with the flood.
+func TestRankCacheReusedEntrySurvivesFlood(t *testing.T) {
+	mk := func(n int) *RankEntry { return &RankEntry{n: n, ntest: 1, bytes: int64(n)} }
+	c := NewRankCache(800)
+	c.Put("reused", mk(300))
+	if c.Get("reused") == nil {
+		t.Fatal("reused entry missing right after its Put")
+	}
+	c.Put("unread", mk(30))
+	for i := 0; i < 1000; i++ {
+		c.Put(RankKey(fmt.Sprint("flood ", i)), mk(40))
+	}
+	if c.Get("reused") == nil {
+		t.Fatal("the reused entry was evicted by one-shot entries")
+	}
+	if c.Get("unread") != nil {
+		t.Fatal("an entry never reused outlived a flood of one-shot entries")
+	}
+	st := c.Stats()
+	if st.Entries-st.ProbationEntries != 1 || st.ProbationBytes > 800/probationShare || st.Promotions != 1 {
+		t.Fatalf("after the flood: %+v", st)
+	}
+}
+
+// TestIncrementalDeltaChainSurvivesOneShots interleaves a chain of appends
+// with one-shot valuations, fewer per step than the probation segment holds:
+// every link is read once as its child's patch parent, so the chain patches
+// at every step while the one-shot rankings come and go.
+func TestIncrementalDeltaChainSurvivesOneShots(t *testing.T) {
+	reg, err := registry.New(registry.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, tp = 5, 4
+	cur := knnshapley.SynthMNIST(60, 70)
+	// About five 12·N·tp-byte rankings of the final N fit the probation
+	// share; two one-shots and the chain's newest link enter it per step.
+	const steps, oneShots = 6, 2
+	finalN := cur.N() + 2*steps
+	inc := NewIncremental(NewRankCache(probationShare*5*12*int64(finalN)*tp), reg)
+	test := knnshapley.SynthMNIST(tp, 71)
+	h, _, err := reg.Put(cur.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	curID := h.ID()
+	h.Release()
+	value := func(train, test *dataset.Dataset, trainID, testID string) {
+		t.Helper()
+		got, err := inc.Values(context.Background(), Request{Train: train, Test: test, TrainID: trainID, TestID: testID, Method: "exact", K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameValueBits(t, singleNodeValues(t, train, test, k, "exact", 0), got, trainID+" against "+testID)
+	}
+	value(cur, test, curID, "chain")
+	for step := 0; step < steps; step++ {
+		for i := 0; i < oneShots; i++ {
+			seed := uint64(100 + oneShots*step + i)
+			value(cur, knnshapley.SynthMNIST(tp, seed), curID, fmt.Sprint("one-shot ", seed))
+		}
+		h, _, _, err := reg.ApplyDelta(curID, registry.Delta{Append: knnshapley.SynthMNIST(2, uint64(200+step))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, curID = h.Dataset(), h.ID()
+		h.Release()
+		value(cur, test, curID, "chain")
+		if st := inc.Stats(); st.Patches != int64(step+1) {
+			t.Fatalf("step %d: %d patches, want %d: %+v %+v", step, st.Patches, step+1, st, inc.Cache().Stats())
+		}
+	}
+	st, cs := inc.Stats(), inc.Cache().Stats()
+	if st.FromScratch != 1+steps*oneShots {
+		t.Fatalf("from-scratch builds %d, want the seed plus %d one-shots: %+v", st.FromScratch, steps*oneShots, st)
+	}
+	if cs.Promotions != steps {
+		t.Fatalf("promotions %d, want one per patch parent (%d): %+v", cs.Promotions, steps, cs)
+	}
+}
+
+// TestRankCacheConcurrent drives one cache from several goroutines, each
+// putting, reading back and re-reading keys that overlap the others', for
+// the race detector; the byte accounting must still add up.
+func TestRankCacheConcurrent(t *testing.T) {
+	c := NewRankCache(4000)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				key := RankKey(fmt.Sprint(i % 37))
+				c.Put(key, &RankEntry{n: 1 + (g+i)%90, ntest: 1, bytes: int64(1 + (g+i)%90)})
+				c.Get(key)
+				c.Get(RankKey(fmt.Sprint((i + 5) % 37)))
+				c.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	var bytes, prob int64
+	for _, seg := range []*list.List{c.prob, c.prot} {
+		for el := seg.Front(); el != nil; el = el.Next() {
+			it := el.Value.(*rankItem)
+			bytes += it.entry.Bytes()
+			if seg == c.prob {
+				prob += it.entry.Bytes()
+			}
+		}
+	}
+	if st.Bytes != bytes || st.ProbationBytes != prob || st.Bytes > st.Budget || st.Entries != len(c.items) {
+		t.Fatalf("accounting %+v, but the segments hold %d bytes (%d in probation) in %d+%d entries",
+			st, bytes, prob, c.prob.Len(), c.prot.Len())
 	}
 }

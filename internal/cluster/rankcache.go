@@ -34,34 +34,55 @@ func NewRankKey(trainID, testID string, k int, metric, precision string) RankKey
 
 // RankCacheStats snapshots the cache counters: the "rankCache" block of
 // svserver's /statz and, under the prom names whose help says what each
-// counts, of /metrics. Puts and Budget stay off /metrics.
+// counts, of /metrics. Puts and Budget stay off /metrics. Entries and Bytes
+// cover both segments; the Probation fields are the probation segment's
+// share of them.
 type RankCacheStats struct {
-	Hits      int64 `json:"hits" prom:"svserver_rank_cache_hits_total,Rank-cache lookups served."`
-	Misses    int64 `json:"misses" prom:"svserver_rank_cache_misses_total,Rank-cache lookups missed."`
-	Puts      int64 `json:"puts"`
-	Evictions int64 `json:"evictions" prom:"svserver_rank_cache_evictions_total,Rank-cache entries evicted by the byte budget."`
-	Entries   int   `json:"entries" prom:"svserver_rank_cache_entries,Cached neighbor-ranking entries."`
-	Bytes     int64 `json:"bytes" prom:"svserver_rank_cache_bytes,Bytes of cached neighbor rankings."`
-	Budget    int64 `json:"budget"`
+	Hits             int64 `json:"hits" prom:"svserver_rank_cache_hits_total,Rank-cache lookups served."`
+	Misses           int64 `json:"misses" prom:"svserver_rank_cache_misses_total,Rank-cache lookups missed."`
+	Puts             int64 `json:"puts"`
+	Evictions        int64 `json:"evictions" prom:"svserver_rank_cache_evictions_total,Rank-cache entries evicted by the byte budget."`
+	Promotions       int64 `json:"promotions" prom:"svserver_rank_cache_promotions_total,Rank-cache entries moved from probation to protected by their first reuse."`
+	Entries          int   `json:"entries" prom:"svserver_rank_cache_entries,Cached neighbor-ranking entries."`
+	Bytes            int64 `json:"bytes" prom:"svserver_rank_cache_bytes,Bytes of cached neighbor rankings."`
+	ProbationEntries int   `json:"probationEntries" prom:"svserver_rank_cache_probation_entries,Cached neighbor rankings not yet reused."`
+	ProbationBytes   int64 `json:"probationBytes" prom:"svserver_rank_cache_probation_bytes,Bytes of cached neighbor rankings not yet reused."`
+	Budget           int64 `json:"budget"`
 }
 
-// RankCache is a byte-budget LRU of immutable RankEntry values. Entries are
-// shared by reference — replays never mutate them — so Get needs no pinning:
-// an evicted entry stays valid for callers already holding it and is
-// reclaimed by the garbage collector when the last replay drops it.
+// probationShare sizes the probation segment: budget/probationShare bytes.
+const probationShare = 8
+
+// RankCache is a byte-budget segmented LRU of immutable RankEntry values. A
+// new entry enters the probation segment, which holds at most
+// budget/probationShare bytes but always keeps its newest entry; the
+// entry's first reuse (a Get hit: a replay, or a lineage patch off it)
+// moves it to the protected segment, and protected entries are evicted
+// least recently used first once the whole cache is over budget. Rankings
+// built for one valuation and never read again thus hold an eighth of the
+// budget (or the one newest ranking, if larger), while every link of a
+// delta chain, read once as its child's patch parent, is protected.
+//
+// Entries are shared by reference — replays never mutate them — so Get
+// needs no pinning: an evicted entry stays valid for callers already
+// holding it and is reclaimed by the garbage collector when the last replay
+// drops it.
 type RankCache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[RankKey]*list.Element
+	mu        sync.Mutex
+	budget    int64
+	bytes     int64      // both segments
+	probBytes int64      // the probation segment
+	prob      *list.List // front = most recently used
+	prot      *list.List // front = most recently used
+	items     map[RankKey]*list.Element
 
 	st RankCacheStats // the counters; Stats fills in the gauges
 }
 
 type rankItem struct {
-	key   RankKey
-	entry *RankEntry
+	key       RankKey
+	entry     *RankEntry
+	protected bool
 }
 
 // NewRankCache builds a cache with the given byte budget; 0 selects
@@ -73,12 +94,22 @@ func NewRankCache(budget int64) *RankCache {
 	}
 	return &RankCache{
 		budget: budget,
-		ll:     list.New(),
+		prob:   list.New(),
+		prot:   list.New(),
 		items:  make(map[RankKey]*list.Element),
 	}
 }
 
-// Get returns the cached entry for key, marking it most recently used.
+// segment is the list holding it.
+func (c *RankCache) segment(it *rankItem) *list.List {
+	if it.protected {
+		return c.prot
+	}
+	return c.prob
+}
+
+// Get returns the cached entry for key, marking it most recently used. A
+// hit on a probation entry is its first reuse and promotes it.
 func (c *RankCache) Get(key RankKey) *RankEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -88,14 +119,23 @@ func (c *RankCache) Get(key RankKey) *RankEntry {
 		return nil
 	}
 	c.st.Hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*rankItem).entry
+	it := el.Value.(*rankItem)
+	if it.protected {
+		c.prot.MoveToFront(el)
+	} else {
+		c.prob.Remove(el)
+		c.probBytes -= it.entry.Bytes()
+		it.protected = true
+		c.items[key] = c.prot.PushFront(it)
+		c.st.Promotions++
+	}
+	return it.entry
 }
 
-// Put stores e under key, evicting least-recently-used entries past the byte
-// budget. An entry larger than the whole budget is not retained (the caller
-// keeps its reference; only reuse is lost). Replacing a key updates bytes in
-// place.
+// Put stores e under key, in the probation segment when the key is new,
+// then evicts past the budgets. An entry larger than the whole budget is
+// not retained (the caller keeps its reference; only reuse is lost).
+// Replacing a key updates bytes in place and keeps the entry's segment.
 func (c *RankCache) Put(key RankKey, e *RankEntry) {
 	if e == nil {
 		return
@@ -103,25 +143,59 @@ func (c *RankCache) Put(key RankKey, e *RankEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.st.Puts++
-	if el, ok := c.items[key]; ok {
+	el, ok := c.items[key]
+	if ok {
 		it := el.Value.(*rankItem)
-		c.bytes += e.Bytes() - it.entry.Bytes()
+		d := e.Bytes() - it.entry.Bytes()
+		c.bytes += d
+		if !it.protected {
+			c.probBytes += d
+		}
 		it.entry = e
-		c.ll.MoveToFront(el)
+		c.segment(it).MoveToFront(el)
 	} else if e.Bytes() > c.budget {
 		return
 	} else {
-		c.items[key] = c.ll.PushFront(&rankItem{key: key, entry: e})
+		el = c.prob.PushFront(&rankItem{key: key, entry: e})
+		c.items[key] = el
 		c.bytes += e.Bytes()
+		c.probBytes += e.Bytes()
 	}
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		it := back.Value.(*rankItem)
-		c.ll.Remove(back)
-		delete(c.items, it.key)
-		c.bytes -= it.entry.Bytes()
-		c.st.Evictions++
+	c.trim(el)
+}
+
+// trim evicts, never the entry keep that Put just stored: probation's least
+// recently used entries down to its share, then, while the whole cache is
+// over budget, protected ones (probation's once none is left).
+func (c *RankCache) trim(keep *list.Element) {
+	for c.probBytes > c.budget/probationShare {
+		if back := c.prob.Back(); back != nil && back != keep {
+			c.evict(back)
+		} else {
+			break
+		}
 	}
+	for c.bytes > c.budget {
+		back := c.prot.Back()
+		if back == nil || back == keep {
+			back = c.prob.Back()
+		}
+		if back == nil || back == keep {
+			return
+		}
+		c.evict(back)
+	}
+}
+
+func (c *RankCache) evict(el *list.Element) {
+	it := el.Value.(*rankItem)
+	c.segment(it).Remove(el)
+	delete(c.items, it.key)
+	c.bytes -= it.entry.Bytes()
+	if !it.protected {
+		c.probBytes -= it.entry.Bytes()
+	}
+	c.st.Evictions++
 }
 
 // Stats snapshots the counters.
@@ -129,6 +203,7 @@ func (c *RankCache) Stats() RankCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.Entries, st.Bytes, st.Budget = c.ll.Len(), c.bytes, c.budget
+	st.Entries, st.Bytes, st.Budget = len(c.items), c.bytes, c.budget
+	st.ProbationEntries, st.ProbationBytes = c.prob.Len(), c.probBytes
 	return st
 }

@@ -126,7 +126,7 @@ func (h BinaryHeader) EncodedBytes() int64 { return 24 + h.PayloadBytes() }
 // dataset stream, consuming exactly its 24 bytes and leaving r positioned
 // at the feature block.
 func ReadBinaryHeader(r io.Reader) (BinaryHeader, error) {
-	return readHeader(binio.NewReader(io.LimitReader(r, 24)))
+	return readHeader(binio.NewPlainReader(io.LimitReader(r, 24)))
 }
 
 func readHeader(br *binio.Reader) (BinaryHeader, error) {
@@ -170,7 +170,7 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 	if d.IsRegression() {
 		flags |= 1
 	}
-	bw := binio.NewWriter(w)
+	bw := binio.NewPlainWriter(w)
 	bw.U32s([]uint32{binaryMagic, 1, flags, uint32(d.N()), uint32(d.Dim()), uint32(d.Classes)})
 	for _, row := range d.X {
 		bw.F64s(row)
@@ -193,7 +193,7 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 // actually read, so a header declaring a huge shape fails on a short body
 // without a giant allocation (the property FuzzBinaryCodec pins).
 func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := binio.NewReader(r)
+	br := binio.NewPlainReader(r)
 	h, err := readHeader(br)
 	if err != nil {
 		return nil, err

@@ -66,15 +66,21 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrClosed rejects work after Close.
 	ErrClosed = errors.New("jobs: manager closed")
-	// ErrResultLost marks a done job restored from the journal after a
-	// restart: the journal preserves job history, not reports, so the
-	// values must be recomputed by resubmitting the request.
-	ErrResultLost = errors.New("jobs: result not retained across restart")
+	// ErrResultLost marks a done job whose result is gone: one restored
+	// from the journal after a restart (the journal preserves job history,
+	// not reports) or one whose result was handed to the caller that
+	// waited for it (Job.DropResult). The values must be recomputed by
+	// resubmitting the request.
+	ErrResultLost = errors.New("jobs: result not retained")
 	// ErrDuplicateID rejects a replay submission whose ID is already held.
 	ErrDuplicateID = errors.New("jobs: duplicate job id")
 )
 
-// Spec describes one valuation job.
+// Spec describes one valuation job. A terminal job keeps its Meta,
+// CacheKey and Envelope for the TTL (the result endpoints and the journal
+// read them) but drops Run and RunAny as it finishes, and OnFinish once it
+// has fired, so what those closures capture (sessions, datasets, registry
+// handles) is not pinned by the retained job.
 type Spec struct {
 	// CacheKey identifies the computation for the result cache. Equal keys
 	// must denote identical computations — conventionally the training-set
@@ -197,8 +203,8 @@ type Job struct {
 	value    any // RunAny result, for jobs that bypass the Report path
 	err      error
 	cacheHit bool
-	canceled bool // cancellation requested (possibly while still queued)
-	lost     bool // done, but the report predates a restart (journal replay)
+	canceled bool  // cancellation requested (possibly while still queued)
+	lost     error // done, but the result is gone (ErrResultLost, wrapped)
 	cancel   context.CancelFunc
 	created  time.Time
 	started  time.Time
@@ -210,12 +216,16 @@ type Job struct {
 	journalOnce sync.Once // guards the journal's terminal record
 }
 
-// finalize runs Spec.OnFinish exactly once. Callers invoke it only after
-// the job is terminal, and never while holding j.mu or the manager mutex.
+// finalize runs Spec.OnFinish exactly once and lets go of it. Callers
+// invoke it only after the job is terminal, and never while holding j.mu or
+// the manager mutex.
 func (j *Job) finalize() {
-	if j.spec.OnFinish != nil {
-		j.finishOnce.Do(j.spec.OnFinish)
-	}
+	j.finishOnce.Do(func() {
+		if f := j.spec.OnFinish; f != nil {
+			j.spec.OnFinish = nil
+			f()
+		}
+	})
 }
 
 // ID returns the manager-assigned job identifier.
@@ -270,8 +280,8 @@ func (j *Job) Report() (*knnshapley.Report, error) {
 		return nil, fmt.Errorf("jobs: job %s is %s", j.id, j.state)
 	case j.err != nil:
 		return nil, j.err
-	case j.lost:
-		return nil, fmt.Errorf("jobs: job %s finished before a server restart: %w", j.id, ErrResultLost)
+	case j.lost != nil:
+		return nil, j.lost
 	default:
 		return j.report, nil
 	}
@@ -288,14 +298,39 @@ func (j *Job) Value() (any, error) {
 		return nil, fmt.Errorf("jobs: job %s is %s", j.id, j.state)
 	case j.err != nil:
 		return nil, j.err
-	case j.lost:
-		return nil, fmt.Errorf("jobs: job %s finished before a server restart: %w", j.id, ErrResultLost)
+	case j.lost != nil:
+		return nil, j.lost
 	case j.value != nil:
 		return j.value, nil
 	default:
 		return j.report, nil
 	}
 }
+
+// DropResult lets go of a done job's report (or RunAny value) while the job
+// keeps its status for the TTL; Report and Value then return
+// ErrResultLost. It is for a job whose one reader has already had the
+// result: the synchronous caller that waited for it. A job that is not done
+// is left as it is.
+func (j *Job) DropResult() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateDone || j.lost != nil {
+		return
+	}
+	j.report, j.value = nil, nil
+	j.lost = fmt.Errorf("jobs: job %s: its result went out on the synchronous response: %w", j.id, ErrResultLost)
+}
+
+// heldReport returns the report the job holds, if any.
+func (j *Job) heldReport() *knnshapley.Report {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.report
+}
+
+// reportBytes is the size of a report's values, the part that grows with N.
+func reportBytes(rep *knnshapley.Report) int64 { return 8 * int64(len(rep.Values)) }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
@@ -337,6 +372,7 @@ func (j *Job) finishLocked(state State, rep *knnshapley.Report, err error, now t
 	j.report = rep
 	j.err = err
 	j.finished = now
+	j.spec.Run, j.spec.RunAny = nil, nil
 	close(j.doneCh)
 }
 
@@ -618,11 +654,13 @@ func (m *Manager) Restore(r Restored) (*Job, error) {
 		created:  r.Created,
 		started:  r.Started,
 		finished: fin,
-		lost:     r.Lost && r.State == StateDone,
 		doneCh:   make(chan struct{}),
 	}
 	if r.Err != "" {
 		j.err = errors.New(r.Err)
+	}
+	if r.Lost && r.State == StateDone {
+		j.lost = fmt.Errorf("jobs: job %s finished before a server restart: %w", r.ID, ErrResultLost)
 	}
 	close(j.doneCh)
 
@@ -734,7 +772,9 @@ func (m *Manager) Valuer(key string, build func() (*knnshapley.Valuer, error)) (
 // Stats is a point-in-time view of the manager's counters: the top level of
 // svserver's /statz and, under the prom names whose help says what each
 // counts, of /metrics. Runs counts Spec.Run invocations only: RunAny jobs
-// (deltas, index builds, shard sub-jobs) are not valuations.
+// (deltas, index builds, shard sub-jobs) are not valuations. The byte
+// gauges count 8 bytes per value; a job that ran holds the very report the
+// result cache holds, so the two may count the same values.
 type Stats struct {
 	Jobs          int   `json:"jobs" prom:"svserver_jobs_retained,Jobs currently retained (any state)."`
 	Queued        int   `json:"queued" prom:"svserver_jobs_queued,Jobs waiting to run."`
@@ -745,6 +785,9 @@ type Stats struct {
 	Replayed      int64 `json:"replayed" prom:"svserver_jobs_replayed_total,Journal-replayed jobs re-submitted after a restart."`
 	Restored      int64 `json:"restored" prom:"svserver_jobs_restored_total,Journal-replayed terminal jobs restored as history."`
 	ReportEntries int   `json:"reportEntries" prom:"svserver_report_cache_entries,Result-cache occupancy."`
+	ReportBytes   int64 `json:"reportBytes" prom:"svserver_report_cache_bytes,Bytes of values in the result cache."`
+	HeldReports   int   `json:"heldReports" prom:"svserver_jobs_held_reports,Finished jobs still holding their report."`
+	HeldBytes     int64 `json:"heldReportBytes" prom:"svserver_jobs_held_report_bytes,Bytes of values in the reports finished jobs hold."`
 	ValuerEntries int   `json:"valuerEntries" prom:"svserver_valuer_cache_entries,Session-cache occupancy."`
 }
 
@@ -762,12 +805,18 @@ func (m *Manager) Stats() Stats {
 		ReportEntries: m.reports.len(),
 		ValuerEntries: m.valuers.len(),
 	}
+	m.reports.each(func(rep *knnshapley.Report) { s.ReportBytes += reportBytes(rep) })
 	for _, j := range m.jobs {
 		switch j.Snapshot().State {
 		case StateQueued:
 			s.Queued++
 		case StateRunning:
 			s.Running++
+		default:
+			if rep := j.heldReport(); rep != nil {
+				s.HeldReports++
+				s.HeldBytes += reportBytes(rep)
+			}
 		}
 	}
 	return s
@@ -817,6 +866,7 @@ func (m *Manager) runJob(job *Job) {
 		job.finalize()
 		return
 	}
+	run, runAny := job.spec.Run, job.spec.RunAny
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if m.cfg.JobTimeout > 0 {
@@ -838,11 +888,11 @@ func (m *Manager) runJob(job *Job) {
 	var val any
 	var err error
 	switch {
-	case job.spec.Run != nil:
+	case run != nil:
 		m.runs.Add(1)
-		rep, err = job.spec.Run(runCtx)
-	case job.spec.RunAny != nil:
-		val, err = job.spec.RunAny(runCtx)
+		rep, err = run(runCtx)
+	case runAny != nil:
+		val, err = runAny(runCtx)
 	default:
 		err = errors.New("jobs: spec has neither Run nor RunAny")
 	}
@@ -863,7 +913,7 @@ func (m *Manager) runJob(job *Job) {
 	switch {
 	case err == nil:
 		job.value = val
-		if job.spec.Run == nil {
+		if run == nil {
 			// A finished RunAny job has done every unit, whether or not it
 			// reported progress on the way (deltas and index builds don't).
 			job.done.Store(job.total.Load())

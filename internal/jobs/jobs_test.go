@@ -3,10 +3,13 @@ package jobs
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"knnshapley"
 )
@@ -381,7 +384,7 @@ func TestClose(t *testing.T) {
 
 // Hammer the manager from many goroutines to give the race detector
 // something to chew on: concurrent submits sharing one cache key, polls,
-// cancels and stats.
+// cancels, result drops and stats.
 func TestConcurrentSubmitPollCancel(t *testing.T) {
 	m := New(Config{Workers: 4, QueueDepth: 256})
 	defer m.Close()
@@ -414,6 +417,7 @@ func TestConcurrentSubmitPollCancel(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					job.DropResult()
 				} else {
 					m.Cancel(job.ID())
 				}
@@ -895,5 +899,153 @@ func TestResultCachedBeforeDone(t *testing.T) {
 	}
 	if s := second.Snapshot(); s.State != StateDone || !s.CacheHit {
 		t.Fatalf("resubmission after Done: state %s cacheHit=%v, want a cache hit", s.State, s.CacheHit)
+	}
+}
+
+// pinned is an object only a spec's closures reference.
+type pinned [1 << 12]byte
+
+// pinningSpec returns a spec whose Run (RunAny, when anyRun) and OnFinish
+// each capture an object nothing else references, with weak pointers to
+// both.
+func pinningSpec(cacheKey string, anyRun bool) (Spec, []weak.Pointer[pinned]) {
+	runObj, finObj := new(pinned), new(pinned)
+	spec := Spec{CacheKey: cacheKey, Meta: "meta", OnFinish: func() { finObj[0]++ }}
+	if anyRun {
+		spec.RunAny = func(context.Context) (any, error) { return int(runObj[0]), nil }
+	} else {
+		spec.Run = func(context.Context) (*knnshapley.Report, error) {
+			return &knnshapley.Report{Values: []float64{float64(runObj[0])}}, nil
+		}
+	}
+	return spec, []weak.Pointer[pinned]{weak.Make(runObj), weak.Make(finObj)}
+}
+
+// TestFinishedJobReleasesClosures: a retained terminal job pins nothing its
+// Run, RunAny or OnFinish captured, on every path to a terminal state (ran,
+// result-cache hit, canceled while queued), while its Meta stays.
+func TestFinishedJobReleasesClosures(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer m.Close()
+	var weaks []weak.Pointer[pinned]
+	var finished []*Job
+	submit := func(spec Spec, ws []weak.Pointer[pinned]) *Job {
+		t.Helper()
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weaks = append(weaks, ws...)
+		finished = append(finished, j)
+		return j
+	}
+	<-submit(pinningSpec("key", false)).Done()
+	if j := submit(pinningSpec("key", false)); !j.Snapshot().CacheHit {
+		t.Fatal("the second submission of a key did not hit the result cache")
+	}
+	<-submit(pinningSpec("", true)).Done()
+
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker, err := m.Submit(blockingSpec(started, release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued := submit(pinningSpec("", false))
+	if _, ok := m.Cancel(queued.ID()); !ok {
+		t.Fatal("queued job unknown")
+	}
+	close(release)
+	waitState(t, blocker, StateDone)
+
+	// OnFinish runs on the worker just after Done closes, so poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		live := 0
+		for _, w := range weaks {
+			if w.Value() != nil {
+				live++
+			}
+		}
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d objects captured by finished jobs' closures are still reachable", live, len(weaks))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, j := range finished {
+		if got, ok := m.Get(j.ID()); !ok || got.Meta() != "meta" || !got.Snapshot().State.Terminal() {
+			t.Fatalf("job %s lost its status or Meta: %+v", j.ID(), j.Snapshot())
+		}
+	}
+}
+
+// TestDropResult: a done job lets go of its report (a cache hit's copy
+// included) and keeps its status; Report answers ErrResultLost while the
+// result cache still serves the key, and the held-report gauges follow.
+func TestDropResult(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer m.Close()
+	spec := Spec{CacheKey: "k", Run: func(context.Context) (*knnshapley.Report, error) {
+		return &knnshapley.Report{Values: make([]float64, 10)}, nil
+	}}
+	check := func(what string, held int, heldBytes, cacheBytes int64) {
+		t.Helper()
+		if st := m.Stats(); st.HeldReports != held || st.HeldBytes != heldBytes || st.ReportBytes != cacheBytes {
+			t.Fatalf("%s: held %d reports of %d bytes, cache %d bytes; want %d, %d, %d",
+				what, st.HeldReports, st.HeldBytes, st.ReportBytes, held, heldBytes, cacheBytes)
+		}
+	}
+	ran, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(context.Background(), ran); err != nil {
+		t.Fatal(err)
+	}
+	check("after the run", 1, 80, 80)
+	hit, err := m.Submit(spec)
+	if err != nil || !hit.Snapshot().CacheHit {
+		t.Fatalf("resubmission: %v, cache hit %v", err, hit.Snapshot().CacheHit)
+	}
+	check("after the cache hit", 2, 160, 80)
+	for _, j := range []*Job{ran, hit} {
+		j.DropResult()
+		if _, err := j.Report(); !errors.Is(err, ErrResultLost) || !strings.Contains(err.Error(), "synchronous response") {
+			t.Fatalf("%s: Report after DropResult: %v, want ErrResultLost naming the synchronous response", j.ID(), err)
+		}
+		if _, err := j.Value(); !errors.Is(err, ErrResultLost) {
+			t.Fatalf("%s: Value after DropResult: %v, want ErrResultLost", j.ID(), err)
+		}
+		if s := j.Snapshot(); s.State != StateDone {
+			t.Fatalf("%s: state %s after DropResult, want done", j.ID(), s.State)
+		}
+	}
+	check("after both drops", 0, 0, 80)
+
+	// A job that failed keeps its error; one still running keeps its
+	// report once it finishes.
+	failed, err := m.Submit(Spec{Run: func(context.Context) (*knnshapley.Report, error) { return nil, errors.New("boom") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-failed.Done()
+	failed.DropResult()
+	if _, err := failed.Report(); err == nil || err.Error() != "boom" {
+		t.Fatalf("failed job after DropResult: %v, want its own error", err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	running, err := m.Submit(blockingSpec(started, release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	running.DropResult()
+	close(release)
+	if rep, err := m.Wait(context.Background(), running); err != nil || rep == nil {
+		t.Fatalf("job dropped while running: %v, %v; want its report", rep, err)
 	}
 }

@@ -45,5 +45,12 @@ func (c *lru[V]) add(key string, v V) {
 	}
 }
 
+// each calls fn on every cached value, most recently used first.
+func (c *lru[V]) each(fn func(V)) {
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		fn(el.Value.(*lruItem[V]).val)
+	}
+}
+
 // len reports the number of cached entries.
 func (c *lru[V]) len() int { return c.ll.Len() }

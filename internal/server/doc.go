@@ -82,6 +82,16 @@
 // bytes per training row and test point, is never built: that valuation
 // runs the session's engine, which streams test points in batches.
 //
+// The rank cache is a segmented LRU. A new ordering enters a probation
+// segment that holds an eighth of the budget (or its one newest ordering,
+// if larger); its first reuse — a replay, or a patch off it as a lineage
+// parent — promotes it to the protected segment, which is evicted least
+// recently used first. So a stream of one-off valuations, each with a fresh
+// test set, holds at most an eighth of the budget, while every link of a
+// delta chain is read once as its child's parent and stays. The
+// "rankCache" block shows the probation segment's entries and bytes and
+// the promotions.
+//
 // Deltas ride the journaled job queue (envelope kind "delta"): a delta
 // accepted before a crash re-applies on replay, and completed deltas have
 // their lineage edges rebuilt at startup, so the incremental path survives
@@ -130,7 +140,17 @@
 // job terminates immediately, a running one as soon as the engine observes
 // the canceled context (within one batch, or one Monte-Carlo permutation),
 // releasing its worker. Terminal jobs stay pollable for -job-ttl. Jobs pin
-// their datasets in the registry for their whole lifetime.
+// their datasets in the registry until they turn terminal; a terminal job
+// keeps only its status, metadata and envelope, so an evicted session or
+// dataset is not held for the TTL by the jobs that used it.
+//
+// POST /value is a job too, submitted and waited for. Its response carries
+// no job ID, so once the values have gone out the job drops its report (or
+// a cache hit's copy): GET /jobs/{id} still answers for -job-ttl, while
+// GET /jobs/{id}/result is 410 Gone. Only POST /jobs results are kept for
+// the TTL. /statz counts the finished jobs still holding a report and
+// their bytes ("heldReports", "heldReportBytes"), and the result cache's
+// bytes ("reportBytes").
 //
 // Results are cached in an LRU keyed directly on the registry IDs of the
 // train/test sets, the algorithm and its parameters — resubmitting an

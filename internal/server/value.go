@@ -108,7 +108,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleValue is POST /value: the synchronous submit-and-wait wrapper over
 // the job manager, kept for one-shot clients. It shares the result and
-// session caches with the async path.
+// session caches with the async path. Its response carries no job ID, so
+// once the values have gone out the job keeps only its status: its report
+// (or a cache hit's copy) is dropped, and GET /jobs/{id}/result answers 410.
 func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 	var req valueRequest
 	if err := decodeJSON(w, r, s.maxBody, &req); err != nil {
@@ -143,6 +145,7 @@ func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 	}
 	meta, _ := job.Meta().(jobMeta)
 	writeJSON(w, http.StatusOK, buildResponse(rep, meta, job.Snapshot().CacheHit))
+	job.DropResult()
 }
 
 // resolveDataset turns one side of a valuation request into a pinned

@@ -4,8 +4,9 @@
 # tables, the Evaluate equivalence suite and the <1µs dispatch-overhead
 # gate), race passes over the job manager, the cluster coordinator (against
 # real internal/server peers), the HTTP handlers of internal/server (through
-# cmd/svserver's job, dataset, replay, cluster and shard tests) and the
-# context-cancellation paths, ten race passes over the dataset registry and
+# cmd/svserver's job, dataset, replay, cluster and shard tests, and the one
+# that finds a synchronous /value job's result gone while its repeat still
+# hits the result cache) and the context-cancellation paths, ten race passes over the dataset registry and
 # index store (one file store under both: its pin, reclaim and rename
 # interleavings), a race pass over
 # the vec and kheap kernels, ten race passes over the streaming distance
@@ -37,7 +38,10 @@
 # via PUT /datasets/{id}/delta, re-value; append again to the child and
 # value the grandchild exact and truncated, so the rank cache replays an
 # overlay patched on top of an overlay; every result bit-identical to
-# from-scratch with /metrics proving both O(ΔN) patches ran), a planner/index-store
+# from-scratch with /metrics proving both O(ΔN) patches ran and three
+# rankings promoted out of the rank cache's probation segment by reuse: the
+# parent and the child as patch parents, the grandchild by its truncated
+# replay), a planner/index-store
 # end-to-end run (algo=auto picks truncated cold, an explicit kd index
 # build job persists a .knnsi artifact, the restarted server recovers it,
 # auto flips to kd with /metrics proving the reload, and the dataset
@@ -89,7 +93,7 @@ go test -race -count=10 ./internal/registry
 go test -race ./internal/cluster
 go test -race ./internal/planner
 go test -run TestCancel -race ./...
-go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay|TestCluster|TestShard' -race ./cmd/svserver
+go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay|TestCluster|TestShard|TestSyncValue' -race ./cmd/svserver
 go test -run 'TestEvaluate|TestParams' -race .
 # perfbench is its own module (go test ./... above skips it); its tiny
 # workloads compile and run every internal API the benchmark calls.
@@ -458,6 +462,14 @@ for want in "svserver_incremental_fromscratch_total 1" "svserver_incremental_pat
         exit 1
     fi
 done
+# Each ranking enters the rank cache's probation segment and is promoted by
+# its first reuse: the parent and the child as patch parents, the grandchild
+# by the truncated replay after its exact valuation.
+if ! grep -q "^svserver_rank_cache_promotions_total 3\$" <<<"$metrics"; then
+    echo "delta E2E: expected \"svserver_rank_cache_promotions_total 3\" in /metrics:" >&2
+    grep "^svserver_rank_cache" <<<"$metrics" >&2
+    exit 1
+fi
 kill "$dpid"
 delta_cleanup
 trap cleanup EXIT
