@@ -234,9 +234,6 @@ func TestValueOverRankBudgetRunsEngine(t *testing.T) {
 // 3,000 retained job records (status, envelope, cache key), the registry's
 // per-dataset index and the session LRU.
 func TestLiveHeapBoundedByBudgets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("3,000 valuations")
-	}
 	const (
 		rankBudget = 4 << 20
 		memBudget  = 1 << 20
