@@ -29,18 +29,21 @@ type goldenFile struct {
 	NTest  int       `json:"nTest"`
 	K      int       `json:"k"`
 	Eps    float64   `json:"eps,omitempty"`
+	Delta  float64   `json:"delta,omitempty"`
+	Seed   uint64    `json:"seed,omitempty"`
 	M      int       `json:"m,omitempty"`
 	Values []float64 `json:"values"`
 }
 
-// goldenData is the fixed scenario shared by all three files. The synthetic
+// goldenData is the fixed scenario shared by all the files. The synthetic
 // generators are seeded and deterministic, so the inputs themselves are
-// stable across runs and platforms.
-func goldenData(t *testing.T) (*Valuer, *Dataset) {
+// stable across runs and platforms. opts follow WithK(3); none of them may
+// change a value.
+func goldenData(t *testing.T, opts ...Option) (*Valuer, *Dataset) {
 	t.Helper()
 	train := SynthDeep(200, 71)
 	test := SynthDeep(20, 72)
-	v, err := New(train, WithK(3))
+	v, err := New(train, append([]Option{WithK(3)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,8 @@ func checkGolden(t *testing.T, name string, got goldenFile) {
 		t.Fatalf("parse %s: %v", path, err)
 	}
 	if got.Method != want.Method || got.N != want.N || got.NTest != want.NTest ||
-		got.K != want.K || got.Eps != want.Eps || got.M != want.M {
+		got.K != want.K || got.Eps != want.Eps || got.Delta != want.Delta ||
+		got.Seed != want.Seed || got.M != want.M {
 		t.Fatalf("scenario drifted: got %+v metadata, want %+v", got, want)
 	}
 	if len(got.Values) != len(want.Values) {
@@ -116,5 +120,32 @@ func TestGoldenSellers(t *testing.T) {
 	}
 	checkGolden(t, "golden_sellers.json", goldenFile{
 		Method: rep.Method, N: v.Train().N(), NTest: test.N(), K: v.K(), M: m, Values: rep.Values,
+	})
+}
+
+// The LSH and k-d paths retrieve K* = 10 neighbors per test point from a
+// seeded index. With one worker the LSH run's single engine batch of 20 test
+// points is queried in groups of 8, 8 and 4.
+func TestGoldenLSH(t *testing.T) {
+	v, test := goldenData(t, WithWorkers(1))
+	const eps, delta, seed = 0.1, 0.1, 7
+	rep, err := v.LSH(context.Background(), test, eps, delta, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_lsh.json", goldenFile{
+		Method: rep.Method, N: v.Train().N(), NTest: test.N(), K: v.K(), Eps: eps, Delta: delta, Seed: seed, Values: rep.Values,
+	})
+}
+
+func TestGoldenKD(t *testing.T) {
+	v, test := goldenData(t)
+	const eps = 0.1
+	rep, err := v.KD(context.Background(), test, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_kd.json", goldenFile{
+		Method: rep.Method, N: v.Train().N(), NTest: test.N(), K: v.K(), Eps: eps, Values: rep.Values,
 	})
 }

@@ -93,28 +93,32 @@ func TestValuerIndexConcurrentBuild(t *testing.T) {
 	}
 }
 
-// The LSH build hashes its tables on the session's Workers goroutines; the
-// index, and with it every value, must not depend on how many there are.
+// The LSH build hashes its tables on the session's Workers goroutines, and
+// each engine batch's queries are split over as many parts; the index, and
+// with it every value, must not depend on the worker count or the batch
+// size. 37 test points leave a short last batch at every batch size here.
 func TestLSHWorkersBitIdentical(t *testing.T) {
 	train := SynthDeep(701, 5)
-	test := SynthDeep(9, 6)
+	test := SynthDeep(37, 6)
 	var ref []float64
-	for _, workers := range []int{1, 4} {
-		v, err := New(train, WithK(3), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := v.LSH(context.Background(), test, 0.1, 0.1, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = rep.Values
-			continue
-		}
-		for i := range ref {
-			if math.Float64bits(rep.Values[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("workers=%d value %d: %v, workers=1 gave %v", workers, i, rep.Values[i], ref[i])
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, batch := range []int{1, 7, 8, 9, 64} {
+			v, err := New(train, WithK(3), WithWorkers(workers), WithBatchSize(batch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := v.LSH(context.Background(), test, 0.1, 0.1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = rep.Values
+				continue
+			}
+			for i := range ref {
+				if math.Float64bits(rep.Values[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("workers=%d batch=%d value %d: %v, workers=1 batch=1 gave %v", workers, batch, i, rep.Values[i], ref[i])
+				}
 			}
 		}
 	}
