@@ -52,14 +52,14 @@ func (v *KDValuer) KStar() int { return v.kStar }
 // ValueOne returns the (eps, 0)-approximate Shapley values for one query.
 func (v *KDValuer) ValueOne(q []float64, label int) []float64 {
 	sv := make([]float64, v.train.N())
-	v.valueOneInto(q, label, NewScratch(), sv)
+	v.valueInto(labeledQuery{q: q, label: label}, NewScratch(), sv)
 	return sv
 }
 
-// valueOneInto is the scratch-aware ValueOne writing into a zeroed dst.
-func (v *KDValuer) valueOneInto(q []float64, label int, s *Scratch, dst []float64) {
-	ids, _ := v.tree.Query(q, v.kStar)
-	AddValues(s.packedLabels(ids, v.train.Labels, label), v.train.N(), v.k, v.kStar, dst)
+// valueInto is the scratch-aware ValueOne writing into a zeroed dst.
+func (v *KDValuer) valueInto(item labeledQuery, s *Scratch, dst []float64) {
+	ids, _ := v.tree.Query(item.q, v.kStar)
+	AddValues(s.packedLabels(ids, v.train.Labels, item.label), v.train.N(), v.k, v.kStar, dst)
 }
 
 // ValueEngine averages ValueOne over a test set, streaming the queries
@@ -76,5 +76,5 @@ func (v *KDValuer) ValueEngine(ctx context.Context, test *dataset.Dataset, ec En
 		return make([]float64, v.train.N()), nil
 	}
 	eng := NewEngine[labeledQuery](ec)
-	return eng.Run(ctx, &querySource{test: test}, queryKernel{n: v.train.N(), value: v.valueOneInto})
+	return eng.Run(ctx, &querySource{test: test}, queryKernel{n: v.train.N(), value: v.valueInto})
 }

@@ -156,10 +156,12 @@ func (k CompositeKernel) Compute(ctx context.Context, _ int, tp *knn.TestPoint, 
 }
 
 // labeledQuery is one classification query streamed through the Engine by
-// the ANN-backed valuers (LSH, k-d tree).
+// the ANN-backed valuers. ids holds its K* retrieved neighbors when the
+// source retrieved them (lshSource); the k-d kernel retrieves its own.
 type labeledQuery struct {
 	q     []float64
 	label int
+	ids   []int
 }
 
 // querySource streams a classification test set as labeledQuery items.
@@ -186,10 +188,10 @@ func (s *querySource) NextBatch(ctx context.Context, dst []labeledQuery) (int, e
 }
 
 // queryKernel adapts a per-query valuation closure (the LSH and k-d tree
-// retrieval paths) to the Kernel interface.
+// paths) to the Kernel interface.
 type queryKernel struct {
 	n     int
-	value func(q []float64, label int, s *Scratch, dst []float64)
+	value func(item labeledQuery, s *Scratch, dst []float64)
 }
 
 // OutLen implements Kernel.
@@ -197,6 +199,6 @@ func (k queryKernel) OutLen() int { return k.n }
 
 // Compute implements Kernel.
 func (k queryKernel) Compute(_ context.Context, _ int, item labeledQuery, s *Scratch, dst []float64) error {
-	k.value(item.q, item.label, s, dst)
+	k.value(item, s, dst)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"knnshapley/internal/dataset"
 	"knnshapley/internal/lsh"
+	"knnshapley/internal/par"
 )
 
 // LSHConfig configures the sublinear (eps, delta)-approximation of
@@ -95,19 +96,20 @@ func (v *LSHValuer) KStar() int { return v.kStar }
 // gets zero.
 func (v *LSHValuer) ValueOne(q []float64, label int) []float64 {
 	sv := make([]float64, v.train.N())
-	v.valueOneInto(q, label, NewScratch(), sv)
+	v.valueInto(labeledQuery{label: label, ids: v.index.Query(q, v.kStar).IDs}, NewScratch(), sv)
 	return sv
 }
 
-// valueOneInto is the scratch-aware ValueOne writing into a zeroed dst.
-func (v *LSHValuer) valueOneInto(q []float64, label int, s *Scratch, dst []float64) {
-	ids := v.index.Query(q, v.kStar).IDs
-	AddValues(s.packedLabels(ids, v.train.Labels, label), v.train.N(), v.cfg.K, v.kStar, dst)
+// valueInto runs the Theorem 2 recursion over a query's retrieved neighbors
+// into a zeroed dst.
+func (v *LSHValuer) valueInto(item labeledQuery, s *Scratch, dst []float64) {
+	AddValues(s.packedLabels(item.ids, v.train.Labels, item.label), v.train.N(), v.cfg.K, v.kStar, dst)
 }
 
 // ValueEngine averages ValueOne over a test set (Eq. 8 / Theorem 4),
-// streaming the queries through an Engine configured by ec; a canceled ctx
-// aborts within one engine batch.
+// streaming the queries through an Engine configured by ec: an lshSource
+// retrieves each batch's neighbors, and the kernel values each test point
+// over them. A canceled ctx aborts within one engine batch.
 func (v *LSHValuer) ValueEngine(ctx context.Context, test *dataset.Dataset, ec EngineConfig) ([]float64, error) {
 	if test.IsRegression() {
 		return nil, fmt.Errorf("core: classification test set required")
@@ -121,6 +123,37 @@ func (v *LSHValuer) ValueEngine(ctx context.Context, test *dataset.Dataset, ec E
 	if ec.Workers == 0 {
 		ec.Workers = v.cfg.Workers
 	}
+	src := &lshSource{querySource: querySource{test: test}, v: v, parts: ec.NumWorkers()}
 	eng := NewEngine[labeledQuery](ec)
-	return eng.Run(ctx, &querySource{test: test}, queryKernel{n: v.train.N(), value: v.valueOneInto})
+	return eng.Run(ctx, src, queryKernel{n: v.train.N(), value: v.valueInto})
+}
+
+// lshSource is a querySource that retrieves every batch's neighbors before
+// handing the batch out. It splits the batch into up to parts contiguous
+// runs, one goroutine each (the Engine's workers wait meanwhile), and each
+// run queries the index lsh.GroupSize test points at a time.
+type lshSource struct {
+	querySource
+	v     *LSHValuer
+	parts int
+	res   []lsh.Result
+}
+
+// NextBatch implements Source.
+func (s *lshSource) NextBatch(ctx context.Context, dst []labeledQuery) (int, error) {
+	nb, err := s.querySource.NextBatch(ctx, dst)
+	if nb == 0 || err != nil {
+		return nb, err
+	}
+	if len(s.res) < nb {
+		s.res = make([]lsh.Result, len(dst))
+	}
+	qs := s.test.X[s.pos-nb : s.pos]
+	par.For(nb, s.parts, func(lo, hi int) {
+		s.v.index.QueryGroup(s.res[lo:hi], qs[lo:hi], s.v.kStar, s.v.index.Tables())
+	})
+	for i := range dst[:nb] {
+		dst[i].ids = s.res[i].IDs
+	}
+	return nb, nil
 }

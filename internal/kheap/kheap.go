@@ -89,13 +89,26 @@ func (h *Heap) Items() []Item { return h.items }
 func (h *Heap) Sorted() []Item {
 	out := make([]Item, len(h.items))
 	copy(out, h.items)
-	// Insertion sort: the heap holds at most K items and K is small.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	sortItems(out)
+	return out
+}
+
+// SortedInPlace is Sorted without the copy: it orders the retained items in
+// the heap's own storage and returns that, so the heap holds no usable
+// state afterwards until Reset.
+func (h *Heap) SortedInPlace() []Item {
+	sortItems(h.items)
+	return h.items
+}
+
+// sortItems orders items by (key, ID) by insertion sort: at most K items,
+// and K is small.
+func sortItems(items []Item) {
+	for i := 1; i < len(items); i++ {
+		for j := i; j > 0 && less(items[j], items[j-1]); j-- {
+			items[j], items[j-1] = items[j-1], items[j]
 		}
 	}
-	return out
 }
 
 func less(a, b Item) bool {
@@ -151,13 +164,7 @@ func (h *Heap) TopKInto(dst []int, dist []float64) []int {
 	for i, d := range dist {
 		h.Push(i, d)
 	}
-	items := h.items
-	// Insertion sort in place: at most K items and K is small.
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && less(items[j], items[j-1]); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
+	items := h.SortedInPlace()
 	if cap(dst) < len(items) {
 		dst = make([]int, len(items))
 	}

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -289,8 +290,96 @@ func TestBuildMatchesMapReference(t *testing.T) {
 					t.Fatalf("%+v workers=%d Query %d: got %+v, reference %+v", c, workers, qi, got, want)
 				}
 			}
+			// Groups of 1 to 9 queries (past GroupSize) and one that repeats
+			// a query, through one result slice whose arrays are reused.
+			pool := slices.Clone(queries)
+			for i := 0; len(pool) < 9; i++ {
+				pool = append(pool, data[(7*i+1)%c.n])
+			}
+			groups := [][][]float64{{pool[1], pool[0], pool[1]}}
+			for g := 1; g <= 9; g++ {
+				groups = append(groups, pool[:g])
+			}
+			res := make([]Result, 9)
+			for _, group := range groups {
+				for _, l := range []int{1, (c.l + 1) / 2, c.l} {
+					for _, k := range []int{c.n + 3, 1, 5} {
+						idx.QueryGroup(res[:len(group)], group, k, l)
+						for qi, q := range group {
+							if got, want := res[qi], refQuery(ref, data, c.r, q, k, l); !sameResult(got, want) {
+								t.Fatalf("%+v workers=%d group of %d, query %d k=%d l=%d: got %+v, reference %+v", c, workers, len(group), qi, k, l, got, want)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
+}
+
+// sameResult reports whether two query results agree bit for bit.
+func sameResult(a, b Result) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return slices.Equal(a.IDs, b.IDs) && slices.EqualFunc(a.Dists, b.Dists, sameBits) && a.Candidates == b.Candidates
+}
+
+// FuzzQueryGroup checks QueryGroup against the map-based reference, bit for
+// bit, on small data with duplicate and all-zero rows: every M, L, width R,
+// group size 1–8, table prefix l (0 and past L included) and depth k (0 and
+// past N included).
+func FuzzQueryGroup(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint8(5), uint8(3), uint8(4), 2.0, uint8(7), uint8(4), uint8(5))
+	f.Add(uint64(2), uint8(1), uint8(1), uint8(1), uint8(1), 0.5, uint8(0), uint8(1), uint8(1))
+	f.Add(uint64(3), uint8(200), uint8(64), uint8(19), uint8(6), 8.0, uint8(2), uint8(6), uint8(10))
+	f.Add(uint64(4), uint8(9), uint8(3), uint8(2), uint8(3), 50.0, uint8(4), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n, dim, m, l uint8, r float64, g, lq, k uint8) {
+		if n == 0 || !(r > 1e-3 && r < 1e3) {
+			t.Skip()
+		}
+		d := int(dim)%70 + 1
+		p := Params{M: int(m)%24 + 1, L: int(l)%16 + 1, R: r, Seed: seed}
+		rng := rand.New(rand.NewPCG(seed, 5))
+		data := make([][]float64, n)
+		for i := range data {
+			data[i] = make([]float64, d)
+			switch {
+			case i%7 == 3: // an all-zero row
+			case i%5 == 4:
+				copy(data[i], data[i-1])
+			default:
+				for j := range data[i] {
+					data[i][j] = rng.NormFloat64()
+				}
+			}
+		}
+		idx, err := Build(data, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := buildRef(data, p)
+		qs := make([][]float64, int(g)%GroupSize+1)
+		for j := range qs {
+			switch j % 3 {
+			case 0:
+				qs[j] = data[rng.IntN(len(data))]
+			case 1:
+				qs[j] = make([]float64, d)
+				for i := range qs[j] {
+					qs[j][i] = rng.NormFloat64()
+				}
+			default:
+				qs[j] = make([]float64, d)
+			}
+		}
+		kk, ll := int(k)%(len(data)+3), int(lq)%(p.L+2)
+		res := make([]Result, len(qs))
+		idx.QueryGroup(res, qs, kk, ll)
+		for j, q := range qs {
+			if want := refQuery(ref, data, r, q, kk, ll); !sameResult(res[j], want) {
+				t.Fatalf("%+v k=%d l=%d query %d of %d: got %+v, reference %+v", p, kk, ll, j, len(qs), res[j], want)
+			}
+		}
+	})
 }
 
 func TestQueryFindsExactNeighborsOnEasyData(t *testing.T) {
@@ -425,18 +514,29 @@ func TestTuneProducesValidParams(t *testing.T) {
 	}
 }
 
+// BenchmarkQuery answers one ann_index batch: 16 queries against the index
+// the benchmark persists (N=5,000 MNIST-like rows, dim 64, tuned for
+// K*=10 and δ=0.1 with index seed 7, which caps it at 512 tables), in
+// groups of 1, 2, 4 and 8 queries.
 func BenchmarkQuery(b *testing.B) {
-	d := dataset.MNISTLike(20000, 1)
-	rng := rand.New(rand.NewPCG(1, 1))
-	tuned := Tune(d.X, d.X, 10, 0.1, 1, 128, 1, rng)
+	d := dataset.MNISTLike(5000, 1)
+	// The tuning stream core.NewLSHValuer draws for seed 7.
+	rng := rand.New(rand.NewPCG(7, 0x94d049bb133111eb))
+	tuned := Tune(d.X, d.X, 10, 0.1, 1, 512, 7, rng)
 	idx, err := Build(d.X, tuned.Params, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := dataset.MNISTLike(64, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Query(q.X[i%64], 10)
+	qs := dataset.MNISTLike(16, 2).X
+	res := make([]Result, len(qs))
+	for _, g := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("group=%d", g), func(b *testing.B) {
+			for b.Loop() {
+				for lo := 0; lo < len(qs); lo += g {
+					idx.QueryGroup(res[lo:lo+g], qs[lo:lo+g], 10, idx.Tables())
+				}
+			}
+		})
 	}
 }
 

@@ -19,9 +19,11 @@
 # check of its arm64 code for fused multiply-adds (there must be none: a
 # fused op rounds differently from the amd64 kernels), fuzz smoke
 # runs over the decode/storage/shard-codec surfaces (the index store's
-# container header included) and the distance sort
+# container header included), the distance sort
 # (the []int ordering and the packed ranking against a stable comparison
-# sort), a serving benchmark
+# sort) and the LSH group query (FuzzQueryGroup: groups of one to eight
+# queries against the map-based reference tables, bit for bit), a serving
+# benchmark
 # of the upload-once/value-many registry path, a method-discovery
 # end-to-end run (a real svserver answering "svcli methods"), a run of
 # every examples/ program (each must exit zero; examples/streaming ends in
@@ -100,7 +102,8 @@ go test -run 'TestEvaluate|TestParams' -race .
 (cd perfbench && go test ./...)
 
 # Fuzz smoke: ten seconds per decode/storage surface and per sort entry
-# point. New crashers land in testdata/fuzz/ and fail the run.
+# point, and for the LSH group query. New crashers land in testdata/fuzz/
+# and fail the run.
 go test -run '^$' -fuzz FuzzFlatRoundTrip -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz FuzzBinaryCodec -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz FuzzDecodeValueRequest -fuzztime 10s ./cmd/svserver
@@ -112,6 +115,7 @@ go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/kdtree
 go test -run '^$' -fuzz 'FuzzArgsortDist$' -fuzztime 10s ./internal/vec
 go test -run '^$' -fuzz FuzzPackedArgsortDist -fuzztime 10s ./internal/vec
 go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/lsh
+go test -run '^$' -fuzz FuzzQueryGroup -fuzztime 10s ./internal/lsh
 go test -run '^$' -fuzz FuzzIndexContainer -fuzztime 10s ./internal/registry
 
 # Serving smoke: the upload-once/value-many comparison through the real
