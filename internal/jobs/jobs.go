@@ -28,6 +28,7 @@
 package jobs
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -214,6 +215,8 @@ type Job struct {
 
 	finishOnce  sync.Once // guards Spec.OnFinish
 	journalOnce sync.Once // guards the journal's terminal record
+
+	expiring bool // queued in the manager's expiry heap; guarded by Manager.mu
 }
 
 // finalize runs Spec.OnFinish exactly once and lets go of it. Callers
@@ -387,6 +390,7 @@ type Manager struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
+	expiry  expiryHeap // the terminal jobs in m.jobs, by finish time
 	reports *lru[*knnshapley.Report]
 	valuers *lru[*valuerEntry]
 	closed  bool
@@ -551,6 +555,7 @@ func (m *Manager) Submit(spec Spec) (job *Job, err error) {
 			job.finishLocked(StateDone, &hit, nil, now)
 			job.mu.Unlock()
 			m.jobs[job.id] = job
+			m.expireLocked(job)
 			// Journal the hit as submit + done so a restart restores it as
 			// history (the report itself is not journaled — re-polling the
 			// result after a restart gets ErrResultLost).
@@ -675,6 +680,7 @@ func (m *Manager) Restore(r Restored) (*Job, error) {
 	}
 	m.bumpSeq(r.ID)
 	m.jobs[r.ID] = j
+	m.expireLocked(j)
 	m.restored.Add(1)
 	m.journalSubmit(j, j.created)
 	m.mu.Unlock()
@@ -728,7 +734,10 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 	j.requestCancel(m.now())
 	if j.Snapshot().State.Terminal() {
 		// Canceled while still queued: the worker will never touch this job,
-		// so its release hook and terminal journal record fire here.
+		// so its expiry, release hook and terminal journal record start here.
+		m.mu.Lock()
+		m.expireLocked(j)
+		m.mu.Unlock()
 		m.journalFinish(j)
 		j.finalize()
 	}
@@ -837,14 +846,47 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// sweepLocked drops terminal jobs whose TTL has lapsed. Callers hold m.mu.
+// sweepLocked drops terminal jobs whose TTL has lapsed. It pops them off
+// the expiry heap, so it costs time in proportion to the jobs it drops, not
+// to the jobs retained. Callers hold m.mu.
 func (m *Manager) sweepLocked(now time.Time) {
-	for id, j := range m.jobs {
-		s := j.Snapshot()
-		if s.State.Terminal() && now.Sub(s.Finished) > m.cfg.TTL {
-			delete(m.jobs, id)
-		}
+	for len(m.expiry) > 0 && now.Sub(m.expiry[0].finished) > m.cfg.TTL {
+		j := heap.Pop(&m.expiry).(expiring).job
+		delete(m.jobs, j.id)
 	}
+}
+
+// expireLocked queues a terminal job of m.jobs for expiry, once. Every path
+// that turns a retained job terminal calls it. Callers hold m.mu.
+func (m *Manager) expireLocked(j *Job) {
+	s := j.Snapshot()
+	if j.expiring || !s.State.Terminal() {
+		return
+	}
+	j.expiring = true
+	heap.Push(&m.expiry, expiring{finished: s.Finished, job: j})
+}
+
+// expiring is a terminal job in the expiry heap.
+type expiring struct {
+	finished time.Time
+	job      *Job
+}
+
+// expiryHeap is a min-heap of terminal jobs by finish time (container/heap).
+// Jobs reach it out of finish order: a restored job brings an old finish
+// time, and a job's finish time is read before it is queued.
+type expiryHeap []expiring
+
+func (h expiryHeap) Len() int           { return len(h) }
+func (h expiryHeap) Less(a, b int) bool { return h[a].finished.Before(h[b].finished) }
+func (h expiryHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiring)) }
+func (h *expiryHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // worker drains the queue until Close.
@@ -930,6 +972,9 @@ func (m *Manager) runJob(job *Job) {
 	}
 	job.mu.Unlock()
 
+	m.mu.Lock()
+	m.expireLocked(job)
+	m.mu.Unlock()
 	m.journalFinish(job)
 	job.finalize()
 }

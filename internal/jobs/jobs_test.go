@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -1047,5 +1048,126 @@ func TestDropResult(t *testing.T) {
 	close(release)
 	if rep, err := m.Wait(context.Background(), running); err != nil || rep == nil {
 		t.Fatalf("job dropped while running: %v, %v; want its report", rep, err)
+	}
+}
+
+// Terminal jobs expire in finish order, whatever order they were submitted
+// or queued for expiry in: a job that finishes after a later submission, a
+// queued job canceled before it ran, a cache hit and a restored job with an
+// old finish time. Each stays retrievable until exactly TTL after it
+// finished and is gone right after, while every later one stays.
+func TestExpiryInFinishOrder(t *testing.T) {
+	const ttl = time.Minute
+	var mu sync.Mutex
+	base := time.Unix(1700000000, 0)
+	now := base
+	setClock := func(d time.Duration) { mu.Lock(); now = base.Add(d); mu.Unlock() }
+	m := New(Config{Workers: 2, TTL: ttl, Now: func() time.Time { mu.Lock(); defer mu.Unlock(); return now }})
+	defer m.Close()
+	quick := func(key string) Spec {
+		return Spec{CacheKey: key, Run: func(context.Context) (*knnshapley.Report, error) {
+			return &knnshapley.Report{Method: "quick"}, nil
+		}}
+	}
+	submit := func(spec Spec) *Job {
+		t.Helper()
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	startA, releaseA := make(chan struct{}), make(chan struct{})
+	a := submit(blockingSpec(startA, releaseA))
+	<-startA
+	b := submit(quick("b")) // submitted after a, finishes first
+	waitState(t, b, StateDone)
+	startD, releaseD := make(chan struct{}), make(chan struct{})
+	d := submit(blockingSpec(startD, releaseD))
+	<-startD
+	c := submit(quick("")) // both workers busy: c waits in the queue
+	setClock(10 * time.Second)
+	if _, ok := m.Cancel(c.ID()); !ok {
+		t.Fatal("queued job not found")
+	}
+	waitState(t, c, StateCanceled)
+	setClock(20 * time.Second)
+	hit := submit(quick("b"))
+	if !hit.Snapshot().CacheHit {
+		t.Fatal("resubmission missed the result cache")
+	}
+	restored, err := m.Restore(Restored{ID: "j900001", State: StateDone, Lost: true,
+		Created: base, Finished: base.Add(5 * time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setClock(30 * time.Second)
+	close(releaseA)
+	waitState(t, a, StateDone)
+	setClock(40 * time.Second)
+	close(releaseD)
+	waitState(t, d, StateDone)
+
+	order := []struct {
+		id       string
+		finished time.Duration
+	}{
+		{b.ID(), 0},
+		{restored.ID(), 5 * time.Second},
+		{c.ID(), 10 * time.Second},
+		{hit.ID(), 20 * time.Second},
+		{a.ID(), 30 * time.Second},
+		{d.ID(), 40 * time.Second},
+	}
+	for i, e := range order {
+		setClock(e.finished + ttl)
+		for _, later := range order[i:] {
+			if _, ok := m.Get(later.id); !ok {
+				t.Fatalf("at %v: job %s (finished %v) expired before its TTL", e.finished+ttl, later.id, later.finished)
+			}
+		}
+		setClock(e.finished + ttl + time.Nanosecond)
+		if _, ok := m.Get(e.id); ok {
+			t.Fatalf("job %s retained past its TTL", e.id)
+		}
+		if st := m.Stats(); st.Jobs != len(order)-i-1 {
+			t.Fatalf("after job %s expired: %d jobs retained, want %d", e.id, st.Jobs, len(order)-i-1)
+		}
+	}
+}
+
+// BenchmarkSubmitRetained times one Submit of a trivial job plus its run
+// while the manager retains about n finished jobs: the injected clock
+// advances TTL/n per submission, so each new job outlives the oldest one.
+func BenchmarkSubmitRetained(b *testing.B) {
+	for _, n := range []int{1e3, 1e4} {
+		b.Run(fmt.Sprintf("retained=%d", n), func(b *testing.B) {
+			const ttl = time.Hour
+			var mu sync.Mutex
+			now := time.Unix(1700000000, 0)
+			m := New(Config{Workers: 1, TTL: ttl, Now: func() time.Time { mu.Lock(); defer mu.Unlock(); return now }})
+			defer m.Close()
+			spec := Spec{RunAny: func(context.Context) (any, error) { return nil, nil }}
+			submit := func() {
+				mu.Lock()
+				now = now.Add(ttl / time.Duration(n))
+				mu.Unlock()
+				j, err := m.Submit(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				<-j.Done()
+			}
+			for range n {
+				submit()
+			}
+			for b.Loop() {
+				submit()
+			}
+			if st := m.Stats(); st.Jobs < n-1 || st.Jobs > n+1 {
+				b.Fatalf("%d jobs retained, want about %d", st.Jobs, n)
+			}
+		})
 	}
 }
