@@ -144,7 +144,7 @@ func compositeCountingSV(tp *knn.TestPoint) []float64 {
 // multi-data-per-curator game (Theorem 12): Theorem 8's enumeration with
 // seller-coalition weights 1/((M+1)·C(M,t+1)).
 func CompositeMultiSellerSV(tp *knn.TestPoint, owners []int, m int) (CompositeResult, error) {
-	sv, err := multiSellerSV(tp, owners, m, compositeGroupWeights)
+	sv, err := multiSellerSV(tp, owners, m, compositeGroupWeights, NewScratch())
 	if err != nil {
 		return CompositeResult{}, err
 	}

@@ -291,15 +291,22 @@ func (s *Scratch) Packed(tp *knn.TestPoint, limit, offset int) []uint32 {
 		s.packs = s.sorter.PackedInto(s.packs, tp.Dist, tp.Correct, offset, CorrectBit)
 		return s.packs
 	}
-	if s.heap == nil || s.heap.K() != limit {
-		s.heap = kheap.New(limit)
-	}
-	s.order = s.heap.TopKInto(s.order, tp.Dist)
+	s.order = s.heapOf(limit).TopKInto(s.order, tp.Dist)
 	l := s.packBuf(len(s.order))
 	for r, id := range s.order {
 		l[r] = Pack(offset+id, tp.Correct[id])
 	}
 	return l
+}
+
+// heapOf returns the worker-owned heap, reallocated when it does not retain
+// k items: partial selection and subset utilities reuse one heap instead of
+// allocating one per call.
+func (s *Scratch) heapOf(k int) *kheap.Heap {
+	if s.heap == nil || s.heap.K() != k {
+		s.heap = kheap.New(k)
+	}
+	return s.heap
 }
 
 // packBuf returns the reusable packed-ranking buffer resized to n.

@@ -109,7 +109,7 @@ func (k MultiSellerKernel) Compute(ctx context.Context, _ int, tp *knn.TestPoint
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	one, err := MultiSellerSV(tp, k.Owners, k.M)
+	one, err := multiSellerSV(tp, k.Owners, k.M, dataOnlyGroupWeights, s)
 	if err != nil {
 		return err
 	}

@@ -19,12 +19,13 @@ import (
 // cannot perturb a given neighbor set is accounted for with a closed-form
 // binomial factor (Eq. 84) rather than enumerated.
 func MultiSellerSV(tp *knn.TestPoint, owners []int, m int) ([]float64, error) {
-	return multiSellerSV(tp, owners, m, dataOnlyGroupWeights)
+	return multiSellerSV(tp, owners, m, dataOnlyGroupWeights, NewScratch())
 }
 
 // multiSellerSV is shared by the data-only (Theorem 8) and composite
 // (Theorem 12) variants, which differ only in the coalition-size weights.
-func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) []float64) ([]float64, error) {
+// Every top-K selection and subset utility runs in the scratch's heap.
+func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) []float64, s *Scratch) ([]float64, error) {
 	if len(owners) != tp.N() {
 		return nil, fmt.Errorf("core: %d owners for %d training points", len(owners), tp.N())
 	}
@@ -64,8 +65,9 @@ func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) [
 
 	// topK returns the K nearest points of the union of the given sellers'
 	// data, as (sorted ids, owners-bitset-as-sorted-slice, max key).
+	h := s.heapOf(k)
 	topK := func(sellers []int) ([]int, []int, kheap.Item) {
-		h := kheap.New(k)
+		h.Reset()
 		for _, j := range sellers {
 			for _, i := range points[j] {
 				h.Push(i, tp.Dist[i])
@@ -112,7 +114,7 @@ func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) [
 					return
 				}
 			}
-			atoms = append(atoms, entry{ids: ids, own: own, maxKey: maxKey, util: tp.SubsetUtility(ids)})
+			atoms = append(atoms, entry{ids: ids, own: own, maxKey: maxKey, util: tp.SubsetUtilityWith(h, ids)})
 		})
 	}
 
@@ -122,7 +124,7 @@ func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) [
 	for j := 0; j < m; j++ {
 		// The empty coalition: T = ∅ pairs only with S = ∅.
 		withJ, _, _ := topK([]int{j})
-		sv[j] += w[0] * (tp.SubsetUtility(withJ) - empty)
+		sv[j] += w[0] * (tp.SubsetUtilityWith(h, withJ) - empty)
 		for _, a := range atoms {
 			if containsInt(a.own, j) {
 				continue
@@ -144,7 +146,7 @@ func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) [
 				}
 			}
 			// ν(T∪{j}) for every such coalition equals ν(top-K(S ∪ data_j)).
-			h := kheap.New(k)
+			h.Reset()
 			for _, i := range a.ids {
 				h.Push(i, tp.Dist[i])
 			}
@@ -156,7 +158,7 @@ func multiSellerSV(tp *knn.TestPoint, owners []int, m int, weights func(m int) [
 			for r, it := range items {
 				ids[r] = it.ID
 			}
-			diff := tp.SubsetUtility(ids) - a.util
+			diff := tp.SubsetUtilityWith(h, ids) - a.util
 			if diff == 0 {
 				continue
 			}

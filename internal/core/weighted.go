@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"knnshapley/internal/kheap"
 	"knnshapley/internal/knn"
 )
 
@@ -104,8 +105,9 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 	}
 	order := s.OrderOf(tp) // order[r] = training index of the (r+1)-th nearest
 	k := tp.K
+	h := s.heapOf(k)
 	if n == 1 {
-		sv[order[0]] = w.subset(0) * (tp.SubsetUtility(order) - tp.EmptyUtility())
+		sv[order[0]] = w.subset(0) * (tp.SubsetUtilityWith(h, order) - tp.EmptyUtility())
 		return
 	}
 
@@ -123,9 +125,9 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 			for _, c := range comb {
 				subset = append(subset, rest[c])
 			}
-			without := tp.SubsetUtility(subset)
+			without := tp.SubsetUtilityWith(h, subset)
 			subset = append(subset, farthest)
-			base += ws * (tp.SubsetUtility(subset) - without)
+			base += ws * (tp.SubsetUtilityWith(h, subset) - without)
 		})
 	}
 	sv[farthest] = base
@@ -152,7 +154,7 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 		for size := 0; size <= k-2 && size <= len(others); size++ {
 			wp := w.pair(size)
 			forEachCombination(len(others), size, func(comb []int) {
-				delta += wp * pairDiff(tp, others, comb, cur, next, subset[:0])
+				delta += wp * pairDiff(tp, h, others, comb, cur, next, subset[:0])
 			})
 		}
 		// (b) neighbor prefixes of size K−1 with the Eq. (77) multiplier:
@@ -170,7 +172,7 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 				}
 				coef := tailCoefficient(n, k, maxRank, w)
 				if coef != 0 {
-					delta += coef * pairDiff(tp, others, comb, cur, next, subset[:0])
+					delta += coef * pairDiff(tp, h, others, comb, cur, next, subset[:0])
 				}
 			})
 		}
@@ -178,16 +180,17 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 	}
 }
 
-// pairDiff returns ν(S∪{cur}) − ν(S∪{next}) where S is others[comb].
-func pairDiff(tp *knn.TestPoint, others []int, comb []int, cur, next int, scratch []int) float64 {
+// pairDiff returns ν(S∪{cur}) − ν(S∪{next}) where S is others[comb],
+// evaluating both utilities in h.
+func pairDiff(tp *knn.TestPoint, h *kheap.Heap, others []int, comb []int, cur, next int, scratch []int) float64 {
 	s := scratch
 	for _, c := range comb {
 		s = append(s, others[c])
 	}
 	s = append(s, cur)
-	with := tp.SubsetUtility(s)
+	with := tp.SubsetUtilityWith(h, s)
 	s[len(s)-1] = next
-	return with - tp.SubsetUtility(s)
+	return with - tp.SubsetUtilityWith(h, s)
 }
 
 // tailCoefficient is Σ_{j=0}^{N−maxRank} C(N−maxRank, j)·w.pair(K−1+j),

@@ -161,17 +161,24 @@ func (tp *TestPoint) EmptyUtility() float64 { return tp.finish(0) }
 
 // SubsetUtility evaluates ν(S) for an arbitrary training subset S given by
 // indices. Cost is O(|S| log K). This is the oracle used by brute-force
-// Shapley enumeration and the baseline Monte-Carlo estimator.
+// Shapley enumeration and the baseline Monte-Carlo estimator. It allocates
+// a heap per call; loops over many subsets hold one and call
+// SubsetUtilityWith.
 func (tp *TestPoint) SubsetUtility(subset []int) float64 {
-	h := kheap.New(tp.K)
+	return tp.SubsetUtilityWith(kheap.New(tp.K), subset)
+}
+
+// SubsetUtilityWith is SubsetUtility keeping the K nearest members of S in
+// h, which it resets first. h must retain tp.K items.
+func (tp *TestPoint) SubsetUtilityWith(h *kheap.Heap, subset []int) float64 {
+	if h.K() != tp.K {
+		panic(fmt.Sprintf("knn: heap of %d for K = %d", h.K(), tp.K))
+	}
+	h.Reset()
 	for _, i := range subset {
 		h.Push(i, tp.Dist[i])
 	}
-	var agg float64
-	for _, it := range h.Items() {
-		agg += tp.term(it.ID)
-	}
-	return tp.finish(agg)
+	return tp.heapUtility(h)
 }
 
 // FullUtility evaluates ν(I) over all training points.
@@ -180,6 +187,11 @@ func (tp *TestPoint) FullUtility() float64 {
 	for i := range tp.Dist {
 		h.Push(i, tp.Dist[i])
 	}
+	return tp.heapUtility(h)
+}
+
+// heapUtility is ν of the neighbor set h holds.
+func (tp *TestPoint) heapUtility(h *kheap.Heap) float64 {
 	var agg float64
 	for _, it := range h.Items() {
 		agg += tp.term(it.ID)
