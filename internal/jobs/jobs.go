@@ -216,7 +216,7 @@ type Job struct {
 	finishOnce  sync.Once // guards Spec.OnFinish
 	journalOnce sync.Once // guards the journal's terminal record
 
-	expiring bool // queued in the manager's expiry heap; guarded by Manager.mu
+	retired bool // queued in the manager's expiry heap; guarded by Manager.mu
 }
 
 // finalize runs Spec.OnFinish exactly once and lets go of it. Callers
@@ -555,7 +555,7 @@ func (m *Manager) Submit(spec Spec) (job *Job, err error) {
 			job.finishLocked(StateDone, &hit, nil, now)
 			job.mu.Unlock()
 			m.jobs[job.id] = job
-			m.expireLocked(job)
+			m.retireLocked(job)
 			// Journal the hit as submit + done so a restart restores it as
 			// history (the report itself is not journaled — re-polling the
 			// result after a restart gets ErrResultLost).
@@ -680,7 +680,7 @@ func (m *Manager) Restore(r Restored) (*Job, error) {
 	}
 	m.bumpSeq(r.ID)
 	m.jobs[r.ID] = j
-	m.expireLocked(j)
+	m.retireLocked(j)
 	m.restored.Add(1)
 	m.journalSubmit(j, j.created)
 	m.mu.Unlock()
@@ -736,7 +736,7 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 		// Canceled while still queued: the worker will never touch this job,
 		// so its expiry, release hook and terminal journal record start here.
 		m.mu.Lock()
-		m.expireLocked(j)
+		m.retireLocked(j)
 		m.mu.Unlock()
 		m.journalFinish(j)
 		j.finalize()
@@ -856,14 +856,14 @@ func (m *Manager) sweepLocked(now time.Time) {
 	}
 }
 
-// expireLocked queues a terminal job of m.jobs for expiry, once. Every path
+// retireLocked queues a terminal job of m.jobs for expiry, once. Every path
 // that turns a retained job terminal calls it. Callers hold m.mu.
-func (m *Manager) expireLocked(j *Job) {
+func (m *Manager) retireLocked(j *Job) {
 	s := j.Snapshot()
-	if j.expiring || !s.State.Terminal() {
+	if j.retired || !s.State.Terminal() {
 		return
 	}
-	j.expiring = true
+	j.retired = true
 	heap.Push(&m.expiry, expiring{finished: s.Finished, job: j})
 }
 
@@ -875,7 +875,8 @@ type expiring struct {
 
 // expiryHeap is a min-heap of terminal jobs by finish time (container/heap).
 // Jobs reach it out of finish order: a restored job brings an old finish
-// time, and a job's finish time is read before it is queued.
+// time, and a worker reads the clock before it takes the manager's lock to
+// queue its job.
 type expiryHeap []expiring
 
 func (h expiryHeap) Len() int           { return len(h) }
@@ -973,7 +974,7 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 
 	m.mu.Lock()
-	m.expireLocked(job)
+	m.retireLocked(job)
 	m.mu.Unlock()
 	m.journalFinish(job)
 	job.finalize()

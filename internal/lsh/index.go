@@ -183,8 +183,7 @@ func Build(data [][]float64, params Params, workers int) (*Index, error) {
 		go func() {
 			defer wg.Done()
 			b := &tableBuilder{
-				d0:   make([]float64, params.M),
-				d1:   make([]float64, params.M),
+				dots: make([]float64, 2*params.M),
 				keys: make([]uint64, len(data)),
 			}
 			for t := int(next.Add(1) - 1); t < params.L; t = int(next.Add(1) - 1) {
@@ -198,8 +197,8 @@ func Build(data [][]float64, params Params, workers int) (*Index, error) {
 
 // tableBuilder is one build worker's O(N) scratch.
 type tableBuilder struct {
-	d0, d1 []float64
-	keys   []uint64 // bucket key of each point, then sorted
+	dots   []float64 // a row pair's projections
+	keys   []uint64  // bucket key of each point, then sorted
 	sorter vec.DistSorter
 }
 
@@ -208,17 +207,19 @@ type tableBuilder struct {
 // The ids arrive ascending and the sort is stable, so each bucket's ids
 // stay ascending.
 func (b *tableBuilder) fill(tb *table, data [][]float64, r float64) {
-	n := len(data)
+	n, m := len(data), len(tb.offset)
 	tb.ids = make([]uint32, n)
+	for i := range tb.ids {
+		tb.ids[i] = uint32(i)
+	}
 	i := 0
 	for ; i+2 <= n; i += 2 {
-		vec.DotRows2(b.d0, b.d1, tb.proj, data[i], data[i+1])
-		b.keys[i], tb.ids[i] = hashKey(b.d0, tb.offset, r), uint32(i)
-		b.keys[i+1], tb.ids[i+1] = hashKey(b.d1, tb.offset, r), uint32(i+1)
+		vec.DotRows2(b.dots[:m], b.dots[m:], tb.proj, data[i], data[i+1])
+		foldKeys(b.keys[i:i+2], b.dots, tb.offset, r)
 	}
 	if i < n {
-		vec.DotRows(b.d0, tb.proj, data[i])
-		b.keys[i], tb.ids[i] = hashKey(b.d0, tb.offset, r), uint32(i)
+		vec.DotRows(b.dots[:m], tb.proj, data[i])
+		foldKeys(b.keys[i:i+1], b.dots, tb.offset, r)
 	}
 	b.sorter.SortKeys(b.keys, tb.ids)
 	u := 1
@@ -237,22 +238,6 @@ func (b *tableBuilder) fill(tb *table, data [][]float64, r float64) {
 	}
 	tb.starts = append(tb.starts, uint32(n))
 	tb.fillSlots()
-}
-
-// hashKey folds one point's M projections dots[j] = w_j·x into its bucket
-// key: h_j = ⌊(w_j·x + b_j)/r⌋ truncated to int32, then FNV-1a over the
-// little-endian bytes of h_0..h_{M-1}.
-func hashKey(dots, offset []float64, r float64) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for j, d := range dots {
-		u := uint32(int32(floorInt((d + offset[j]) / r)))
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64((u >> uint(shift)) & 0xff)
-			h *= prime64
-		}
-	}
-	return h
 }
 
 func floorInt(v float64) int64 {
@@ -287,10 +272,10 @@ type Result struct {
 
 // GroupSize is the most queries QueryGroup hashes in one pass over the
 // tables. BenchmarkQuery's 16 queries of the ann_index shape (N=5,000,
-// dim 64, 512 tables, K*=10) took 8.5–9.1 ms in groups of one, 6.3–7.2 ms
-// in groups of two, 5.3–5.8 ms in groups of four and 4.8–5.1 ms in groups
-// of eight. Eight queries' projections of one table (8×19 float64) still
-// fit in L1 beside the table's own.
+// dim 64, 512 tables, K*=10) took 7.3–8.5 ms in groups of one, 5.6–6.8 ms
+// in groups of two, 4.9–5.6 ms in groups of four and 4.6–5.5 ms in groups
+// of eight (5 runs each on a 2-vCPU Xeon host). Eight queries' projections
+// of one table (8×19 float64) fit in L1 beside the table's own.
 const GroupSize = 8
 
 // Query returns the (approximate) k nearest neighbors of q: the union of all
@@ -365,10 +350,12 @@ func (idx *Index) hashGroup(sc *queryScratch, qs [][]float64, l int) {
 	}
 }
 
-// foldKeys is hashKey for up to GroupSize points at once: dots holds their
-// projections, len(offset) per point, and keys[p] gets point p's key. The
-// points' FNV-1a chains are independent, so folding them side by side lets
-// the CPU overlap their multiplies; each key keeps hashKey's bits.
+// foldKeys folds the projections of up to GroupSize points into their
+// bucket keys: dots holds point p's projections w_j·x at
+// dots[p*M : (p+1)*M] (M = len(offset)), and keys[p] gets
+// h_j = ⌊(w_j·x + b_j)/r⌋ truncated to int32, then FNV-1a over the
+// little-endian bytes of h_0..h_{M-1}. The points' chains are independent,
+// so folding them side by side lets the CPU overlap their multiplies.
 func foldKeys(keys []uint64, dots, offset []float64, r float64) {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	var h [GroupSize]uint64

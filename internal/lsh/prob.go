@@ -11,10 +11,14 @@
 // query time through a small open-addressed directory over the keys.
 // Build hashes rows in pairs with vec.DotRows2 (on amd64 with AVX, four
 // projections of both rows per pass, bit-identical to vec.Dot), one table
-// per worker goroutine, and radix-sorts each table by (key, id); a query
-// projects with vec.DotRows the same way and ranks its candidates four at
-// a time with vec.SqL2x4. The codec (serialize.go) persists those arrays
-// as they are, so a reload is a read, a CRC and an O(N) check per table.
+// per worker goroutine, and radix-sorts each table by (key, id). There is
+// one query path, Index.QueryGroup, which takes up to GroupSize (eight)
+// queries at a time: it projects them table by table, two queries per
+// vec.DotRows2 pass, folds their keys side by side, resolves each query's
+// bucket in every table before walking any, and ranks the candidates four
+// at a time with vec.SqL2x4; Query is a group of one. The codec
+// (serialize.go) persists the arrays as they are, so a reload is a read, a
+// CRC and an O(N) check per table.
 package lsh
 
 import (
