@@ -243,6 +243,12 @@
 // corrupt file is dropped and rebuilt, never served), and deleted when
 // their dataset is deleted.
 //
+// LSH queries run in groups: the LSH method splits each engine batch's test
+// points over the workers, and each part queries the index up to eight
+// points per pass over its tables (lsh.Index.QueryGroup). A table's
+// projections are then read once per pair of queries and the bucket
+// lookups overlap; the values are bit for bit those of one query at a time.
+//
 // On top of the store sits a planner: Request{Method: "auto"} (AutoParams
 // {Eps, Delta, Seed}) predicts the wall-clock cost of every method able to
 // serve the session's workload at the requested tolerance — interpolating
