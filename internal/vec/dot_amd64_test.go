@@ -86,6 +86,46 @@ func BenchmarkDot4x32Bodies(b *testing.B) {
 	})
 }
 
+// BenchmarkScanBodies times the float64 and float32 distance scans with
+// the AVX bodies (avx) and without them (noavx: useAVX off, the path of an
+// amd64 host without AVX) on 16 queries against 2e4 rows of dim 64. Run
+// with:
+//
+//	go test ./internal/vec -run '^$' -bench ScanBodies -benchtime 20x
+func BenchmarkScanBodies(b *testing.B) {
+	const n, dim, nq = 20000, 64, 16
+	defer func(avx bool) { useAVX = avx }(useAVX)
+	hasAVX := useAVX
+	rng := rand.New(rand.NewPCG(2, 2))
+	flat, _ := randomFlat(n, dim, rng)
+	qflat, _ := randomFlat(nq, dim, rng)
+	norms := SqNorms(nil, flat, n, dim)
+	flat32, qflat32 := ToFloat32(nil, flat), ToFloat32(nil, qflat)
+	norms32 := SqNorms32(nil, flat32, n, dim)
+	dst := make([]float64, nq*n)
+	for _, avx := range []bool{true, false} {
+		body := map[bool]string{false: "noavx", true: "avx"}[avx]
+		b.Run("f64/"+body, func(b *testing.B) {
+			if avx && !hasAVX {
+				b.Skip("no AVX")
+			}
+			useAVX = avx
+			for b.Loop() {
+				SqL2NormDotBatch(dst, flat, n, dim, norms, qflat, nq)
+			}
+		})
+		b.Run("f32/"+body, func(b *testing.B) {
+			if avx && !hasAVX {
+				b.Skip("no AVX")
+			}
+			useAVX = avx
+			for b.Loop() {
+				SqL2NormDotBatch32(dst, flat32, n, dim, norms32, qflat32, nq)
+			}
+		})
+	}
+}
+
 // The assembly group sweeps must reproduce the portable group body bit
 // for bit on every shape — including scalar tails (dim % 8), dims below
 // one chunk, single rows, negative-identity clamps, and non-finite
