@@ -3,15 +3,15 @@
 package vec
 
 // The dot-product kernels of dot_amd64.s. Contracts:
-//   - dot1x64/dot1x32: len(b) >= len(a); returns the (a·b) over len(a)
+//   - dot1x64/dot1x32avx: len(b) >= len(a); returns the (a·b) over len(a)
 //     elements with the summation tree documented in dot_amd64.s.
-//   - dot4x64/dot4x32: len(q0..q3) >= len(row); out[j] = row·qj, each
-//     accumulated with exactly the dot1 tree, so grouping queries four at
-//     a time changes no bits versus one-at-a-time evaluation.
+//   - dot4x32avx: len(q0..q3) >= len(row); out[j] = row·qj, each
+//     accumulated with exactly the dot1x32avx tree, so grouping queries
+//     four at a time changes no bits versus one-at-a-time evaluation.
 //   - gemv8x64avx: one block of rows of sqL2Sweep8's eight-query float64
 //     distance pass, each dot accumulated with exactly the dot1x64 tree.
-//   - gemv4x32sse/gemv4x32avx: n rows of one four-query float32 distance
-//     group, query j's distances stride values after query 0's.
+//   - gemv4x32avx: n rows of one four-query float32 distance group, query
+//     j's distances stride values after query 0's.
 //   - dotRows4x64avx/dotRows4x2x64avx: len(dst)/4 groups of four rows of
 //     mat against x (and x1), len(x) >= 4 values per row; each product
 //     has the bits of vec.Dot (four lanes by offset mod 4, the tail in
@@ -19,11 +19,11 @@ package vec
 //   - sqL2x4avx: out[j] = vec.SqL2(aj, q) bit for bit, len(aj) = len(q)
 //     >= 4.
 //
-// The float32 kernels have an SSE2 body (works on every amd64) and an
-// AVX body (one 8-lane ymm accumulator per query — the same summation
-// tree, twice the width); the float64 scan has the AVX eight-query sweep
-// and the SSE2 dot4x64; the four-lane family has an AVX body only, and
-// the Go loops of vec.go otherwise. useAVX picks once at startup; the
+// dot1x64 is SSE2 and runs on every amd64 host; every other kernel needs
+// AVX. useAVX picks once at startup. Without AVX the float32 dots and
+// group sweep run the Go trees of dot_kernels.go (dotTreeGo32 and
+// sqL2Gemv4x32Go), the float64 scan runs dot4x64 there, and the
+// four-lane family the Go loops of vec.go, as on other architectures. The
 // bodies are bit-identical, so the choice is invisible to callers.
 
 // useAVX reports whether the 256-bit kernels are usable on this machine
@@ -109,33 +109,25 @@ func dot1x32(a, b []float32) float32 {
 	if useAVX {
 		return dot1x32avx(a, b)
 	}
-	return dot1x32sse(a, b)
-}
-
-func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
-	if useAVX {
-		dot4x32avx(row, q0, q1, q2, q3, out)
-		return
-	}
-	dot4x32sse(row, q0, q1, q2, q3, out)
+	return dotTreeGo32(a, b)
 }
 
 // sqL2Gemv4x32 runs one four-query distance group — every row's dots,
-// norms arithmetic, clamp, and float64 widening — as assembly sweeps,
+// norms arithmetic, clamp, and float64 widening — as AVX assembly sweeps,
 // eliminating the per-row call and slicing overhead of the portable
 // loop. Like sqL2Sweep8 it makes one call per block of at most
 // sweepBlock training values, so that the goroutine can be preempted
-// between blocks. Bit-identical to sqL2Gemv4x32Go.
+// between blocks. Bit-identical to sqL2Gemv4x32Go, which runs without
+// AVX.
 func sqL2Gemv4x32(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
+	if !useAVX {
+		sqL2Gemv4x32Go(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
+		return
+	}
 	block := max(1, sweepBlock/max(1, dim))
 	for r := 0; r < n; r += block {
 		m := min(block, n-r)
-		d, f, nr := dst4[r:], flat[r*dim:(r+m)*dim], norms[r:r+m]
-		if useAVX {
-			gemv4x32avx(d, n, m, f, dim, nr, q0, q1, q2, q3, qn)
-		} else {
-			gemv4x32sse(d, n, m, f, dim, nr, q0, q1, q2, q3, qn)
-		}
+		gemv4x32avx(dst4[r:], n, m, flat[r*dim:(r+m)*dim], dim, norms[r:r+m], q0, q1, q2, q3, qn)
 	}
 }
 
@@ -185,25 +177,13 @@ func sqL2x4(out *[4]float64, a0, a1, a2, a3, q []float64) bool {
 func dot1x64(a, b []float64) float64
 
 //go:noescape
-func dot4x64(row, q0, q1, q2, q3 []float64, out *[4]float64)
-
-//go:noescape
 func gemv8x64avx(dst []float64, n int, flat []float64, dim int, norms []float64, qp []float64, qn *[8]float64, offs *[8]int)
-
-//go:noescape
-func dot1x32sse(a, b []float32) float32
 
 //go:noescape
 func dot1x32avx(a, b []float32) float32
 
 //go:noescape
-func dot4x32sse(row, q0, q1, q2, q3 []float32, out *[4]float32)
-
-//go:noescape
 func dot4x32avx(row, q0, q1, q2, q3 []float32, out *[4]float32)
-
-//go:noescape
-func gemv4x32sse(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 
 //go:noescape
 func gemv4x32avx(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)

@@ -7,33 +7,28 @@
 // odd offsets), the scalar tail accumulates into lane 0, and the final
 // value is lane0 + lane1.
 //
-// float32: each query accumulates into TWO 4-lane xmm registers — lanes
-// are offsets mod 8, chunk {i..i+3} adds into the first register and
-// {i+4..i+7} into the second, so the two ADDPS per chunk are independent
-// and the per-chunk critical path is a single ADDPS. The scalar tail
-// accumulates into lane 0, and the final value is
-// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+// float32: each query accumulates into one 8-lane ymm register — lanes
+// are offsets mod 8, so an 8-element chunk is one VMULPS and one VADDPS.
+// Lanes 4-7 are extracted to an xmm register before the scalar tail (VEX
+// 128-bit writes zero the upper half), the tail accumulates into lane 0,
+// and the final value is ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
 //
-// dot4x64/dot4x32 run four queries against one row with private
-// accumulators per query, so each query's sum uses exactly the tree of
-// the single-query kernels — distances therefore do not depend on how
-// queries are grouped into batches. dotTreeGo64 and dotTreeGo32
-// (dot_kernels.go) mirror the trees in pure Go; the kernels here must
-// stay bit-identical to them (TestDotKernelsMatchGoTree).
+// dot4x32avx and gemv4x32avx run four queries against one row with
+// private accumulators per query, and gemv8x64avx eight, so each query's
+// sum uses exactly the tree of the single-query kernels — distances
+// therefore do not depend on how queries are grouped into batches.
+// dotTreeGo64 and dotTreeGo32 (dot_kernels.go) are the same trees in pure
+// Go; the kernels here must stay bit-identical to them
+// (TestDotKernelsMatchGoTree, TestDot32AVXMatchesGoTree,
+// TestGemv4x32MatchesGo, TestSweep8x64MatchesGoTree).
 //
-// The float32 kernels exist twice: an SSE2 body (the amd64 v1 baseline;
-// two xmm accumulators per query) and an AVX body (one ymm accumulator
-// per query — the 8-lane tree is exactly one 256-bit register, so the
-// wide kernel computes the same bits with half the instructions).
-// dot_amd64.go picks at startup via cpuHasAVX; TestDot32AVXMatchesSSE
-// pins the two bodies against each other. The float64 distance scan has
-// an AVX body too, gemv8x64avx: its 2-lane tree is frozen by the float64
-// golden files, so instead of widening one query's tree it packs the two
-// lanes of two queries into each ymm register and serves eight queries
-// per pass over the training rows, half the arithmetic instructions per
-// distance of four dot4x64 calls (TestSweep8x64MatchesGoTree pins it, the
-// SSE2 path and a Go mirror against the per-query tree). Without AVX the
-// scan runs dot4x64.
+// Every kernel but dot1x64 (SSE2; AVX hosts run it for norms and a last
+// single query) needs AVX. dot_amd64.go picks at startup via
+// cpuHasAVX, and without AVX the scan runs the Go trees of dot_kernels.go,
+// as it does on every other architecture. The float64 sweep gemv8x64avx
+// cannot widen one query's tree, which the float64 golden files freeze at
+// two lanes, so it packs the two lanes of two queries into each ymm
+// register and serves eight queries per pass over the training rows.
 //
 // The four-lane family at the end of this file serves the ANN paths with
 // the tree of vec.Dot and vec.SqL2, not the scan's: one ymm accumulator
@@ -42,8 +37,8 @@
 // four independent accumulators (eight with two vectors).
 // dotRows4x64avx is the AVX body of vec.DotRows (the LSH query's
 // projections), dotRows4x2x64avx of vec.DotRows2 (the LSH build's) and
-// sqL2x4avx of vec.SqL2x4 (k-d leaf scans and LSH candidates); they have
-// no SSE2 body, and TestFourLaneMatchesDot pins them against Dot and SqL2.
+// sqL2x4avx of vec.SqL2x4 (k-d leaf scans and LSH candidates), and
+// TestFourLaneMatchesDot pins them against Dot and SqL2.
 // No FMA anywhere: fused multiply-adds round differently.
 
 #include "textflag.h"
@@ -88,271 +83,13 @@ done:
 	MOVSD    X0, ret+48(FP)
 	RET
 
-// func dot1x32sse(a, b []float32) float32
-TEXT ·dot1x32sse(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ a_len+8(FP), CX
-	XORPS X0, X0
-	XORPS X1, X1
-	MOVQ  CX, BX
-	SHRQ  $3, BX
-	JZ    tail
-loop8:
-	MOVUPS 0(SI), X4
-	MOVUPS 16(SI), X5
-	MOVUPS 0(DI), X6
-	MOVUPS 16(DI), X7
-	MULPS  X4, X6
-	MULPS  X5, X7
-	ADDPS  X6, X0
-	ADDPS  X7, X1
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    loop8
-tail:
-	ANDQ $7, CX
-	JZ   done
-tailloop:
-	MOVSS 0(SI), X4
-	MULSS 0(DI), X4
-	ADDSS X4, X0
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   tailloop
-done:
-	// Fold the 8 lanes: lanes 4-7 onto 0-3, then the 4-lane horizontal
-	// sum ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
-	ADDPS   X1, X0
-	MOVAPS  X0, X1
-	MOVHLPS X1, X1
-	ADDPS   X1, X0
-	MOVAPS  X0, X1
-	SHUFPS  $0x55, X1, X1
-	ADDSS   X1, X0
-	MOVSS   X0, ret+48(FP)
-	RET
-
-// func dot4x64(row, q0, q1, q2, q3 []float64, out *[4]float64)
-TEXT ·dot4x64(SB), NOSPLIT, $0-128
-	MOVQ row_base+0(FP), SI
-	MOVQ row_len+8(FP), CX
-	MOVQ q0_base+24(FP), DI
-	MOVQ q1_base+48(FP), R8
-	MOVQ q2_base+72(FP), R9
-	MOVQ q3_base+96(FP), R10
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	MOVQ  CX, BX
-	SHRQ  $2, BX
-	JZ    tail
-loop4:
-	MOVUPD 0(SI), X4
-	MOVUPD 16(SI), X5
-	MOVUPD 0(DI), X6
-	MOVUPD 16(DI), X7
-	MULPD  X4, X6
-	MULPD  X5, X7
-	ADDPD  X6, X0
-	ADDPD  X7, X0
-	MOVUPD 0(R8), X6
-	MOVUPD 16(R8), X7
-	MULPD  X4, X6
-	MULPD  X5, X7
-	ADDPD  X6, X1
-	ADDPD  X7, X1
-	MOVUPD 0(R9), X6
-	MOVUPD 16(R9), X7
-	MULPD  X4, X6
-	MULPD  X5, X7
-	ADDPD  X6, X2
-	ADDPD  X7, X2
-	MOVUPD 0(R10), X6
-	MOVUPD 16(R10), X7
-	MULPD  X4, X6
-	MULPD  X5, X7
-	ADDPD  X6, X3
-	ADDPD  X7, X3
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	ADDQ   $32, R8
-	ADDQ   $32, R9
-	ADDQ   $32, R10
-	DECQ   BX
-	JNZ    loop4
-tail:
-	ANDQ $3, CX
-	JZ   done
-tailloop:
-	MOVSD 0(SI), X4
-	MOVSD 0(DI), X6
-	MULSD X4, X6
-	ADDSD X6, X0
-	MOVSD 0(R8), X6
-	MULSD X4, X6
-	ADDSD X6, X1
-	MOVSD 0(R9), X6
-	MULSD X4, X6
-	ADDSD X6, X2
-	MOVSD 0(R10), X6
-	MULSD X4, X6
-	ADDSD X6, X3
-	ADDQ  $8, SI
-	ADDQ  $8, DI
-	ADDQ  $8, R8
-	ADDQ  $8, R9
-	ADDQ  $8, R10
-	DECQ  CX
-	JNZ   tailloop
-done:
-	MOVQ     out+120(FP), AX
-	MOVAPD   X0, X4
-	UNPCKHPD X4, X4
-	ADDSD    X4, X0
-	MOVSD    X0, 0(AX)
-	MOVAPD   X1, X4
-	UNPCKHPD X4, X4
-	ADDSD    X4, X1
-	MOVSD    X1, 8(AX)
-	MOVAPD   X2, X4
-	UNPCKHPD X4, X4
-	ADDSD    X4, X2
-	MOVSD    X2, 16(AX)
-	MOVAPD   X3, X4
-	UNPCKHPD X4, X4
-	ADDSD    X4, X3
-	MOVSD    X3, 24(AX)
-	RET
-
-// func dot4x32sse(row, q0, q1, q2, q3 []float32, out *[4]float32)
-//
-// Accumulator pairs per query: q0 in X0:X1, q1 in X2:X3, q2 in X4:X5,
-// q3 in X6:X7 (first register lanes 0-3, second lanes 4-7). Row chunks
-// load into X8:X9; X10:X11 are the per-query product temporaries.
-TEXT ·dot4x32sse(SB), NOSPLIT, $0-128
-	MOVQ row_base+0(FP), SI
-	MOVQ row_len+8(FP), CX
-	MOVQ q0_base+24(FP), DI
-	MOVQ q1_base+48(FP), R8
-	MOVQ q2_base+72(FP), R9
-	MOVQ q3_base+96(FP), R10
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	MOVQ  CX, BX
-	SHRQ  $3, BX
-	JZ    tail
-loop8:
-	MOVUPS 0(SI), X8
-	MOVUPS 16(SI), X9
-	MOVUPS 0(DI), X10
-	MOVUPS 16(DI), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X0
-	ADDPS  X11, X1
-	MOVUPS 0(R8), X10
-	MOVUPS 16(R8), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X2
-	ADDPS  X11, X3
-	MOVUPS 0(R9), X10
-	MOVUPS 16(R9), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X4
-	ADDPS  X11, X5
-	MOVUPS 0(R10), X10
-	MOVUPS 16(R10), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X6
-	ADDPS  X11, X7
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	ADDQ   $32, R8
-	ADDQ   $32, R9
-	ADDQ   $32, R10
-	DECQ   BX
-	JNZ    loop8
-tail:
-	ANDQ $7, CX
-	JZ   done
-tailloop:
-	MOVSS 0(SI), X8
-	MOVSS 0(DI), X10
-	MULSS X8, X10
-	ADDSS X10, X0
-	MOVSS 0(R8), X10
-	MULSS X8, X10
-	ADDSS X10, X2
-	MOVSS 0(R9), X10
-	MULSS X8, X10
-	ADDSS X10, X4
-	MOVSS 0(R10), X10
-	MULSS X8, X10
-	ADDSS X10, X6
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	ADDQ  $4, R8
-	ADDQ  $4, R9
-	ADDQ  $4, R10
-	DECQ  CX
-	JNZ   tailloop
-done:
-	MOVQ    out+120(FP), AX
-	ADDPS   X1, X0
-	MOVAPS  X0, X8
-	MOVHLPS X8, X8
-	ADDPS   X8, X0
-	MOVAPS  X0, X8
-	SHUFPS  $0x55, X8, X8
-	ADDSS   X8, X0
-	MOVSS   X0, 0(AX)
-	ADDPS   X3, X2
-	MOVAPS  X2, X8
-	MOVHLPS X8, X8
-	ADDPS   X8, X2
-	MOVAPS  X2, X8
-	SHUFPS  $0x55, X8, X8
-	ADDSS   X8, X2
-	MOVSS   X2, 4(AX)
-	ADDPS   X5, X4
-	MOVAPS  X4, X8
-	MOVHLPS X8, X8
-	ADDPS   X8, X4
-	MOVAPS  X4, X8
-	SHUFPS  $0x55, X8, X8
-	ADDSS   X8, X4
-	MOVSS   X4, 8(AX)
-	ADDPS   X7, X6
-	MOVAPS  X6, X8
-	MOVHLPS X8, X8
-	ADDPS   X8, X6
-	MOVAPS  X6, X8
-	SHUFPS  $0x55, X8, X8
-	ADDSS   X8, X6
-	MOVSS   X6, 12(AX)
-	RET
-
 // func dot1x32avx(a, b []float32) float32
 //
 // The 8-lane tree in one ymm accumulator: a chunk's eight products land
 // on lanes 0-7 with a single VADDPS, so the per-chunk critical path is
-// one add — same bits as dot1x32sse, half the instructions. Lanes 4-7
-// are extracted to X1 before the scalar tail (VEX 128-bit writes zero
-// the upper half), the tail accumulates into lane 0, and the fold is
-// the shared ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+// one add. Lanes 4-7 are extracted to X1 before the scalar tail, the tail
+// accumulates into lane 0, and the fold is
+// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), the bits of dotTreeGo32.
 TEXT ·dot1x32avx(SB), NOSPLIT, $0-52
 	MOVQ a_base+0(FP), SI
 	MOVQ b_base+24(FP), DI
@@ -397,7 +134,7 @@ combine:
 //
 // One ymm accumulator per query (Y0-Y3), row chunk in Y8, per-query
 // product temporaries Y9-Y12. Upper halves are extracted to X4-X7
-// before the scalar tail; the folds match dot4x32sse exactly.
+// before the scalar tail; each query's fold is dot1x32avx's.
 TEXT ·dot4x32avx(SB), NOSPLIT, $0-128
 	MOVQ row_base+0(FP), SI
 	MOVQ row_len+8(FP), CX
@@ -522,165 +259,22 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemv4x32sse(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+// func gemv4x32avx(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 //
 // n rows of a four-query distance group in a single call: for every row r,
-// accumulate the four dots with the 8-lane tree (accumulator pairs
-// X0:X1, X2:X3, X4:X5, X6:X7), fold them TRANSPOSED into one packed
-// register (each lane ends up exactly (x0+x2)+(x1+x3) of that query's
-// 4-lane partials — the same association as the scalar fold), then
-// finish v = nr + qn - 2·dot, the <0 clamp, and the float64 widening as
-// packed lane-wise ops (IEEE identical to the scalar expressions of
+// accumulate the four dots with the 8-lane tree (one ymm accumulator per
+// query, Y0-Y3, products in Y4-Y7, row chunk in Y8), extract lanes 4-7 to
+// X8-X11 before the scalar tail, fold the four queries TRANSPOSED into
+// one packed register (each lane ends up exactly (x0+x2)+(x1+x3) of that
+// query's 4-lane partials — the same association as the scalar fold),
+// then finish v = nr + qn - 2·dot, the <0 clamp, and the float64 widening
+// as packed lane-wise ops (IEEE identical to the scalar expressions of
 // sqL2Gemv4x32Go). Row data is indexed by BX so the query base pointers
 // never move; distance rows d0..d3 start stride values apart in dst4
 // (R11 walks d0/d1, R13 = R11 + 2·stride·8 walks d2/d3, R12 =
 // stride·8), so that sqL2Gemv4x32 can fill a long tile one block of
-// rows per call.
-// X12 holds the packed query norms, X13 a packed zero for the clamp;
-// BP (saved) walks the row norms.
-TEXT ·gemv4x32sse(SB), NOSPLIT, $16-200
-	MOVQ BP, 8(SP)
-	MOVQ dst4_base+0(FP), R11
-	MOVQ n+32(FP), AX
-	TESTQ AX, AX
-	JZ   done
-	MOVQ stride+24(FP), R12
-	SHLQ $3, R12
-	LEAQ (R11)(R12*2), R13
-	MOVQ flat_base+40(FP), SI
-	MOVQ dim+64(FP), CX
-	MOVQ norms_base+72(FP), BP
-	MOVQ q0_base+96(FP), DI
-	MOVQ q1_base+120(FP), R8
-	MOVQ q2_base+144(FP), R9
-	MOVQ q3_base+168(FP), R10
-	MOVQ qn+192(FP), DX
-	MOVUPS (DX), X12
-	XORPS X13, X13
-	MOVQ CX, BX
-	SHLQ $2, BX
-	MOVQ BX, 0(SP)
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	SHLQ $2, DX
-rowloop:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	XORQ  BX, BX
-	TESTQ DX, DX
-	JZ    tailcheck
-chunk:
-	MOVUPS (SI)(BX*1), X8
-	MOVUPS 16(SI)(BX*1), X9
-	MOVUPS (DI)(BX*1), X10
-	MOVUPS 16(DI)(BX*1), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X0
-	ADDPS  X11, X1
-	MOVUPS (R8)(BX*1), X10
-	MOVUPS 16(R8)(BX*1), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X2
-	ADDPS  X11, X3
-	MOVUPS (R9)(BX*1), X10
-	MOVUPS 16(R9)(BX*1), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X4
-	ADDPS  X11, X5
-	MOVUPS (R10)(BX*1), X10
-	MOVUPS 16(R10)(BX*1), X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X6
-	ADDPS  X11, X7
-	ADDQ   $32, BX
-	CMPQ   BX, DX
-	JLT    chunk
-tailcheck:
-	MOVQ 0(SP), CX
-	CMPQ BX, CX
-	JGE  fold
-tailloop:
-	MOVSS (SI)(BX*1), X8
-	MOVSS (DI)(BX*1), X10
-	MULSS X8, X10
-	ADDSS X10, X0
-	MOVSS (R8)(BX*1), X10
-	MULSS X8, X10
-	ADDSS X10, X2
-	MOVSS (R9)(BX*1), X10
-	MULSS X8, X10
-	ADDSS X10, X4
-	MOVSS (R10)(BX*1), X10
-	MULSS X8, X10
-	ADDSS X10, X6
-	ADDQ  $4, BX
-	CMPQ  BX, CX
-	JLT   tailloop
-fold:
-	ADDPS    X1, X0
-	ADDPS    X3, X2
-	ADDPS    X5, X4
-	ADDPS    X7, X6
-	MOVAPS   X0, X8
-	UNPCKLPS X2, X0
-	UNPCKHPS X2, X8
-	MOVAPS   X4, X9
-	UNPCKLPS X6, X4
-	UNPCKHPS X6, X9
-	MOVAPS   X0, X10
-	MOVLHPS  X4, X0
-	MOVHLPS  X10, X4
-	MOVAPS   X8, X10
-	MOVLHPS  X9, X8
-	MOVHLPS  X10, X9
-	ADDPS    X8, X0
-	ADDPS    X9, X4
-	ADDPS    X4, X0
-	MOVSS    (BP), X1
-	SHUFPS   $0x00, X1, X1
-	ADDPS    X12, X1
-	ADDPS    X0, X0
-	SUBPS    X0, X1
-	MOVAPS   X1, X2
-	CMPPS    X13, X2, $1
-	ANDNPS   X1, X2
-	CVTPS2PD X2, X0
-	MOVAPS   X2, X1
-	MOVHLPS  X1, X1
-	CVTPS2PD X1, X1
-	MOVSD    X0, (R11)
-	UNPCKHPD X0, X0
-	MOVSD    X0, (R11)(R12*1)
-	MOVSD    X1, (R13)
-	UNPCKHPD X1, X1
-	MOVSD    X1, (R13)(R12*1)
-	ADDQ $8, R11
-	ADDQ $8, R13
-	ADDQ $4, BP
-	ADDQ CX, SI
-	DECQ AX
-	JNZ  rowloop
-done:
-	MOVQ 8(SP), BP
-	RET
-
-// func gemv4x32avx(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
-//
-// The AVX body of the group sweep: one ymm accumulator per query
-// (Y0-Y3, products in Y4-Y7, row chunk in Y8), lanes 4-7 extracted to
-// X8-X11 before the scalar tail, then the identical transposed fold and
-// packed distance epilogue of gemv4x32sse. Register map otherwise as in
-// gemv4x32sse.
+// rows per call. X12 holds the packed query norms, X13 a packed zero for
+// the clamp; BP (saved) walks the row norms.
 TEXT ·gemv4x32avx(SB), NOSPLIT, $16-200
 	MOVQ BP, 8(SP)
 	MOVQ dst4_base+0(FP), R11
@@ -809,7 +403,7 @@ done:
 //
 // An eight-query float64 distance pass over n rows; sqL2Sweep8 calls it
 // once per block of rows, so that the pass can be preempted between
-// blocks. Each ymm accumulator holds the two lanes of the SSE2 tree for
+// blocks. Each ymm accumulator holds the two lanes of dot1x64's tree for
 // two queries: Y0 = q0|q2, Y1 = q1|q3, Y2 = q4|q6, Y3 = q5|q7 (lanes 0-1
 // the first query's, 2-3 the second's). qp is the query block packQueries8 lays out: per two
 // elements of the four-element body, the four pairs' [a_i, a_i+1, b_i,
@@ -817,7 +411,7 @@ done:
 // (SI)(BX*1)); then per tail element the four pairs' [a_j, 0, b_j, 0]
 // (walked by R13 from R12). Each body step broadcasts the row's element
 // pair to both halves of Y4 and adds the products into lanes 0-1 in the
-// order dot4x64 adds them; a tail element goes in as [r_j, 0, r_j, 0],
+// order dotTreeGo64 adds them; a tail element goes in as [r_j, 0, r_j, 0],
 // so lane 0 gets the scalar tail and lane 1 adds +0, which changes no
 // bit (an accumulator that starts at +0 can never hold −0). The fold
 // interleaves the pairs back into query order and adds lane 0 + lane 1,

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// The AVX and SSE2 float32 bodies implement the same 8-lane summation
-// tree and must agree bit for bit on every length (loop, tail, and
-// empty cases) — otherwise results would depend on which machine ran
+// The AVX float32 bodies and the Go tree implement the same 8-lane
+// summation tree and must agree bit for bit on every length (loop, tail,
+// and empty cases) — otherwise results would depend on which machine ran
 // the valuation.
-func TestDot32AVXMatchesSSE(t *testing.T) {
+func TestDot32AVXMatchesGoTree(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this machine")
 	}
@@ -29,27 +29,23 @@ func TestDot32AVXMatchesSSE(t *testing.T) {
 				qs[j][i] = float32(rng.NormFloat64())
 			}
 		}
-		for j := range qs {
-			if got, want := dot1x32avx(a, qs[j]), dot1x32sse(a, qs[j]); got != want {
-				t.Fatalf("dot1x32 n=%d q%d: avx %v != sse %v", n, j, got, want)
-			}
-		}
-		var outAVX, outSSE [4]float32
+		var outAVX [4]float32
 		dot4x32avx(a, qs[0], qs[1], qs[2], qs[3], &outAVX)
-		dot4x32sse(a, qs[0], qs[1], qs[2], qs[3], &outSSE)
-		if outAVX != outSSE {
-			t.Fatalf("dot4x32 n=%d: avx %v != sse %v", n, outAVX, outSSE)
-		}
 		for j := range qs {
-			if want := dotTreeGo32(a, qs[j]); outAVX[j] != want {
+			want := dotTreeGo32(a, qs[j])
+			if got := dot1x32avx(a, qs[j]); got != want {
+				t.Fatalf("dot1x32avx n=%d q%d: %v, want tree %v", n, j, got, want)
+			}
+			if outAVX[j] != want {
 				t.Fatalf("dot4x32avx n=%d slot %d: %v, want tree %v", n, j, outAVX[j], want)
 			}
 		}
 	}
 }
 
-// Raw kernel-body throughput, isolating the asm from the batch loop's
-// per-row overhead (slice headers, norm arithmetic, stores).
+// Raw four-query dot throughput of the AVX body and the Go tree, isolated
+// from the batch loop's per-row overhead (slice headers, norm arithmetic,
+// stores).
 func BenchmarkDot4x32Bodies(b *testing.B) {
 	const n, dim = 10000, 64
 	rng := rand.New(rand.NewPCG(97, 9))
@@ -65,11 +61,11 @@ func BenchmarkDot4x32Bodies(b *testing.B) {
 		}
 	}
 	var out [4]float32
-	b.Run("sse", func(b *testing.B) {
+	b.Run("go", func(b *testing.B) {
 		b.SetBytes(int64(n * dim * 4))
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < n; r++ {
-				dot4x32sse(flat[r*dim:(r+1)*dim], q[0], q[1], q[2], q[3], &out)
+				dot4x32(flat[r*dim:(r+1)*dim], q[0], q[1], q[2], q[3], &out)
 			}
 		}
 	})
@@ -126,21 +122,17 @@ func BenchmarkScanBodies(b *testing.B) {
 	}
 }
 
-// The assembly group sweeps must reproduce the portable group body bit
-// for bit on every shape — including scalar tails (dim % 8), dims below
-// one chunk, single rows, negative-identity clamps, and non-finite
-// inputs (Inf rows make v = Inf - Inf = NaN, which the clamp must
-// preserve, not zero). Each body fills the whole tile through
-// sqL2Gemv4x32, one call per sweepBlock of training values (130 rows at
-// dim 4099 take three), and then one block of rows on its own, which
-// must leave the other rows' distances alone.
+// The AVX group sweep must reproduce the portable group body bit for bit
+// on every shape — including scalar tails (dim % 8), dims below one
+// chunk, single rows, negative-identity clamps, and non-finite inputs
+// (Inf rows make v = Inf - Inf = NaN, which the clamp must preserve, not
+// zero). It fills the whole tile through sqL2Gemv4x32, one call per
+// sweepBlock of training values (130 rows at dim 4099 take three), and
+// then one block of rows on its own, which must leave the other rows'
+// distances alone.
 func TestGemv4x32MatchesGo(t *testing.T) {
-	defer func(avx bool) { useAVX = avx }(useAVX)
-	kernels := map[string]func(dst4 []float64, stride, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32){
-		"sse": gemv4x32sse,
-	}
-	if useAVX {
-		kernels["avx"] = gemv4x32avx
+	if !useAVX {
+		t.Skip("no AVX on this machine")
 	}
 	if blocks := (130 + sweepBlock/4099 - 1) / (sweepBlock / 4099); blocks < 3 {
 		t.Fatalf("130 rows of dim 4099 fill %d sweepBlocks, want at least 3", blocks)
@@ -168,40 +160,38 @@ func TestGemv4x32MatchesGo(t *testing.T) {
 		qn := [4]float32{SqNorm32(qs[0]), SqNorm32(qs[1]), SqNorm32(qs[2]), SqNorm32(qs[3])}
 		want := make([]float64, 4*n)
 		sqL2Gemv4x32Go(want, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
-		for name, gemv := range kernels {
-			useAVX = name == "avx"
-			got := make([]float64, 4*n)
-			sqL2Gemv4x32(got, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
-			for i := range want {
-				if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
-					t.Fatalf("%s n=%d dim=%d: dst4[%d] = %v, want %v", name, n, dim, i, got[i], want[i])
-				}
+		got := make([]float64, 4*n)
+		sqL2Gemv4x32(got, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
+		for i := range want {
+			if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
+				t.Fatalf("n=%d dim=%d: dst4[%d] = %v, want %v", n, dim, i, got[i], want[i])
 			}
-			// Distances are never negative, so -1 marks an unwritten one.
-			lo, hi := n/3, n-n/3
-			for i := range got {
-				got[i] = -1
-			}
-			gemv(got[lo:], n, hi-lo, flat[lo*dim:hi*dim], dim, norms[lo:hi], qs[0], qs[1], qs[2], qs[3], &qn)
-			for i := range want {
-				if r := i % n; r < lo || r >= hi {
-					if got[i] != -1 {
-						t.Fatalf("%s n=%d dim=%d rows [%d,%d): wrote dst4[%d] = %v", name, n, dim, lo, hi, i, got[i])
-					}
-				} else if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
-					t.Fatalf("%s n=%d dim=%d rows [%d,%d): dst4[%d] = %v, want %v", name, n, dim, lo, hi, i, got[i], want[i])
+		}
+		// Distances are never negative, so -1 marks an unwritten one.
+		lo, hi := n/3, n-n/3
+		for i := range got {
+			got[i] = -1
+		}
+		gemv4x32avx(got[lo:], n, hi-lo, flat[lo*dim:hi*dim], dim, norms[lo:hi], qs[0], qs[1], qs[2], qs[3], &qn)
+		for i := range want {
+			if r := i % n; r < lo || r >= hi {
+				if got[i] != -1 {
+					t.Fatalf("n=%d dim=%d rows [%d,%d): wrote dst4[%d] = %v", n, dim, lo, hi, i, got[i])
 				}
+			} else if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
+				t.Fatalf("n=%d dim=%d rows [%d,%d): dst4[%d] = %v, want %v", n, dim, lo, hi, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// The eight-query AVX sweep, the SSE2 path (useAVX off) and a Go mirror
-// of the sweep must give every distance the bits of the per-query Go tree:
-// on dims 0-70 (empty, loop-only, and 1-3-element tails), 1-17 queries
-// (short groups are padded), 0, 1 and 37 rows, and rows and queries of −0,
-// denormals and 1e200-scale values, whose norms overflow to +Inf so that
-// some distances are Inf − Inf, a NaN the clamp must keep. On 37 rows and
+// The eight-query AVX sweep, the Go path (useAVX off: dot4x64 four
+// queries at a time) and a Go mirror of the sweep must give every
+// distance the bits of the per-query Go tree: on dims 0-70 (empty,
+// loop-only, and 1-3-element tails), 1-17 queries (short groups are
+// padded), 0, 1 and 37 rows, and rows and queries of −0, denormals and
+// 1e200-scale values, whose norms overflow to +Inf so that some
+// distances are Inf − Inf, a NaN the clamp must keep. On 37 rows and
 // more each body also fills the tile as two row ranges (SqL2NormDotRows),
 // and the first range must leave the other rows' distances alone. One
 // more shape, 130 rows at dim 4099, has more rows than one sweepBlock
@@ -266,7 +256,7 @@ func TestSweep8x64MatchesGoTree(t *testing.T) {
 					continue
 				}
 				useAVX = avx
-				body := map[bool]string{false: "sse2", true: "avx"}[avx]
+				body := map[bool]string{false: "go", true: "avx"}[avx]
 				check(body, SqL2NormDotBatch(nil, flat, n, dim, norms, q, nq))
 				if n >= 37 {
 					split := n / 3

@@ -7,9 +7,11 @@ import "fmt"
 // restructured as ‖a‖² + ‖q‖² − 2·a·q with the per-row norms ‖a‖² cached
 // once per session. The per-row work drops from subtract+multiply+add to a
 // pure dot product — one GEMV-shaped sweep over the training matrix per
-// query group: eight queries on amd64 with AVX (float64), four otherwise.
-// The dots are assembly on amd64 (dot_amd64.s) and a bit-identical pure-Go
-// tree elsewhere (dotTreeGo64/dotTreeGo32 below).
+// query group: eight queries for the float64 scan on amd64 with AVX, four
+// for the float32 scan and wherever AVX is missing. The dots are AVX
+// assembly on amd64 hosts that have it (dot_amd64.s) and a bit-identical
+// pure-Go tree everywhere else, amd64 without AVX included
+// (dotTreeGo64/dotTreeGo32 and the four-query bodies below).
 //
 // Summation-order contract: every dot product — single-query, grouped by
 // four or eight, assembly or fallback, float64 or float32 — accumulates
@@ -37,12 +39,10 @@ func dotTreeGo64(a, b []float64) float64 {
 	return l0 + l1
 }
 
-// dotTreeGo32 is the pure-Go mirror of the SSE2 float32 summation tree:
-// eight lanes by offset mod 8 (two 4-wide registers per query, so the two
-// adds per chunk are independent and the critical path is one ADDPS per
-// chunk), tail into lane 0, combined as
-// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), each product rounded as in
-// dotTreeGo64.
+// dotTreeGo32 is the pure-Go mirror of the float32 summation tree: eight
+// lanes by offset mod 8 (one ymm register per query in the AVX kernels),
+// tail into lane 0, combined as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)),
+// each product rounded as in dotTreeGo64.
 func dotTreeGo32(a, b []float32) float32 {
 	var l0, l1, l2, l3, l4, l5, l6, l7 float32
 	i := 0
@@ -60,6 +60,24 @@ func dotTreeGo32(a, b []float32) float32 {
 		l0 += float32(a[i] * b[i])
 	}
 	return ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+}
+
+// dot4x64 sets out[j] = row·qj with the dotTreeGo64 tree. It is the
+// float64 scan's four-query group wherever the AVX sweep does not run.
+func dot4x64(row, q0, q1, q2, q3 []float64, out *[4]float64) {
+	out[0] = dotTreeGo64(row, q0)
+	out[1] = dotTreeGo64(row, q1)
+	out[2] = dotTreeGo64(row, q2)
+	out[3] = dotTreeGo64(row, q3)
+}
+
+// dot4x32 is dot4x64 for float32, with the dotTreeGo32 tree: the dots of
+// sqL2Gemv4x32Go.
+func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
+	out[0] = dotTreeGo32(row, q0)
+	out[1] = dotTreeGo32(row, q1)
+	out[2] = dotTreeGo32(row, q2)
+	out[3] = dotTreeGo32(row, q3)
 }
 
 // SqNorm returns ‖a‖² accumulated with the kernel summation tree — the
@@ -247,10 +265,10 @@ func SqL2NormDotBatch32(dst []float64, flat []float32, n, dim int, norms []float
 
 // sqL2Gemv4x32Go is the portable body of one four-query float32 GEMV
 // group: dst4 is the 4n-length window holding the four queries' distance
-// rows back to back. On amd64 sqL2Gemv4x32 (dot_amd64.go) replaces the
-// whole loop with assembly sweeps, one per block of rows — same tree,
-// same distance expression, same clamp, so the outputs are bit-identical
-// (TestGemv4x32MatchesGo pins this).
+// rows back to back. On amd64 with AVX, sqL2Gemv4x32 (dot_amd64.go)
+// replaces the whole loop with assembly sweeps, one per block of rows —
+// same tree, same distance expression, same clamp, so the outputs are
+// bit-identical (TestGemv4x32MatchesGo pins this).
 func sqL2Gemv4x32Go(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
 	d0, d1, d2, d3 := dst4[0:n], dst4[n:2*n], dst4[2*n:3*n], dst4[3*n:4*n]
 	var dots [4]float32

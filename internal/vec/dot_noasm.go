@@ -2,33 +2,17 @@
 
 package vec
 
-// Portable fallbacks for the assembly kernels of dot_amd64.s. They call
-// the shared tree implementations of dot_kernels.go, so distances computed
-// on non-amd64 platforms are bit-identical to the assembly path. The
-// float64 scan runs dot4x64 four queries at a time here, as on amd64
-// without AVX.
+// Portable stand-ins for the assembly kernels of dot_amd64.s. The dots run
+// the Go trees of dot_kernels.go, which the assembly matches bit for bit,
+// so distances computed here are those of an amd64 host.
 
 func dot1x64(a, b []float64) float64 { return dotTreeGo64(a, b) }
 
 func dot1x32(a, b []float32) float32 { return dotTreeGo32(a, b) }
 
-func dot4x64(row, q0, q1, q2, q3 []float64, out *[4]float64) {
-	out[0] = dotTreeGo64(row, q0)
-	out[1] = dotTreeGo64(row, q1)
-	out[2] = dotTreeGo64(row, q2)
-	out[3] = dotTreeGo64(row, q3)
-}
-
 // sqL2Sweep8 has no portable body: SqL2NormDotRows runs dot4x64.
 func sqL2Sweep8(dst []float64, stride int, flat []float64, n, dim int, norms, qflat []float64, nq int) int {
 	return 0
-}
-
-func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
-	out[0] = dotTreeGo32(row, q0)
-	out[1] = dotTreeGo32(row, q1)
-	out[2] = dotTreeGo32(row, q2)
-	out[3] = dotTreeGo32(row, q3)
 }
 
 func sqL2Gemv4x32(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {

@@ -5,9 +5,9 @@
 // for the bandwidth-bound scans) and is allocation-free unless the
 // function's contract says otherwise. The two per-test-point hot paths are
 // hardware-shaped: the squared-L2 scan runs as a norm-precompute GEMV
-// sweep over the flat training matrix (SqL2NormDotBatch: on amd64 an AVX
-// pass per eight queries, or SSE2 per four, with bit-identical portable
-// fallbacks — see dot_kernels.go), and
+// sweep over the flat training matrix (SqL2NormDotBatch: on amd64 with
+// AVX an assembly pass per eight float64 or four float32 queries,
+// elsewhere a bit-identical Go pass per four — see dot_kernels.go), and
 // the α-ordering argsort is an MSD bucket sort on the distance bit
 // patterns (ArgsortDistInto, DistSorter.PackedInto) instead of a
 // comparison sort.
