@@ -138,6 +138,16 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 	// weighted by the number of larger coalitions sharing that prefix.
 	others := make([]int, n-2) // training ids of everyone except the pair
 	ranks := make([]int, n-2)  // their 1-based ranks
+	// tails[r] is the Eq. (77) multiplier of a prefix whose largest rank is
+	// r (≥ 2, the pair's); it depends on nothing else, so each is summed
+	// once here instead of once per prefix.
+	var tails []float64
+	if size := k - 1; size >= 0 && size <= n-2 {
+		tails = make([]float64, n+1)
+		for r := 2; r <= n; r++ {
+			tails[r] = tailCoefficient(n, k, r, w)
+		}
+	}
 	for i := n - 1; i >= 1; i-- {
 		cur, next := order[i-1], order[i] // ranks i and i+1 (1-based)
 		others = others[:0]
@@ -170,8 +180,7 @@ func countingSVInto(tp *knn.TestPoint, w svWeights, s *Scratch, sv []float64) {
 						maxRank = ranks[c]
 					}
 				}
-				coef := tailCoefficient(n, k, maxRank, w)
-				if coef != 0 {
+				if coef := tails[maxRank]; coef != 0 {
 					delta += coef * pairDiff(tp, h, others, comb, cur, next, subset[:0])
 				}
 			})
