@@ -14,10 +14,11 @@
 # reduce over several goroutines) and ten over the LSH index (its build
 # hashes tables on several goroutines), the benchmark's own self-test (so an
 # internal API change that breaks the benchmark's build fails here), a
-# GOAMD64=v3 cross-build of the assembly, an arm64 cross-vet of
-# internal/vec (its portable kernels, which no amd64 build compiles) and a
-# check of its arm64 code for fused multiply-adds (there must be none: a
-# fused op rounds differently from the amd64 kernels), fuzz smoke
+# GOAMD64=v3 cross-build of the assembly, a 386 run of the internal/vec
+# tests and an arm64 cross-vet of internal/vec (its portable stand-ins in
+# dot_noasm.go, which no amd64 build compiles), a check of its arm64 code
+# for fused multiply-adds (there must be none: a fused op rounds
+# differently from the amd64 kernels), fuzz smoke
 # runs over the decode/storage/shard-codec surfaces (the index store's
 # container header included), the distance sort
 # (the []int ordering and the packed ranking against a stable comparison
@@ -69,8 +70,13 @@ go build ./...
 # microarchitecture level too (VEX availability differs; the runtime AVX
 # dispatch must not depend on GOAMD64).
 GOAMD64=v3 go build ./...
-# No amd64 build compiles the portable kernels (dot_noasm.go): vet them
-# for a non-amd64 target.
+# amd64 builds compile the shared Go trees of dot_kernels.go but not the
+# portable stand-ins of dot_noasm.go (the Go dot1x64, the no-op sweep and
+# four-lane stubs): run the vec tests on them as 386, which an x86-64 host
+# executes, and vet them for arm64. Only internal/vec: the rest of the
+# module does not build for 32-bit targets (size checks against 1<<31 in
+# the dataset and cluster codecs overflow int).
+GOARCH=386 go test ./internal/vec
 GOARCH=arm64 go vet ./internal/vec
 # Every portable helper rounds each product on its own (float64(a*b)), so
 # the arm64 compiler must emit no FMADD/FMSUB/FNMADD/FNMSUB (S or D) for
