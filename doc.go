@@ -110,9 +110,9 @@
 // ‖a−q‖² = ‖a‖² + ‖q‖² − 2·a·q: per-row training norms are computed once
 // per session and cached, reducing the inner loop to a pure dot product —
 // one GEMV-shaped sweep of the training matrix per group of eight test
-// points on amd64 with AVX, or four with the SSE2 kernel (AVX is detected
-// at startup; both bodies are bit-identical), and a bit-identical pure-Go
-// summation tree elsewhere. Every dot product uses the same fixed
+// points in assembly on amd64 with AVX (detected at startup), or four with
+// a bit-identical pure-Go summation tree everywhere else, amd64 without
+// AVX included. Every dot product uses the same fixed
 // summation tree regardless of platform, batching or worker count, which
 // is what keeps valuations bit-reproducible. After the scan, the
 // truncated method selects its K* nearest with a partial top-K heap

@@ -12,13 +12,10 @@ import (
 
 // scanGrain is the least scan work, in training rows × four-query groups ×
 // feature dimensions, that NextBatch gives each goroutine when it splits a
-// batch, whatever unit it splits in. On a 2-vCPU Xeon host, dim 64, a
-// two-way split with the SSE2 four-query kernel took 1.01–1.05× the serial
-// time at 2^17 units per goroutine, 0.57–0.96× at 2^18 and 0.52–0.54× at
-// 2^19, and goroutine start-up made it slower below 2^17. With the AVX
-// eight-query sweep, a 16-query batch split into two halves of the
+// batch, whatever unit it splits in. On a 2-vCPU Xeon host, dim 64, with
+// the AVX eight-query sweep, a 16-query batch split into two halves of the
 // training rows took 1.42× the serial time at 2^16, 1.09× at 2^17, 0.79×
-// at 2^18 and 0.61× at 2^19 (medians of 6 runs), so the grain stays.
+// at 2^18 and 0.61× at 2^19 (medians of 6 runs), so the grain is 2^18.
 const scanGrain = 1 << 18
 
 // Stream is a batched producer of TestPoints: instead of eagerly
