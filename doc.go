@@ -121,7 +121,8 @@
 //
 // WithPrecision(Float32) opts a session into float32 compute: the
 // training set is mirrored to float32 once, the distance scan runs in
-// float32 (half the memory traffic — measured 2–3× faster), and each
+// float32 (half the memory traffic: about 1.4× faster with the AVX
+// kernels, no faster on the portable Go trees), and each
 // squared distance is widened to float64 on store so ranking, recursion
 // and reported values flow through unchanged code. The default Float64
 // mode is bit-for-bit unaffected. Tolerance contract: a float32 squared
